@@ -61,6 +61,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: NumPy seeds are non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _parse_family(text: str, n: int, seed: int = 0) -> fam.FamilyKind:
     """One family token: a tag, an alias, or tag:arg for parameterized
     families (k-diagonal bandwidths, vandermonde types, subspace size)."""
@@ -120,6 +131,10 @@ def _cmd_table(args) -> int:
     return EXIT_OK if all_match else EXIT_NOT_DOMINANT
 
 
+_INT_OPTIONS = ("max_iterations", "restarts", "seed")
+_REAL_OPTIONS = ("residual_tol", "damping_init")
+
+
 def _read_options(path) -> FitOptions:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -129,10 +144,15 @@ def _read_options(path) -> FitOptions:
                                column=exc.colno) from None
     if not isinstance(doc, dict):
         raise MatrixParseError("options file must hold a JSON object")
-    allowed = {"max_iterations", "residual_tol", "damping_init", "restarts", "seed"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - set(_INT_OPTIONS) - set(_REAL_OPTIONS)
     if unknown:
         raise MatrixParseError(f"unknown option fields: {sorted(unknown)}")
+    for key, value in doc.items():
+        real = key in _REAL_OPTIONS
+        # bool is a subclass of int, but true is no count and no tolerance
+        if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
+            kind = "a real number" if real else "an integer"
+            raise MatrixParseError(f"option {key!r} must be {kind}, got {json.dumps(value)}")
     return FitOptions(**doc)
 
 
@@ -238,7 +258,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--target", choices=[TARGET_FULL, TARGET_DET, TARGET_CENTRO],
                    default=TARGET_FULL)
     p.set_defaults(func=_cmd_verify)
@@ -246,14 +266,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("table", help="skew-symmetric image dimensions against known values")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("decompose", help="fit a factor chain to a matrix file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--chain", required=True, help="comma-separated family tokens")
     p.add_argument("--opts", default=None, help="JSON file with fit options")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--target", choices=[TARGET_FULL, TARGET_DET, TARGET_CENTRO],
                    default=TARGET_FULL)
     p.set_defaults(func=_cmd_decompose)
@@ -271,7 +291,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample", help="draw a random member of a family")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_sample)
 
     return parser

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .companion import companion_matrix
 from .errors import (
@@ -398,6 +397,18 @@ def _vand_tangent(n: int, s: int, nodes: np.ndarray):
     return mats
 
 
+def _expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential (scipy.linalg.expm).
+
+    scipy.linalg is imported here, on first use, not at module level: the
+    orthogonal family is its only user, and loading it about doubles the
+    time of a CLI call that never evaluates an orthogonal factor.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.expm(A)
+
+
 def _expm_frechet(S: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Frechet derivative of expm at S in direction E (block-matrix trick)."""
     n = S.shape[0]
@@ -405,7 +416,7 @@ def _expm_frechet(S: np.ndarray, E: np.ndarray) -> np.ndarray:
     blk[:n, :n] = S
     blk[n:, n:] = S
     blk[:n, n:] = E
-    return scipy.linalg.expm(blk)[:n, n:]
+    return _expm(blk)[:n, n:]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +439,7 @@ def parameterize(spec: FamilySpec, params) -> np.ndarray:
     if tag == COMPANION:
         return companion_matrix(params)
     if tag == ORTHOGONAL:
-        return scipy.linalg.expm(_skew_from_params(spec.n, params))
+        return _expm(_skew_from_params(spec.n, params))
     if tag == VANDERMONDE:
         return _vand_matrix(spec.n, spec.kind.s, params)
     if tag == VANDERMONDE_T:
@@ -497,7 +508,7 @@ def tangent_basis(spec: FamilySpec, point) -> TangentFrame:
         if is_params:
             params = _check_params(spec, point)
             S = _skew_from_params(n, params)
-            base = scipy.linalg.expm(S)
+            base = _expm(S)
             frame = [_expm_frechet(S, E) for E in skew]
         else:
             base = point

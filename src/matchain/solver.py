@@ -58,6 +58,8 @@ class FitOptions:
             raise ParameterRangeError("residual tolerance must lie in (0, 1)")
         if self.damping_init <= 0:
             raise ParameterRangeError("initial damping must be positive")
+        if self.seed < 0:
+            raise ParameterRangeError("seed must be non-negative")
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """End-to-end command line checks: exit codes and JSON payloads."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,11 +13,21 @@ import matchain.families as fam
 import matchain.io as mio
 from matchain.companion import companion_matrix
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _child_env():
+    """This checkout's src first on the child's PYTHONPATH, so the child
+    runs the code under test without an installed package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
 
 def run_cli(*args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "matchain", *args],
-        capture_output=True, text=True, **kw,
+        capture_output=True, text=True, env=_child_env(), **kw,
     )
 
 
@@ -113,15 +125,42 @@ def test_decompose_infeasible_chain_is_an_error(tmp_path):
     assert res.returncode == 1
 
 
-def test_decompose_rejects_unknown_option(tmp_path):
+@pytest.mark.parametrize("text,code,field", [
+    # a malformed options file is a parse error
+    pytest.param('{"velocity": 9}', 2, "velocity", id="unknown-field"),
+    pytest.param('{"max_iterations": "5"}', 2, "max_iterations", id="string-count"),
+    pytest.param('{"max_iterations": 2.5}', 2, "max_iterations", id="fractional-count"),
+    pytest.param('{"restarts": true}', 2, "restarts", id="bool-count"),
+    pytest.param('{"residual_tol": null}', 2, "residual_tol", id="null-tolerance"),
+    pytest.param('{"seed": 1.5}', 2, "seed", id="fractional-seed"),
+    # well-typed but out of range
+    pytest.param('{"seed": -1}', 1, "seed", id="negative-seed"),
+])
+def test_decompose_rejects_unknown_option(tmp_path, text, code, field):
     path = tmp_path / "t.json"
     mio.write_matrix(np.eye(3, dtype=complex), str(path))
     opts = tmp_path / "opts.json"
-    opts.write_text('{"velocity": 9}')
+    opts.write_text(text)
     res = run_cli("decompose", "--in", str(path), "--chain", "diagonal",
                   "--opts", str(opts))
-    assert res.returncode == 2  # malformed options file is a parse error
-    assert "velocity" in res.stderr
+    assert res.returncode == code
+    assert field in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "sample", "decompose"])
+def test_negative_seed_is_a_usage_error(tmp_path, command):
+    path = tmp_path / "t.json"
+    mio.write_matrix(np.eye(3, dtype=complex), str(path))
+    args = {
+        "verify": ["--family", "skew", "--n", "4", "--r", "3"],
+        "sample": ["--family", "skew", "--n", "4"],
+        "decompose": ["--in", str(path), "--chain", "diagonal"],
+    }[command]
+    res = run_cli(command, *args, "--seed", "-1")
+    assert res.returncode == 1
+    assert "--seed" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_companion_generic(tmp_path):
@@ -225,3 +264,38 @@ def test_family_argument_syntax():
     res = run_cli("bounds", "--family", "subspace:7", "--n", "4")
     assert res.returncode == 0
     assert json.loads(res.stdout)["family_dim"] == 7
+
+
+def test_commands_without_orthogonal_factors_do_not_load_scipy_linalg(tmp_path):
+    # a fresh interpreter: in this one, other tests may have loaded SciPy
+    path = tmp_path / "t.json"
+    rng = np.random.default_rng(3)
+    mio.write_matrix(fam.complex_gaussian(rng, 9).reshape(3, 3), str(path))
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        from matchain.cli import main
+        runs = [
+            ["bounds", "--family", "toeplitz-sym", "--n", "7"],
+            ["verify", "--family", "skew", "--n", "8", "--r", "3", "--trials", "2"],
+            ["sample", "--family", "toeplitz-sym", "--n", "5"],
+            ["decompose", "--in", {str(path)!r}, "--chain", "lower,upper"],
+        ]
+        codes = []
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+        print(json.dumps([codes, "scipy.linalg" in sys.modules]))
+    """)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=_child_env())
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [[0, 0, 0, 0], False]
+
+
+def test_sample_orthogonal_in_a_fresh_process():
+    # the deferred scipy.linalg import, taken on the first orthogonal factor
+    res = run_cli("sample", "--family", "orthogonal", "--n", "3", "--seed", "0")
+    assert res.returncode == 0
+    M = np.array([[complex(x, y) for x, y in row]
+                  for row in json.loads(res.stdout)["entries"]])
+    assert np.max(np.abs(M.T @ M - np.eye(3))) <= 1e-12

@@ -36,6 +36,8 @@ def test_fit_options_validation():
         FitOptions(restarts=0)
     with pytest.raises(ParameterRangeError):
         FitOptions(damping_init=0.0)
+    with pytest.raises(ParameterRangeError):
+        FitOptions(seed=-1)
 
 
 def test_fit_chain_rejects_bad_targets():
