@@ -80,6 +80,8 @@ def decompose_companion(A, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CompanionRes
     nonsingular).  A singular but consistent subsystem yields "non-unique",
     an inconsistent one "no-solution"; both report the failing column.
     """
+    if not 0 <= pivot_tol < 1:
+        raise ParameterRangeError(f"pivot tolerance must lie in [0, 1), got {pivot_tol}")
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ParameterRangeError("input must be a square matrix")

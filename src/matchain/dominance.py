@@ -169,35 +169,39 @@ def differential_apply(base, tangents) -> np.ndarray:
     return out
 
 
-def _target_rows(target: TargetSpace, vec: np.ndarray) -> np.ndarray:
-    """Project a row-major vectorized matrix onto the target coordinates."""
-    if target.tag == TARGET_CENTRO:
-        return vec[: target.dim]
-    return vec
-
-
 def jacobian(prob: DecompositionProblem, base_params) -> np.ndarray:
     """Jacobian of the product map against the stacked tangent frames.
 
     base_params is one parameter vector per factor.  Column j is the
     vectorized image under the differential of the j-th frame direction
     (frames stacked family by family); rows are the target coordinates.
+
+    The d columns of slot i, with prefix P and suffix S, are the rows
+    vec(P X_j S) = (P kron S^T) vec(X_j) of one (d, n^2) block, built in two
+    products without forming the Kronecker product: P times every frame
+    matrix at once (one product broadcast over the (d, n, n) frame), then
+    the (d n) x n stack of the P X_j times S.
     """
     if len(base_params) != prob.r:
         raise ParameterRangeError("need one parameter vector per factor")
     frames = [fam.tangent_basis(spec, p) for spec, p in zip(prob.factors, base_params)]
-    base = [f.base_point for f in frames]
-    prefix, suffix = _prefixes_suffixes(base)
-    cols = []
-    for i, frame in enumerate(frames):
-        P, S = prefix[i], suffix[i]
-        for X in frame.basis:
-            cols.append(_target_rows(prob.target, (P @ X @ S).reshape(-1)))
-    return np.stack(cols, axis=1)
+    prefix, suffix = _prefixes_suffixes([f.base_point for f in frames])
+    n = prob.n
+    out = np.empty((prob.param_dim, n * n), dtype=complex)
+    row = 0
+    for frame, P, S in zip(frames, prefix, suffix):
+        d = len(frame.basis)
+        np.matmul((P @ frame.basis).reshape(d * n, n), S, out=out[row:row + d].reshape(d * n, n))
+        row += d
+    if prob.target.tag == TARGET_CENTRO:
+        out = out[:, : prob.target.dim]
+    return out.T
 
 
 def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above rel_tol times the largest."""
+    if not 0 < rel_tol < 1:
+        raise ParameterRangeError(f"rank tolerance must lie in (0, 1), got {rel_tol}")
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0
@@ -277,8 +281,8 @@ def two_factor_tangent_test(
         if not fam.is_member(spec, pt, 1e-8):
             raise NonMemberError(f"base point is not in {spec.kind.label()}")
         frames.append(fam.tangent_basis(spec, pt))
-    cols = [X.reshape(-1) for f in frames for X in f.basis]
-    return numerical_rank(np.stack(cols, axis=1), rel_tol) == n * n
+    B = np.concatenate([f.basis.reshape(-1, n * n) for f in frames])
+    return numerical_rank(B.T, rel_tol) == n * n
 
 
 # ---------------------------------------------------------------------------

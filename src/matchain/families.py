@@ -80,15 +80,16 @@ class FamilyKind:
 
     k is the bandwidth for the k-diagonal kinds and the dimension for
     SUBSPACE; s is the type of a generalized Vandermonde family.  basis
-    carries the orthonormal matrices of a random subspace and is excluded
-    from equality (two independently drawn subspaces of the same dimension
-    compare equal on the structural fields only).
+    carries the orthonormal matrices of a random subspace, stacked as a
+    (k, n, n) array, and is excluded from equality (two independently drawn
+    subspaces of the same dimension compare equal on the structural fields
+    only).
     """
 
     tag: str
     k: int | None = None
     s: int | None = None
-    basis: tuple | None = field(default=None, compare=False, repr=False)
+    basis: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def label(self) -> str:
         if self.tag in _BANDED_TAGS:
@@ -150,10 +151,11 @@ def family_spec(kind, n: int) -> FamilySpec:
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """A base point and matrices spanning the tangent space there."""
+    """A base point and matrices spanning the tangent space there, stacked
+    as one read-only (d, n, n) array."""
 
     base_point: np.ndarray
-    basis: tuple
+    basis: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +261,16 @@ def pattern_mask(tag: str, n: int, k: int | None = None) -> np.ndarray:
 
 
 def _freeze(mats):
-    for m in mats:
-        m.flags.writeable = False
-    return tuple(mats)
+    """Stack n x n matrices into one read-only (d, n, n) array."""
+    stack = np.stack(mats)
+    stack.flags.writeable = False
+    return stack
 
 
 @lru_cache(maxsize=None)
 def _cached_basis(tag: str, n: int, k):
-    """Basis matrices of a structurally-defined linear family (no subspaces)."""
+    """Basis of a structurally-defined linear family (no subspaces), as a
+    read-only (d, n, n) array."""
     if tag in _PATTERN_TAGS:
         mats = []
         for i, j in _pattern_positions(tag, n, k):
@@ -304,9 +308,7 @@ def _cached_basis(tag: str, n: int, k):
             mats.append(S)
         return _freeze(mats)
     if tag == PERSYMMETRIC_HANKEL:
-        J = exchange_matrix(n)
-        mats = [np.ascontiguousarray(J @ S) for S in _cached_basis(SYMMETRIC_TOEPLITZ, n, None)]
-        return _freeze(mats)
+        return _freeze(exchange_matrix(n) @ _cached_basis(SYMMETRIC_TOEPLITZ, n, None))
     if tag == CENTROSYMMETRIC:
         # One representative per 180-degree-rotation orbit, taken from the
         # first ceil(n^2/2) row-major positions; this aligns the parameter
@@ -325,27 +327,15 @@ def _cached_basis(tag: str, n: int, k):
     raise ParameterRangeError(f"no cached basis for family {tag!r}")
 
 
-def linear_basis(spec: FamilySpec):
-    """Basis matrices of a linear family, in parameter order."""
+def linear_basis(spec: FamilySpec) -> np.ndarray:
+    """Basis matrices of a linear family, in parameter order, as a (d, n, n)
+    array."""
     kind = spec.kind
     if kind.tag == SUBSPACE:
         return kind.basis
     if kind.tag not in _LINEAR_TAGS:
         raise ParameterRangeError(f"family {kind.tag!r} is not linear")
     return _cached_basis(kind.tag, spec.n, kind.k)
-
-
-@lru_cache(maxsize=None)
-def _cached_stack(tag: str, n: int, k):
-    stack = np.stack(_cached_basis(tag, n, k))
-    stack.flags.writeable = False
-    return stack
-
-
-def _basis_stack(spec: FamilySpec) -> np.ndarray:
-    if spec.kind.tag == SUBSPACE:
-        return np.stack(spec.kind.basis)
-    return _cached_stack(spec.kind.tag, spec.n, spec.kind.k)
 
 
 def _skew_from_params(n: int, params: np.ndarray) -> np.ndarray:
@@ -435,7 +425,7 @@ def parameterize(spec: FamilySpec, params) -> np.ndarray:
     params = _check_params(spec, params)
     tag = spec.kind.tag
     if tag in _LINEAR_TAGS:
-        return np.tensordot(params, _basis_stack(spec), axes=1)
+        return np.tensordot(params, linear_basis(spec), axes=1)
     if tag == COMPANION:
         return companion_matrix(params)
     if tag == ORTHOGONAL:
@@ -598,9 +588,9 @@ def is_member(spec: FamilySpec, M, tol: float) -> bool:
     if tag == COMPANION:
         return float(np.max(np.abs(M - companion_matrix(M[:, n - 1])))) <= scale
     if tag == SUBSPACE:
-        B = np.stack([b.reshape(-1) for b in spec.kind.basis], axis=1)
+        B = spec.kind.basis.reshape(-1, n * n)
         v = M.reshape(-1)
-        resid = v - B @ (B.conj().T @ v)
+        resid = v - B.T @ (B.conj() @ v)
         return float(np.linalg.norm(resid)) <= scale
     if tag in _VANDERMONDE_TAGS:
         V = M.T if tag == VANDERMONDE_T else M
@@ -648,8 +638,7 @@ def random_subspace(n: int, k: int, rng_seed=0) -> FamilyKind:
         Q, R = np.linalg.qr(X)
         if np.min(np.abs(np.diag(R))) <= 1e-10:
             continue
-        mats = [np.ascontiguousarray(Q[:, j].reshape(n, n)) for j in range(k)]
-        return FamilyKind(SUBSPACE, k=k, basis=_freeze(mats))
+        return FamilyKind(SUBSPACE, k=k, basis=_freeze(Q.T.reshape(k, n, n)))
     raise DegeneratePointError("could not draw an independent subspace basis")
 
 
@@ -663,6 +652,6 @@ def coordinates_of(spec: FamilySpec, M) -> np.ndarray:
     """Least-squares coordinates of a member matrix of a linear family."""
     if spec.kind.tag not in _LINEAR_TAGS:
         raise ParameterRangeError(f"family {spec.kind.label()} has no linear coordinates")
-    B = np.stack([b.reshape(-1) for b in linear_basis(spec)], axis=1)
+    B = linear_basis(spec).reshape(-1, spec.n * spec.n).T
     coeff, *_ = np.linalg.lstsq(B, np.asarray(M, dtype=complex).reshape(-1), rcond=None)
     return coeff

@@ -203,6 +203,7 @@ def kind_from_dict(doc: dict) -> fam.FamilyKind:
             n = len(B)
             mats.append(_matrix_from_pairs(n, B))
         basis = np.stack(mats)
+        basis.flags.writeable = False
         return fam.FamilyKind(tag=tag, k=basis.shape[0], basis=basis)
     if tag not in fam.ALL_TAGS:
         raise MatrixParseError(f"unknown family tag {tag!r}")

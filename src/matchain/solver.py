@@ -56,8 +56,8 @@ class FitOptions:
             raise ParameterRangeError("iteration and restart counts must be positive")
         if not 0 < self.residual_tol < 1:
             raise ParameterRangeError("residual tolerance must lie in (0, 1)")
-        if self.damping_init <= 0:
-            raise ParameterRangeError("initial damping must be positive")
+        if not (np.isfinite(self.damping_init) and self.damping_init > 0):
+            raise ParameterRangeError("initial damping must be finite and positive")
         if self.seed < 0:
             raise ParameterRangeError("seed must be non-negative")
 

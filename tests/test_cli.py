@@ -135,6 +135,7 @@ def test_decompose_infeasible_chain_is_an_error(tmp_path):
     pytest.param('{"seed": 1.5}', 2, "seed", id="fractional-seed"),
     # well-typed but out of range
     pytest.param('{"seed": -1}', 1, "seed", id="negative-seed"),
+    pytest.param('{"damping_init": NaN}', 1, "damping", id="nan-damping"),
 ])
 def test_decompose_rejects_unknown_option(tmp_path, text, code, field):
     path = tmp_path / "t.json"
@@ -160,6 +161,26 @@ def test_negative_seed_is_a_usage_error(tmp_path, command):
     res = run_cli(command, *args, "--seed", "-1")
     assert res.returncode == 1
     assert "--seed" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1"])
+def test_rank_tolerance_out_of_range_is_a_usage_error(command, tol):
+    args = ["--family", "skew", "--n", "4", "--r", "3"] if command == "verify" else []
+    res = run_cli(command, *args, f"--tol={tol}")
+    assert res.returncode == 1
+    assert "tolerance" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_companion_tolerance_out_of_range_is_a_usage_error(tmp_path, tol):
+    path = tmp_path / "a.json"
+    mio.write_matrix(np.eye(3, dtype=complex) + 0.1, str(path))
+    res = run_cli("companion", "--in", str(path), f"--tol={tol}")
+    assert res.returncode == 1
+    assert "tolerance" in res.stderr
     assert "Traceback" not in res.stderr
 
 

@@ -55,16 +55,33 @@ def test_problem_summary_and_param_dim():
     }
 
 
-def test_jacobian_shape_and_column_content():
-    prob = dom.problem(["toeplitz-sym", "toeplitz-sym"], 3)
-    base = [np.array([1.0, 0.2, 0.0], dtype=complex),
-            np.array([1.0, 0.0, 0.5], dtype=complex)]
-    J = dom.jacobian(prob, base)
-    assert J.shape == (9, 6)
-    # column 0 perturbs the first coordinate of the first factor
-    mats = [fam.parameterize(s, p) for s, p in zip(prob.factors, base)]
-    E0 = fam.linear_basis(prob.factors[0])[0]
-    np.testing.assert_allclose(J[:, 0], (E0 @ mats[1]).reshape(-1), atol=1e-14)
+@pytest.mark.parametrize("kinds,n,target", [
+    pytest.param(["bidiagonal-lower", "bidiagonal-upper"], 4, "full", id="band-pattern"),
+    pytest.param(["skew-symmetric"] * 3, 4, "full", id="skew"),
+    pytest.param(["toeplitz-sym"] * 3, 5, "centro", id="toeplitz-sym-centro"),
+    pytest.param(["companion"] * 3, 3, "full", id="companion"),
+    pytest.param(["orthogonal"] * 2, 3, "full", id="orthogonal"),
+    pytest.param([fam.generalized_vandermonde(1)] * 2, 3, "full", id="vandermonde:1"),
+])
+def test_jacobian_shape_and_column_content(kinds, n, target):
+    """Each column is the differential applied to one frame direction, with
+    the other slots zero, cut to the target rows."""
+    prob = dom.problem(kinds, n, target)
+    rng = np.random.default_rng(5)
+    params = [fam.sample_point(spec, rng)[0] for spec in prob.factors]
+    frames = [fam.tangent_basis(spec, p) for spec, p in zip(prob.factors, params)]
+    base = [f.base_point for f in frames]
+    J = dom.jacobian(prob, params)
+    rows = (n * n + 1) // 2 if target == "centro" else n * n
+    assert J.shape == (rows, prob.param_dim)
+    col = 0
+    for i, frame in enumerate(frames):
+        for X in frame.basis:
+            tangents = [np.zeros((n, n), dtype=complex)] * prob.r
+            tangents[i] = X
+            expect = dom.differential_apply(base, tangents).reshape(-1)[:rows]
+            np.testing.assert_allclose(J[:, col], expect, rtol=1e-13)
+            col += 1
 
 
 def test_jacobian_centro_target_rows():
@@ -81,6 +98,9 @@ def test_numerical_rank_thresholds():
     assert dom.numerical_rank(M, rel_tol=1e-10) == 3
     assert dom.numerical_rank(np.zeros((3, 3)), rel_tol=1e-8) == 0
     assert dom.numerical_rank(np.eye(7)[:5], rel_tol=1e-8) == 5
+    for bad in (-1.0, 0.0, np.nan, np.inf, 1.0):
+        with pytest.raises(ParameterRangeError):
+            dom.numerical_rank(M, rel_tol=bad)
 
 
 def test_estimate_image_dimension_report():

@@ -34,8 +34,9 @@ def test_fit_options_validation():
         FitOptions(residual_tol=-1.0)
     with pytest.raises(ParameterRangeError):
         FitOptions(restarts=0)
-    with pytest.raises(ParameterRangeError):
-        FitOptions(damping_init=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterRangeError):
+            FitOptions(damping_init=bad)
     with pytest.raises(ParameterRangeError):
         FitOptions(seed=-1)
 

@@ -1,0 +1,96 @@
+"""Fingerprint the stdout of a fixed list of seeded matchain commands.
+
+    python tools/cli_snapshot.py [--src PATH] > snapshot.txt
+
+Each command runs in a fresh `python -m matchain` process that imports
+matchain from PATH (default: this checkout's src), with BLAS pinned to one
+thread.  For each command one line is printed: the command, its exit code
+and the sha256 of its stdout.  Run it against two checkouts and diff the
+two outputs: identical lines mean byte-identical output and equal exit
+codes.  Input matrices are drawn from fixed seeds and written to a
+temporary directory, which is the working directory of every command, so
+the printed commands name the same files on every run.  Only the standard
+library is used, so the script runs against any checkout.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def gaussian(seed, n):
+    """An n x n complex Gaussian matrix as rows of (re, im) pairs."""
+    rng = random.Random(seed)
+    return [[(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)] for _ in range(n)]
+
+
+def centrosymmetric(seed, n):
+    """(A + rot180(A)) / 2 for a Gaussian A."""
+    A = gaussian(seed, n)
+    return [[((A[i][j][0] + A[n - 1 - i][n - 1 - j][0]) / 2,
+              (A[i][j][1] + A[n - 1 - i][n - 1 - j][1]) / 2)
+             for j in range(n)] for i in range(n)]
+
+
+# input files: name -> entries
+INPUTS = {
+    "gauss4-a.json": gaussian(1, 4),
+    "gauss4-b.json": gaussian(2, 4),
+    "gauss4-c.json": gaussian(3, 4),
+    "gauss3.json": gaussian(4, 3),
+    "centro5.json": centrosymmetric(5, 5),
+    "gauss48.json": gaussian(6, 48),
+}
+
+COMMANDS = [
+    ["verify", "--family", "skew", "--n", "4", "--r", "3", "--seed", "0"],
+    ["verify", "--family", "skew", "--n", "6", "--r", "3", "--seed", "1"],
+    ["verify", "--family", "toeplitz-sym", "--n", "5", "--r", "3", "--target", "centro",
+     "--seed", "2"],
+    ["verify", "--family", "companion", "--n", "5", "--r", "5", "--seed", "3"],
+    ["verify", "--family", "orthogonal", "--n", "4", "--r", "3", "--seed", "4"],
+    ["table"],
+    ["decompose", "--in", "gauss4-a.json", "--chain", "lower,upper", "--seed", "0"],
+    ["decompose", "--in", "gauss4-b.json", "--chain", "skew,skew,skew,skew,skew", "--seed", "1"],
+    ["decompose", "--in", "centro5.json", "--chain", "toeplitz-sym,toeplitz-sym,toeplitz-sym",
+     "--target", "centro", "--seed", "2"],
+    ["decompose", "--in", "gauss3.json", "--chain", "orthogonal,upper,lower", "--seed", "3"],
+    # the shapes of the benchmark's cli workload
+    ["verify", "--family", "skew", "--n", "8", "--r", "3", "--seed", "5"],
+    ["bounds", "--family", "toeplitz-sym", "--n", "7"],
+    ["sample", "--family", "skew", "--n", "6", "--seed", "6"],
+    ["companion", "--in", "gauss48.json"],
+    ["decompose", "--in", "gauss4-c.json", "--chain", "lower,upper", "--seed", "7"],
+]
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--src", default=os.path.join(ROOT, "src"),
+                   help="directory holding the matchain package to run")
+    args = p.parse_args(argv)
+    src = os.path.abspath(args.src)
+    if not os.path.isfile(os.path.join(src, "matchain", "__init__.py")):
+        sys.exit(f"error: no matchain package under {src}")
+    env = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in BLAS_VARS})
+    with tempfile.TemporaryDirectory() as work:
+        for name, entries in INPUTS.items():
+            with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+                json.dump({"n": len(entries), "entries": entries}, fh)
+        for cmd in COMMANDS:
+            res = subprocess.run([sys.executable, "-m", "matchain", *cmd], cwd=work, env=env,
+                                 capture_output=True, check=False)
+            digest = hashlib.sha256(res.stdout).hexdigest()
+            print(f"matchain {' '.join(cmd)}  exit={res.returncode}  sha256={digest}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
