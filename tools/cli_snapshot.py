@@ -47,6 +47,7 @@ INPUTS = {
     "gauss4-c.json": gaussian(3, 4),
     "gauss3.json": gaussian(4, 3),
     "centro5.json": centrosymmetric(5, 5),
+    "centro3.json": centrosymmetric(7, 3),
     "gauss48.json": gaussian(6, 48),
 }
 
@@ -69,7 +70,32 @@ COMMANDS = [
     ["sample", "--family", "skew", "--n", "6", "--seed", "6"],
     ["companion", "--in", "gauss48.json"],
     ["decompose", "--in", "gauss4-c.json", "--chain", "lower,upper", "--seed", "7"],
+    # one seeded fit per kind of starting point a fit draws
+    ["decompose", "--in", "gauss3.json", "--chain", "top,bottom", "--seed", "8"],
+    ["decompose", "--in", "centro3.json", "--chain", "hankel-persym,hankel-persym",
+     "--target", "centro", "--seed", "9"],
+    ["decompose", "--in", "gauss3.json", "--chain", "companion,companion,companion",
+     "--seed", "10"],
+    ["decompose", "--in", "gauss3.json",
+     "--chain", "vandermonde-t:1,vandermonde:1,vandermonde-t:2,vandermonde:2", "--seed", "11"],
+    ["decompose", "--in", "gauss3.json", "--chain", "subspace:5,subspace:5", "--seed", "12"],
+    ["decompose", "--in", "gauss3.json", "--chain", "toeplitz,toeplitz", "--seed", "13"],
 ]
+
+# every family, with the argument it takes
+FAMILIES = [
+    "diagonal", "bidiagonal-upper", "bidiagonal-lower", "bidiagonal",
+    "k-diagonal:2", "k-diagonal-upper:2", "k-diagonal-lower:2",
+    "triangular-upper", "triangular-lower", "anti-triangular-top", "anti-triangular-bottom",
+    "orthogonal", "skew-symmetric", "toeplitz", "toeplitz-sym", "hankel-persym",
+    "centrosymmetric", "companion", "vandermonde:1", "vandermonde-t:1", "subspace:5",
+]
+for seed, family in enumerate(FAMILIES, start=20):
+    COMMANDS += [
+        ["bounds", "--family", family, "--n", "5"],
+        ["sample", "--family", family, "--n", "4", "--seed", str(seed)],
+        ["verify", "--family", family, "--n", "4", "--r", "2", "--seed", str(seed)],
+    ]
 
 
 def main(argv=None):
