@@ -79,23 +79,10 @@ def _parse_family(text: str, n: int, seed: int = 0) -> fam.FamilyKind:
     base, _, arg = token.partition(":")
     base = _ALIASES.get(base, base)
     try:
-        if base in (fam.K_DIAGONAL, fam.K_DIAGONAL_UPPER, fam.K_DIAGONAL_LOWER):
-            if not arg:
-                raise ParameterRangeError(f"family {base!r} needs a bandwidth, e.g. {base}:2")
-            return fam.FamilyKind(base, k=int(arg))
-        if base in (fam.VANDERMONDE, fam.VANDERMONDE_T):
-            return fam.FamilyKind(base, s=int(arg) if arg else 0)
-        if base == fam.SUBSPACE:
-            if not arg:
-                raise ParameterRangeError("family 'subspace' needs a dimension, e.g. subspace:7")
-            return fam.random_subspace(n, int(arg), rng_seed=seed)
-        if arg:
-            raise ParameterRangeError(f"family {base!r} takes no argument")
-        return fam.kind_from_tag(base)
+        value = int(arg) if arg else None
     except ValueError as exc:
-        if isinstance(exc, MatChainError):
-            raise
         raise ParameterRangeError(f"bad family token {text!r}: {exc}") from None
+    return fam.kind_from_argument(base, value, n, rng_seed=seed)
 
 
 def _emit(doc: dict):
@@ -194,29 +181,15 @@ def _cmd_companion(args) -> int:
 def _bounds_doc(kind: fam.FamilyKind, n: int) -> dict:
     spec = fam.family_spec(kind, n)
     m = spec.param_dim
-    tag = kind.tag
-    if tag == fam.SYMMETRIC_TOEPLITZ or tag == fam.PERSYMMETRIC_HANKEL:
-        tgt = target_space(TARGET_CENTRO, n)
-    elif tag == fam.SKEW_SYMMETRIC and n % 2 == 1:
-        tgt = target_space(TARGET_DET, n)
-    else:
-        tgt = target_space(TARGET_FULL, n)
-    is_cone = tag in fam._LINEAR_TAGS
+    target_tag, known_generic = fam.bounds_facts(kind, n)
+    tgt = target_space(target_tag, n)
+    is_cone = kind.linear
     if is_cone and m >= 2:
         lower = lower_bound_cone(m, tgt.dim)
         rule = f"ceil(({tgt.dim} - 1) / ({m} - 1))"
     else:
         lower = -(-tgt.dim // m)
         rule = f"ceil({tgt.dim} / {m})"
-    known_generic = {
-        fam.BIDIAGONAL: 2 * n,
-        fam.SKEW_SYMMETRIC: 3 if (n >= 8 and n % 2 == 0) else None,
-        fam.SYMMETRIC_TOEPLITZ: n // 2 + 1,
-        fam.PERSYMMETRIC_HANKEL: n // 2 + 1,
-        fam.COMPANION: n,
-        fam.VANDERMONDE: 2 * n,
-        fam.VANDERMONDE_T: 2 * n,
-    }.get(tag)
     doc = {
         "family": kind.label(),
         "n": n,

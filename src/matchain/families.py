@@ -1,9 +1,9 @@
 """Structured families of n x n complex matrices.
 
-Each family is either a linear subspace given by an explicit basis (band
-patterns, triangles, Toeplitz variants, centrosymmetric matrices, random
-subspaces), or the image of a smooth parameterization (complex orthogonal
-group, companion matrices, generalized Vandermonde matrices).  The module
+Each family is either a linear subspace given by a basis (band patterns,
+triangles, Toeplitz variants, centrosymmetric matrices, random subspaces),
+or the image of a smooth parameterization (complex orthogonal group,
+companion matrices, generalized Vandermonde matrices).  The module
 provides, uniformly over a FamilySpec:
 
     family_dimension   dimension of the parameter space
@@ -11,6 +11,10 @@ provides, uniformly over a FamilySpec:
     tangent_basis      frame spanning the tangent space at a point
     sample_point       a reproducible random smooth point
     is_member          tolerance-based membership test
+
+Each family is one entry of the table _FAMILIES.  All linear families
+share one path built on their basis; a nonlinear family brings its own
+functions.
 
 Tangent frames are what the dominance machinery consumes: the rank of the
 product map's differential is computed against these frames, so for the
@@ -21,9 +25,9 @@ orthogonal group, per-node derivatives for Vandermonde families).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -59,20 +63,6 @@ VANDERMONDE = "vandermonde"
 VANDERMONDE_T = "vandermonde-t"
 SUBSPACE = "subspace"
 
-_PATTERN_TAGS = frozenset({
-    DIAGONAL, BIDIAGONAL_UPPER, BIDIAGONAL_LOWER, BIDIAGONAL,
-    K_DIAGONAL, K_DIAGONAL_UPPER, K_DIAGONAL_LOWER,
-    TRIANGULAR_UPPER, TRIANGULAR_LOWER,
-    ANTI_TRIANGULAR_TOP, ANTI_TRIANGULAR_BOTTOM,
-})
-_BANDED_TAGS = frozenset({K_DIAGONAL, K_DIAGONAL_UPPER, K_DIAGONAL_LOWER})
-_LINEAR_TAGS = _PATTERN_TAGS | frozenset({
-    SKEW_SYMMETRIC, TOEPLITZ, SYMMETRIC_TOEPLITZ, PERSYMMETRIC_HANKEL,
-    CENTROSYMMETRIC, SUBSPACE,
-})
-_VANDERMONDE_TAGS = frozenset({VANDERMONDE, VANDERMONDE_T})
-ALL_TAGS = _LINEAR_TAGS | _VANDERMONDE_TAGS | frozenset({ORTHOGONAL, COMPANION})
-
 
 @dataclass(frozen=True)
 class FamilyKind:
@@ -92,25 +82,64 @@ class FamilyKind:
     basis: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def label(self) -> str:
-        if self.tag in _BANDED_TAGS:
-            return f"{self.tag}({self.k})"
-        if self.tag in _VANDERMONDE_TAGS:
-            return f"{self.tag}({self.s})"
-        if self.tag == SUBSPACE:
-            return f"{self.tag}({self.k})"
-        return self.tag
+        arg = _family(self.tag).arg
+        return f"{self.tag}({getattr(self, arg)})" if arg else self.tag
+
+    @property
+    def linear(self) -> bool:
+        """Whether the family is a linear subspace, so a cone: scaling a
+        member's parameters scales the member."""
+        return _family(self.tag).parameterize is None
 
 
-def kind_from_tag(tag: str, k: int | None = None, s: int | None = None) -> FamilyKind:
-    if tag not in ALL_TAGS:
-        raise ParameterRangeError(f"unknown family tag {tag!r}")
-    if tag in _BANDED_TAGS and k is None:
-        raise ParameterRangeError(f"family {tag!r} needs a bandwidth k")
-    if tag in _VANDERMONDE_TAGS and s is None:
-        raise ParameterRangeError(f"family {tag!r} needs a type s")
+def kind_from_tag(tag: str, k: int | None = None, s: int | None = None,
+                  basis=None) -> FamilyKind:
+    """Validated kind of a tag and the argument it takes: the bandwidth k of
+    a banded family, the type s of a Vandermonde family, or the orthonormal
+    (k, n, n) basis of a subspace."""
+    arg = _family(tag).arg
+    for name, value in (("k", k), ("s", s)):
+        if value is not None and (name != arg or isinstance(value, bool)
+                                  or not isinstance(value, (int, np.integer))):
+            raise ParameterRangeError(f"{name}={value!r} is not an integer argument of {tag!r}")
     if tag == SUBSPACE:
-        raise ParameterRangeError("random subspaces are created via random_subspace()")
+        if basis is None:
+            raise ParameterRangeError("subspaces are drawn by random_subspace() (token subspace:k)")
+        return _subspace_kind(basis, k)
+    if basis is not None:
+        raise ParameterRangeError(f"family {tag!r} takes no basis")
+    if arg is not None and {"k": k, "s": s}[arg] is None:
+        raise ParameterRangeError(f"family {tag!r} needs an argument {arg}")
     return FamilyKind(tag, k=k, s=s)
+
+
+def kind_from_argument(tag: str, arg: int | None, n: int, rng_seed=0) -> FamilyKind:
+    """The kind a family token tag[:arg] names: arg is the bandwidth of a
+    banded family, the type of a Vandermonde family (0 when omitted), or the
+    dimension of a random subspace of the n x n matrices drawn from
+    rng_seed."""
+    name = _family(tag).arg
+    if tag == SUBSPACE and arg is not None:
+        return random_subspace(n, arg, rng_seed=rng_seed)
+    if name is None:
+        if arg is not None:
+            raise ParameterRangeError(f"family {tag!r} takes no argument")
+        return kind_from_tag(tag)
+    return kind_from_tag(tag, **{name: 0 if arg is None and name == "s" else arg})
+
+
+def _subspace_kind(basis, k=None) -> FamilyKind:
+    """A subspace kind from a Frobenius-orthonormal (k, n, n) basis, which
+    projection membership relies on."""
+    basis = np.array(basis, dtype=complex)
+    if basis.ndim != 3 or len(basis) == 0 or basis.shape[1] != basis.shape[2]:
+        raise ParameterRangeError("a subspace basis is a nonempty stack of n x n matrices")
+    if k is not None and k != len(basis):
+        raise ParameterRangeError(f"subspace dimension k={k} but {len(basis)} basis matrices")
+    rows = basis.reshape(len(basis), -1)
+    if float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows))))) > 1e-10:
+        raise ParameterRangeError("subspace basis is not orthonormal")
+    return FamilyKind(SUBSPACE, k=len(basis), basis=_frozen(basis))
 
 
 def k_diagonal(k: int) -> FamilyKind:
@@ -143,10 +172,14 @@ class FamilySpec:
 
 
 def family_spec(kind, n: int) -> FamilySpec:
-    """Validate (kind, n) and attach the parameter dimension."""
+    """Validate (kind, n) and attach the parameter dimension, which must be
+    positive."""
     if isinstance(kind, str):
         kind = kind_from_tag(kind)
-    return FamilySpec(kind=kind, n=int(n), param_dim=family_dimension(kind, n))
+    d = family_dimension(kind, n)
+    if d == 0:
+        raise ParameterRangeError(f"family {kind.label()} has no parameters at n={n}")
+    return FamilySpec(kind=kind, n=int(n), param_dim=d)
 
 
 @dataclass(frozen=True)
@@ -159,201 +192,117 @@ class TangentFrame:
 
 
 # ---------------------------------------------------------------------------
-# dimensions
+# dimensions and bases
 
 def family_dimension(kind, n: int) -> int:
-    """Dimension of the family inside the n x n matrices.
-
-    Band patterns count their allowed positions; the complex orthogonal
-    group and the skew-symmetric matrices both have dimension n(n-1)/2;
-    Toeplitz-type families are n- or (2n-1)-dimensional; centrosymmetric
-    matrices have ceil(n^2/2) free entries; companion and generalized
-    Vandermonde families have n parameters.
-    """
+    """Dimension of the family inside the n x n matrices: the number of
+    basis matrices of a linear family, n(n-1)/2 for the complex orthogonal
+    group, and n for companion and generalized Vandermonde families."""
     if isinstance(kind, str):
         kind = FamilyKind(kind)
     if n < 1:
         raise ParameterRangeError(f"matrix size n={n} must be positive")
-    tag, k = kind.tag, kind.k
-    if tag == DIAGONAL:
-        return n
-    if tag in (BIDIAGONAL_UPPER, BIDIAGONAL_LOWER):
-        return 2 * n - 1
-    if tag == BIDIAGONAL:
-        return 3 * n - 2
-    if tag in _BANDED_TAGS:
-        if k is None or not 1 <= k <= n:
-            raise ParameterRangeError(f"bandwidth k={k} out of range 1..{n}")
-        if tag == K_DIAGONAL:
-            return (2 * k - 1) * n - k * (k - 1)
-        return k * n - k * (k - 1) // 2
-    if tag in (TRIANGULAR_UPPER, TRIANGULAR_LOWER,
-               ANTI_TRIANGULAR_TOP, ANTI_TRIANGULAR_BOTTOM):
-        return n * (n + 1) // 2
-    if tag in (ORTHOGONAL, SKEW_SYMMETRIC):
-        return n * (n - 1) // 2
-    if tag == TOEPLITZ:
-        return 2 * n - 1
-    if tag in (SYMMETRIC_TOEPLITZ, PERSYMMETRIC_HANKEL, COMPANION):
-        return n
-    if tag == CENTROSYMMETRIC:
-        return (n * n + 1) // 2
-    if tag in _VANDERMONDE_TAGS:
-        if kind.s is None:
-            raise ParameterRangeError("generalized Vandermonde kind needs a type s")
-        return n
-    if tag == SUBSPACE:
-        if kind.k is None or kind.basis is None:
-            raise ParameterRangeError("subspace kind carries no basis")
-        return kind.k
-    raise ParameterRangeError(f"unknown family tag {tag!r}")
+    entry = _family(kind.tag)
+    if entry.arg is not None and getattr(kind, entry.arg) is None:
+        raise ParameterRangeError(f"family {kind.tag!r} needs an argument {entry.arg}")
+    if entry.grid is None:
+        return entry.dimension(kind, n)
+    return int(np.abs(_grid(kind.tag, int(n), kind.k)).max())
 
-
-# ---------------------------------------------------------------------------
-# structural helpers
 
 def exchange_matrix(n: int) -> np.ndarray:
     """The anti-identity J (ones on the anti-diagonal)."""
     return np.eye(n, dtype=complex)[::-1].copy()
 
 
-def _pattern_positions(tag: str, n: int, k: int | None):
-    """0-based (i, j) positions allowed to be nonzero, in row-major order."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            d = j - i
-            if tag == DIAGONAL:
-                ok = d == 0
-            elif tag == BIDIAGONAL_UPPER:
-                ok = d in (0, 1)
-            elif tag == BIDIAGONAL_LOWER:
-                ok = d in (-1, 0)
-            elif tag == BIDIAGONAL:
-                ok = abs(d) <= 1
-            elif tag == K_DIAGONAL:
-                ok = abs(d) <= k - 1
-            elif tag == K_DIAGONAL_UPPER:
-                ok = 0 <= d <= k - 1
-            elif tag == K_DIAGONAL_LOWER:
-                ok = 0 <= -d <= k - 1
-            elif tag == TRIANGULAR_UPPER:
-                ok = i <= j
-            elif tag == TRIANGULAR_LOWER:
-                ok = i >= j
-            elif tag == ANTI_TRIANGULAR_TOP:
-                # 1-based constraint: entries vanish when i + j > n + 1
-                ok = i + j <= n - 1
-            elif tag == ANTI_TRIANGULAR_BOTTOM:
-                ok = i + j >= n - 1
-            else:
-                raise ParameterRangeError(f"not a pattern family: {tag!r}")
-            if ok:
-                out.append((i, j))
-    return out
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _grid(tag: str, n: int, k):
+    """The basis of a structured linear family as one read-only n x n
+    integer array: entry (i, j) is +-(l + 1) where basis matrix l holds +-1,
+    and 0 where every basis matrix vanishes.  The supports are disjoint, so
+    one array holds the whole basis."""
+    entry = _family(tag)
+    if entry.grid is None:
+        raise ParameterRangeError(f"not a structured linear family: {tag!r}")
+    if entry.arg == "k" and (k is None or not 1 <= k <= n):
+        raise ParameterRangeError(f"bandwidth k={k} out of range 1..{n}")
+    i, j = np.indices((n, n))
+    return _frozen(entry.grid(i, j, n, k))
+
+
+def _pattern(mask: np.ndarray) -> np.ndarray:
+    """Grid of the unit matrices on the True positions of mask, in
+    row-major order."""
+    return np.where(mask, np.cumsum(mask).reshape(mask.shape), 0)
+
+
+def _skew_grid(i, j, n, k):
+    upper = _pattern(i < j)
+    return upper - upper.T
 
 
 def pattern_mask(tag: str, n: int, k: int | None = None) -> np.ndarray:
-    mask = np.zeros((n, n), dtype=bool)
-    for i, j in _pattern_positions(tag, n, k):
-        mask[i, j] = True
-    return mask
-
-
-def _freeze(mats):
-    """Stack n x n matrices into one read-only (d, n, n) array."""
-    stack = np.stack(mats)
-    stack.flags.writeable = False
-    return stack
+    """Positions where some basis matrix of a structured linear family is
+    nonzero."""
+    return _grid(tag, n, k) != 0
 
 
 @lru_cache(maxsize=None)
 def _cached_basis(tag: str, n: int, k):
-    """Basis of a structurally-defined linear family (no subspaces), as a
+    """Basis of a structured linear family, in parameter order, as a
     read-only (d, n, n) array."""
-    if tag in _PATTERN_TAGS:
-        mats = []
-        for i, j in _pattern_positions(tag, n, k):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1.0
-            mats.append(E)
-        return _freeze(mats)
-    if tag == SKEW_SYMMETRIC:
-        mats = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                E = np.zeros((n, n), dtype=complex)
-                E[i, j] = 1.0
-                E[j, i] = -1.0
-                mats.append(E)
-        return _freeze(mats)
-    if tag == TOEPLITZ:
-        mats = []
-        for d in range(-(n - 1), n):
-            B = np.zeros((n, n), dtype=complex)
-            for i in range(n):
-                if 0 <= i + d < n:
-                    B[i, i + d] = 1.0
-            mats.append(B)
-        return _freeze(mats)
-    if tag == SYMMETRIC_TOEPLITZ:
-        # S_0 is the identity; S_k has ones on the +k and -k diagonals.
-        mats = []
-        for d in range(n):
-            S = np.zeros((n, n), dtype=complex)
-            for i in range(n):
-                if i + d < n:
-                    S[i, i + d] = 1.0
-                    S[i + d, i] = 1.0
-            mats.append(S)
-        return _freeze(mats)
-    if tag == PERSYMMETRIC_HANKEL:
-        return _freeze(exchange_matrix(n) @ _cached_basis(SYMMETRIC_TOEPLITZ, n, None))
-    if tag == CENTROSYMMETRIC:
-        # One representative per 180-degree-rotation orbit, taken from the
-        # first ceil(n^2/2) row-major positions; this aligns the parameter
-        # order with the centrosymmetric coordinate convention.
-        half = (n * n + 1) // 2
-        mats = []
-        for idx in range(half):
-            i, j = divmod(idx, n)
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1.0
-            pi, pj = n - 1 - i, n - 1 - j
-            if (pi, pj) != (i, j):
-                E[pi, pj] = 1.0
-            mats.append(E)
-        return _freeze(mats)
-    raise ParameterRangeError(f"no cached basis for family {tag!r}")
+    grid = _grid(tag, n, k).reshape(-1)
+    pos = np.flatnonzero(grid)
+    basis = np.zeros((int(np.abs(grid).max()), n * n), dtype=complex)
+    basis[np.abs(grid[pos]) - 1, pos] = np.sign(grid[pos])
+    return _frozen(basis.reshape(-1, n, n))
+
+
+@lru_cache(maxsize=None)
+def _cached_unit_rows(tag: str, n: int, k):
+    rows = _cached_basis(tag, n, k).reshape(-1, n * n)
+    return _frozen(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+def _basis(spec: FamilySpec) -> np.ndarray:
+    kind = spec.kind
+    return kind.basis if kind.basis is not None else _cached_basis(kind.tag, spec.n, kind.k)
+
+
+def _unit_rows(spec: FamilySpec) -> np.ndarray:
+    """The basis of a linear family as Frobenius-orthonormal (d, n^2) rows.
+    Structured bases are orthogonal (disjoint supports) and are normalized
+    here; subspace bases are orthonormal already."""
+    kind = spec.kind
+    if kind.basis is not None:
+        return kind.basis.reshape(len(kind.basis), -1)
+    return _cached_unit_rows(kind.tag, spec.n, kind.k)
 
 
 def linear_basis(spec: FamilySpec) -> np.ndarray:
     """Basis matrices of a linear family, in parameter order, as a (d, n, n)
     array."""
-    kind = spec.kind
-    if kind.tag == SUBSPACE:
-        return kind.basis
-    if kind.tag not in _LINEAR_TAGS:
-        raise ParameterRangeError(f"family {kind.tag!r} is not linear")
-    return _cached_basis(kind.tag, spec.n, kind.k)
+    if not spec.kind.linear:
+        raise ParameterRangeError(f"family {spec.kind.tag!r} is not linear")
+    return _basis(spec)
 
 
-def _skew_from_params(n: int, params: np.ndarray) -> np.ndarray:
-    S = np.zeros((n, n), dtype=complex)
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            S[i, j] = params[idx]
-            S[j, i] = -params[idx]
-            idx += 1
-    return S
+# ---------------------------------------------------------------------------
+# nonlinear families
 
-
-def _vand_matrix(n: int, s: int, nodes: np.ndarray) -> np.ndarray:
-    """Entries x_q^(s+p-1) for p, q = 1 .. n."""
-    nodes = np.asarray(nodes, dtype=complex)
+def vand(n: int, s: int, nodes) -> np.ndarray:
+    """Generalized Vandermonde matrix: entry (p, q) is x_q^(s+p-1) for
+    p, q = 1 .. n."""
+    nodes = np.asarray(nodes, dtype=complex).reshape(-1)
+    if nodes.size != n:
+        raise ParameterRangeError(f"need {n} nodes, got {nodes.size}")
     exps = s + np.arange(n)
-    if np.any(exps < 0) and np.any(np.abs(nodes) == 0.0):
+    if np.any(exps < 0) and np.any(nodes == 0):
         raise DegeneratePointError("zero node with a negative exponent")
     return np.power(nodes[None, :], exps[:, None])
 
@@ -387,6 +336,69 @@ def _vand_tangent(n: int, s: int, nodes: np.ndarray):
     return mats
 
 
+def _nodes_from_matrix(n: int, s: int, V: np.ndarray) -> np.ndarray:
+    """Read nodes off an oriented Vandermonde matrix (rows are powers)."""
+    if n == 1:
+        if s == 0:
+            return np.array([1.0 + 0j])
+        v = V[0, 0]
+        if s < 0 and v == 0:
+            raise NonMemberError("zero entry cannot be a negative power")
+        return np.array([v ** (1.0 / s)]) if v != 0 else np.array([0.0 + 0j])
+    colscale = np.max(np.abs(V), axis=0)
+    nodes = np.zeros(n, dtype=complex)
+    for q in range(n):
+        if abs(V[0, q]) <= 1e-14 * (1.0 + colscale[q]):
+            nodes[q] = 0.0
+        else:
+            nodes[q] = V[1, q] / V[0, q]
+    return nodes
+
+
+# orient maps a Vandermonde matrix (rows are powers) to a family member and
+# back: the identity, or the transpose for vandermonde-t
+
+def _vand_frame(orient, spec: FamilySpec, point, is_params: bool):
+    n, s = spec.n, spec.kind.s
+    if is_params:
+        nodes = _check_params(spec, point)
+        base = parameterize(spec, nodes)
+    else:
+        base = point
+        nodes = _nodes_from_matrix(n, s, orient(base))
+    return base, _frozen(np.stack([orient(m) for m in _vand_tangent(n, s, nodes)]))
+
+
+def _vand_member(orient, spec: FamilySpec, M, tol: float) -> bool:
+    n, s = spec.n, spec.kind.s
+    V = orient(M)
+    if n == 1:
+        v = V[0, 0]
+        if s == 0:
+            return abs(v - 1.0) <= tol * (1.0 + float(np.linalg.norm(M)))
+        if s < 0:
+            return abs(v) > 0.0
+        return True
+    try:
+        nodes = _nodes_from_matrix(n, s, V)
+    except NonMemberError:
+        return False
+    exps = s + np.arange(n)
+    for q in range(n):
+        col = V[:, q]
+        if nodes[q] == 0.0:
+            if s >= 1:
+                ok = float(np.max(np.abs(col))) <= tol * (1.0 + float(np.linalg.norm(col)))
+            else:
+                ok = False
+        else:
+            rebuilt = np.power(nodes[q], exps)
+            ok = float(np.max(np.abs(col - rebuilt))) <= tol * (1.0 + float(np.linalg.norm(col)))
+        if not ok:
+            return False
+    return True
+
+
 def _expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential (scipy.linalg.expm).
 
@@ -409,6 +421,37 @@ def _expm_frechet(S: np.ndarray, E: np.ndarray) -> np.ndarray:
     return _expm(blk)[:n, n:]
 
 
+def _orthogonal_matrix(spec: FamilySpec, params) -> np.ndarray:
+    """exp of the skew-symmetric matrix with the same parameters."""
+    return _expm(np.tensordot(params, _cached_basis(SKEW_SYMMETRIC, spec.n, None), axes=1))
+
+
+def _orthogonal_frame(spec: FamilySpec, point, is_params: bool):
+    skew = _cached_basis(SKEW_SYMMETRIC, spec.n, None)
+    if not is_params:
+        return point, _frozen(np.stack([point @ E for E in skew]))
+    S = np.tensordot(_check_params(spec, point), skew, axes=1)
+    return _expm(S), _frozen(np.stack([_expm_frechet(S, E) for E in skew]))
+
+
+def _orthogonal_member(spec: FamilySpec, M, tol: float) -> bool:
+    resid = M.T @ M - np.eye(spec.n)
+    return float(np.max(np.abs(resid))) <= tol * (1.0 + float(np.linalg.norm(M))) ** 2
+
+
+def _companion_frame(spec: FamilySpec, point, is_params: bool):
+    n = spec.n
+    base = companion_matrix(_check_params(spec, point)) if is_params else point
+    frame = np.zeros((n, n, n), dtype=complex)
+    frame[:, :, n - 1] = np.eye(n)
+    return base, _frozen(frame)
+
+
+def _companion_member(spec: FamilySpec, M, tol: float) -> bool:
+    scale = tol * (1.0 + float(np.linalg.norm(M)))
+    return float(np.max(np.abs(M - companion_matrix(M[:, spec.n - 1])))) <= scale
+
+
 # ---------------------------------------------------------------------------
 # core operations
 
@@ -423,37 +466,10 @@ def _check_params(spec: FamilySpec, params) -> np.ndarray:
 def parameterize(spec: FamilySpec, params) -> np.ndarray:
     """Map a parameter vector to a matrix of the family."""
     params = _check_params(spec, params)
-    tag = spec.kind.tag
-    if tag in _LINEAR_TAGS:
-        return np.tensordot(params, linear_basis(spec), axes=1)
-    if tag == COMPANION:
-        return companion_matrix(params)
-    if tag == ORTHOGONAL:
-        return _expm(_skew_from_params(spec.n, params))
-    if tag == VANDERMONDE:
-        return _vand_matrix(spec.n, spec.kind.s, params)
-    if tag == VANDERMONDE_T:
-        return _vand_matrix(spec.n, spec.kind.s, params).T.copy()
-    raise ParameterRangeError(f"unknown family tag {tag!r}")
-
-
-def _nodes_from_matrix(n: int, s: int, V: np.ndarray) -> np.ndarray:
-    """Read nodes off an oriented Vandermonde matrix (rows are powers)."""
-    if n == 1:
-        if s == 0:
-            return np.array([1.0 + 0j])
-        v = V[0, 0]
-        if s < 0 and v == 0:
-            raise NonMemberError("zero entry cannot be a negative power")
-        return np.array([v ** (1.0 / s)]) if v != 0 else np.array([0.0 + 0j])
-    colscale = np.max(np.abs(V), axis=0)
-    nodes = np.zeros(n, dtype=complex)
-    for q in range(n):
-        if abs(V[0, q]) <= 1e-14 * (1.0 + colscale[q]):
-            nodes[q] = 0.0
-        else:
-            nodes[q] = V[1, q] / V[0, q]
-    return nodes
+    own = _FAMILIES[spec.kind.tag].parameterize
+    if own is not None:
+        return own(spec, params)
+    return np.tensordot(params, _basis(spec), axes=1)
 
 
 def tangent_basis(spec: FamilySpec, point) -> TangentFrame:
@@ -465,64 +481,18 @@ def tangent_basis(spec: FamilySpec, point) -> TangentFrame:
     finite differences of parameterize converge to these matrices.
     """
     point = np.asarray(point, dtype=complex)
-    tag, n = spec.kind.tag, spec.n
+    n = spec.n
     is_params = point.ndim == 1
-    if not is_params and point.shape != (n, n):
-        raise ParameterRangeError(f"point must be a parameter vector or an {n} x {n} matrix")
-
-    if tag in _LINEAR_TAGS:
-        if is_params:
-            base = parameterize(spec, point)
-        else:
-            base = point
-            if not is_member(spec, base, 1e-8):
-                raise NonMemberError(f"matrix is not in {spec.kind.label()}")
-        return TangentFrame(base_point=base, basis=linear_basis(spec))
-
-    if tag == COMPANION:
-        if is_params:
-            base = companion_matrix(_check_params(spec, point))
-        else:
-            base = point
-            if not is_member(spec, base, 1e-8):
-                raise NonMemberError("matrix does not match the companion template")
-        frame = []
-        for p in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[p, n - 1] = 1.0
-            frame.append(E)
-        return TangentFrame(base_point=base, basis=_freeze(frame))
-
-    if tag == ORTHOGONAL:
-        skew = _cached_basis(SKEW_SYMMETRIC, n, None)
-        if is_params:
-            params = _check_params(spec, point)
-            S = _skew_from_params(n, params)
-            base = _expm(S)
-            frame = [_expm_frechet(S, E) for E in skew]
-        else:
-            base = point
-            if not is_member(spec, base, 1e-8):
-                raise NonMemberError("matrix is not complex-orthogonal")
-            frame = [base @ E for E in skew]
-        return TangentFrame(base_point=base, basis=_freeze(frame))
-
-    if tag in _VANDERMONDE_TAGS:
-        if is_params:
-            nodes = _check_params(spec, point)
-            base = parameterize(spec, nodes)
-        else:
-            base = point
-            if not is_member(spec, base, 1e-8):
-                raise NonMemberError(f"matrix is not in {spec.kind.label()}")
-            oriented = base.T if tag == VANDERMONDE_T else base
-            nodes = _nodes_from_matrix(n, spec.kind.s, oriented)
-        mats = _vand_tangent(n, spec.kind.s, nodes)
-        if tag == VANDERMONDE_T:
-            mats = [m.T.copy() for m in mats]
-        return TangentFrame(base_point=base, basis=_freeze(mats))
-
-    raise ParameterRangeError(f"unknown family tag {tag!r}")
+    if not is_params:
+        if point.shape != (n, n):
+            raise ParameterRangeError(f"point must be a parameter vector or an {n} x {n} matrix")
+        if not is_member(spec, point, 1e-8):
+            raise NonMemberError(f"matrix is not in {spec.kind.label()}")
+    own = _FAMILIES[spec.kind.tag].tangent
+    if own is not None:
+        return TangentFrame(*own(spec, point, is_params))
+    base = parameterize(spec, point) if is_params else point
+    return TangentFrame(base_point=base, basis=_basis(spec))
 
 
 def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -536,12 +506,13 @@ def sample_point(spec: FamilySpec, rng_seed=0):
     parameters.  Deterministic in the seed; degenerate Vandermonde draws
     (coinciding nodes) are resampled."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    smooth = _FAMILIES[spec.kind.tag].smooth
     for _ in range(100):
         params = complex_gaussian(rng, spec.param_dim)
         try:
             matrix = parameterize(spec, params)
-            if spec.kind.tag in _VANDERMONDE_TAGS:
-                _vand_tangent(spec.n, spec.kind.s, params)  # reject degenerate draws
+            if smooth is not None:
+                smooth(spec, params)
         except DegeneratePointError:
             continue
         return params, matrix
@@ -549,78 +520,26 @@ def sample_point(spec: FamilySpec, rng_seed=0):
 
 
 def is_member(spec: FamilySpec, M, tol: float) -> bool:
-    """Do the family's defining constraints hold within tol * (1 + ||M||_F)?
+    """Does M belong to the family, within tol?
 
-    Equality constraints are checked entrywise; the template families
-    (companion, generalized Vandermonde) are checked against a rebuilt
-    template.  Returns False rather than raising on ill-posed fits.
+    For a linear family, the Frobenius norm of the residual of the
+    orthogonal projection of M onto the span of the basis must be at most
+    tol * (1 + ||M||_F).  The complex orthogonal group needs
+    max |M^T M - I| <= tol * (1 + ||M||_F)^2, and the template families
+    (companion, generalized Vandermonde) are checked entrywise against a
+    template rebuilt from M.  Returns False rather than raising on ill-posed
+    fits.
     """
     M = np.asarray(M, dtype=complex)
-    n = spec.n
-    if M.shape != (n, n):
+    if M.shape != (spec.n, spec.n) or not np.all(np.isfinite(M.view(float))):
         return False
-    if not np.all(np.isfinite(M.view(float))):
-        return False
-    scale = tol * (1.0 + float(np.linalg.norm(M)))
-    tag = spec.kind.tag
-
-    if tag in _PATTERN_TAGS:
-        mask = pattern_mask(tag, n, spec.kind.k)
-        outside = M[~mask]
-        return outside.size == 0 or float(np.max(np.abs(outside))) <= scale
-    if tag == SKEW_SYMMETRIC:
-        return float(np.max(np.abs(M + M.T))) <= scale
-    if tag == TOEPLITZ:
-        if n == 1:
-            return True
-        return float(np.max(np.abs(M[1:, 1:] - M[:-1, :-1]))) <= scale
-    if tag == SYMMETRIC_TOEPLITZ:
-        sym = float(np.max(np.abs(M - M.T))) <= scale
-        return sym and is_member(family_spec(TOEPLITZ, n), M, tol)
-    if tag == PERSYMMETRIC_HANKEL:
-        # H = J T with T symmetric Toeplitz, i.e. J H is symmetric Toeplitz.
-        return is_member(family_spec(SYMMETRIC_TOEPLITZ, n), M[::-1, :], tol)
-    if tag == CENTROSYMMETRIC:
-        return float(np.max(np.abs(M - M[::-1, ::-1]))) <= scale
-    if tag == ORTHOGONAL:
-        resid = M.T @ M - np.eye(n)
-        return float(np.max(np.abs(resid))) <= tol * (1.0 + float(np.linalg.norm(M))) ** 2
-    if tag == COMPANION:
-        return float(np.max(np.abs(M - companion_matrix(M[:, n - 1])))) <= scale
-    if tag == SUBSPACE:
-        B = spec.kind.basis.reshape(-1, n * n)
-        v = M.reshape(-1)
-        resid = v - B.T @ (B.conj() @ v)
-        return float(np.linalg.norm(resid)) <= scale
-    if tag in _VANDERMONDE_TAGS:
-        V = M.T if tag == VANDERMONDE_T else M
-        s = spec.kind.s
-        if n == 1:
-            v = V[0, 0]
-            if s == 0:
-                return abs(v - 1.0) <= scale
-            if s < 0:
-                return abs(v) > 0.0
-            return True
-        try:
-            nodes = _nodes_from_matrix(n, s, V)
-        except NonMemberError:
-            return False
-        exps = s + np.arange(n)
-        for q in range(n):
-            col = V[:, q]
-            if nodes[q] == 0.0:
-                if s >= 1:
-                    ok = float(np.max(np.abs(col))) <= tol * (1.0 + float(np.linalg.norm(col)))
-                else:
-                    ok = False
-            else:
-                rebuilt = np.power(nodes[q], exps)
-                ok = float(np.max(np.abs(col - rebuilt))) <= tol * (1.0 + float(np.linalg.norm(col)))
-            if not ok:
-                return False
-        return True
-    raise ParameterRangeError(f"unknown family tag {tag!r}")
+    own = _FAMILIES[spec.kind.tag].member
+    if own is not None:
+        return own(spec, M, tol)
+    B = _unit_rows(spec)
+    v = M.reshape(-1)
+    resid = v - B.T @ (B.conj() @ v)
+    return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(M)))
 
 
 def random_subspace(n: int, k: int, rng_seed=0) -> FamilyKind:
@@ -638,7 +557,7 @@ def random_subspace(n: int, k: int, rng_seed=0) -> FamilyKind:
         Q, R = np.linalg.qr(X)
         if np.min(np.abs(np.diag(R))) <= 1e-10:
             continue
-        return FamilyKind(SUBSPACE, k=k, basis=_freeze(Q.T.reshape(k, n, n)))
+        return FamilyKind(SUBSPACE, k=k, basis=_frozen(np.ascontiguousarray(Q.T).reshape(k, n, n)))
     raise DegeneratePointError("could not draw an independent subspace basis")
 
 
@@ -650,8 +569,154 @@ def contains_identity(spec: FamilySpec) -> bool:
 
 def coordinates_of(spec: FamilySpec, M) -> np.ndarray:
     """Least-squares coordinates of a member matrix of a linear family."""
-    if spec.kind.tag not in _LINEAR_TAGS:
-        raise ParameterRangeError(f"family {spec.kind.label()} has no linear coordinates")
     B = linear_basis(spec).reshape(-1, spec.n * spec.n).T
     coeff, *_ = np.linalg.lstsq(B, np.asarray(M, dtype=complex).reshape(-1), rcond=None)
     return coeff
+
+
+def fit_center(spec: FamilySpec, rng: np.random.Generator, slot: int) -> np.ndarray:
+    """Starting parameters for factor `slot` (1-based) of a fit: the family's
+    center, perturbed by a complex Gaussian of param_dim entries drawn from
+    rng (symmetric Toeplitz at n >= 2 and Vandermonde centers draw more)."""
+    g = complex_gaussian(rng, spec.param_dim)
+    return _FAMILIES[spec.kind.tag].center(spec, g, rng, slot)
+
+
+def bounds_facts(kind: FamilyKind, n: int):
+    """(target tag, generic count) for dimension-count reports: the target
+    space chains of this family are measured against, and the least chain
+    length known to reach a generic target (None when none is known)."""
+    entry = _family(kind.tag)
+    return entry.target(n), entry.generic_r(n)
+
+
+# ---------------------------------------------------------------------------
+# fit centers: (spec, g, rng, slot) -> parameters, g a Gaussian of param_dim
+
+def _identity_center(spec, g, rng, slot):
+    return coordinates_of(spec, np.eye(spec.n, dtype=complex)) + 0.1 * g
+
+
+def _exchange_center(spec, g, rng, slot):
+    return coordinates_of(spec, exchange_matrix(spec.n)) + 0.1 * g
+
+
+def _first_parameter_center(spec, g, rng, slot):
+    """The first basis point (J for persymmetric Hankel, the cycle matrix
+    for companion) plus a small perturbation."""
+    u = 0.1 * g
+    u[0] += 1.0
+    return u
+
+
+def _toeplitz_sym_center(spec, g, rng, slot):
+    n = spec.n
+    if n < 2:
+        return _identity_center(spec, g, rng, slot)
+    # identity plus one excited mode, the classic full-rank points
+    u = np.zeros(spec.param_dim, dtype=complex)
+    u[0] = 1.0
+    u[n - 1 - ((slot - 1) % (n - 1))] = complex_gaussian(rng, 1)[0]
+    return u
+
+
+def _vandermonde_center(spec, g, rng, slot):
+    n = spec.n
+    w = np.exp(-2j * np.pi * np.arange(1, n + 1) / n)
+    return w * (1.0 + 0.1 * complex_gaussian(rng, n))
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything specific to one family tag.  A structured linear family
+    gives grid: (i, j, n, k) -> the array of _grid, for i, j = np.indices((n, n)).
+    A nonlinear family gives dimension, parameterize, tangent ((spec, point,
+    is_params) -> (base point, frame)), member, and smooth to reject degenerate
+    draws.  target (a dominance target tag) and generic_r are functions of n."""
+
+    arg: str | None = None  # "k" or "s": the argument the tag takes
+    grid: Callable | None = None
+    dimension: Callable | None = None
+    parameterize: Callable | None = None
+    tangent: Callable | None = None
+    member: Callable | None = None
+    smooth: Callable | None = None
+    center: Callable = _identity_center
+    target: Callable = lambda n: "full"
+    generic_r: Callable = lambda n: None
+
+
+def _vandermonde_family(orient) -> _Family:
+    return _Family(
+        arg="s", dimension=lambda kind, n: n,
+        parameterize=lambda spec, params: orient(vand(spec.n, spec.kind.s, params)),
+        tangent=partial(_vand_frame, orient), member=partial(_vand_member, orient),
+        smooth=lambda spec, params: _vand_tangent(spec.n, spec.kind.s, params),
+        center=_vandermonde_center, generic_r=lambda n: 2 * n)
+
+
+def _subspace_dimension(kind, n):
+    if kind.basis is None or kind.basis.shape[1:] != (n, n):
+        raise ParameterRangeError(f"subspace kind carries no basis of {n} x {n} matrices")
+    return len(kind.basis)
+
+
+_FAMILIES = {
+    DIAGONAL: _Family(grid=lambda i, j, n, k: _pattern(i == j)),
+    BIDIAGONAL_UPPER: _Family(grid=lambda i, j, n, k: _pattern((j - i == 0) | (j - i == 1))),
+    BIDIAGONAL_LOWER: _Family(grid=lambda i, j, n, k: _pattern((i - j == 0) | (i - j == 1))),
+    BIDIAGONAL: _Family(grid=lambda i, j, n, k: _pattern(abs(j - i) <= 1),
+                        generic_r=lambda n: 2 * n),
+    K_DIAGONAL: _Family(arg="k", grid=lambda i, j, n, k: _pattern(abs(j - i) <= k - 1)),
+    K_DIAGONAL_UPPER: _Family(arg="k",
+                              grid=lambda i, j, n, k: _pattern((0 <= j - i) & (j - i <= k - 1))),
+    K_DIAGONAL_LOWER: _Family(arg="k",
+                              grid=lambda i, j, n, k: _pattern((0 <= i - j) & (i - j <= k - 1))),
+    TRIANGULAR_UPPER: _Family(grid=lambda i, j, n, k: _pattern(i <= j)),
+    TRIANGULAR_LOWER: _Family(grid=lambda i, j, n, k: _pattern(i >= j)),
+    # 1-based: entries vanish below (top) or above (bottom) the anti-diagonal
+    ANTI_TRIANGULAR_TOP: _Family(grid=lambda i, j, n, k: _pattern(i + j <= n - 1),
+                                 center=_exchange_center),
+    ANTI_TRIANGULAR_BOTTOM: _Family(grid=lambda i, j, n, k: _pattern(i + j >= n - 1),
+                                    center=_exchange_center),
+    # an odd number of odd-size skew factors is singular
+    SKEW_SYMMETRIC: _Family(grid=_skew_grid, center=lambda spec, g, rng, slot: g,
+                            target=lambda n: "det" if n % 2 else "full",
+                            generic_r=lambda n: 3 if n >= 8 and n % 2 == 0 else None),
+    TOEPLITZ: _Family(grid=lambda i, j, n, k: j - i + n),
+    # S_0 is the identity; S_d has ones on the +d and -d diagonals
+    SYMMETRIC_TOEPLITZ: _Family(grid=lambda i, j, n, k: abs(j - i) + 1,
+                                center=_toeplitz_sym_center, target=lambda n: "centro",
+                                generic_r=lambda n: n // 2 + 1),
+    # J S_d for the exchange matrix J and the symmetric Toeplitz S_d
+    PERSYMMETRIC_HANKEL: _Family(grid=lambda i, j, n, k: abs(i + j - (n - 1)) + 1,
+                                 center=_first_parameter_center, target=lambda n: "centro",
+                                 generic_r=lambda n: n // 2 + 1),
+    # one matrix per 180-degree-rotation orbit, numbered by the orbit's
+    # first row-major position, which aligns the parameter order with the
+    # centrosymmetric coordinate convention
+    CENTROSYMMETRIC: _Family(
+        grid=lambda i, j, n, k: np.minimum(i * n + j, n * n - 1 - (i * n + j)) + 1),
+    SUBSPACE: _Family(arg="k", dimension=_subspace_dimension, center=lambda spec, g, rng, slot: g),
+    ORTHOGONAL: _Family(dimension=lambda kind, n: n * (n - 1) // 2,
+                        parameterize=_orthogonal_matrix, tangent=_orthogonal_frame,
+                        member=_orthogonal_member, center=lambda spec, g, rng, slot: 0.1 * g),
+    COMPANION: _Family(dimension=lambda kind, n: n,
+                       parameterize=lambda spec, params: companion_matrix(params),
+                       tangent=_companion_frame, member=_companion_member,
+                       center=_first_parameter_center, generic_r=lambda n: n),
+    VANDERMONDE: _vandermonde_family(lambda V: V),
+    VANDERMONDE_T: _vandermonde_family(lambda V: V.T.copy()),
+}
+
+ALL_TAGS = frozenset(_FAMILIES)
+
+
+def _family(tag) -> _Family:
+    entry = _FAMILIES.get(tag) if isinstance(tag, str) else None
+    if entry is None:
+        raise ParameterRangeError(f"unknown family tag {tag!r}")
+    return entry

@@ -196,20 +196,17 @@ def kind_to_dict(kind: fam.FamilyKind) -> dict:
 def kind_from_dict(doc: dict) -> fam.FamilyKind:
     if not isinstance(doc, dict) or "tag" not in doc:
         raise MatrixParseError("family kind must be an object with a 'tag' field")
-    tag = doc["tag"]
+    basis = None
     if "basis" in doc:
-        mats = []
-        for B in doc["basis"]:
-            n = len(B)
-            mats.append(_matrix_from_pairs(n, B))
-        basis = np.stack(mats)
-        basis.flags.writeable = False
-        return fam.FamilyKind(tag=tag, k=basis.shape[0], basis=basis)
-    if tag not in fam.ALL_TAGS:
-        raise MatrixParseError(f"unknown family tag {tag!r}")
-    k = int(doc["k"]) if "k" in doc else None
-    s = int(doc["s"]) if "s" in doc else None
-    return fam.FamilyKind(tag=tag, k=k, s=s)
+        mats = doc["basis"]
+        if not isinstance(mats, list) or not mats:
+            raise MatrixParseError("'basis' must be a nonempty list of matrices")
+        n = len(mats[0]) if isinstance(mats[0], list) else 0
+        basis = np.stack([_matrix_from_pairs(n, B) for B in mats])
+    try:
+        return fam.kind_from_tag(doc["tag"], k=doc.get("k"), s=doc.get("s"), basis=basis)
+    except ParameterRangeError as exc:
+        raise MatrixParseError(str(exc)) from None
 
 
 def _problem_to_dict(prob: DecompositionProblem) -> dict:

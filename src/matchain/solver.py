@@ -95,42 +95,13 @@ def _as_target(T, n=None) -> np.ndarray:
 
 
 def _initial_params(prob: DecompositionProblem, T: np.ndarray, rng: np.random.Generator):
-    """One starting chain.  Family-aware centers, then a common rescale so
-    every factor's norm is about ||T||_F^(1/r)."""
-    n, r = prob.n, prob.r
-    goal = max(float(np.linalg.norm(T)), 1e-2) ** (1.0 / r)
+    """One starting chain.  Family centers, then a common rescale so every
+    factor's norm is about ||T||_F^(1/r)."""
+    goal = max(float(np.linalg.norm(T)), 1e-2) ** (1.0 / prob.r)
     out = []
     for i, spec in enumerate(prob.factors, start=1):
-        tag = spec.kind.tag
-        d = spec.param_dim
-        g = fam.complex_gaussian(rng, d)
-        if tag == fam.SYMMETRIC_TOEPLITZ and n >= 2:
-            # identity plus one excited mode, the classic full-rank points
-            u = np.zeros(d, dtype=complex)
-            u[0] = 1.0
-            idx = n - 1 - ((i - 1) % (n - 1))
-            u[idx] = fam.complex_gaussian(rng, 1)[0]
-        elif tag == fam.PERSYMMETRIC_HANKEL:
-            u = np.zeros(d, dtype=complex)
-            u[0] = 1.0
-            u += 0.1 * g
-        elif tag == fam.COMPANION:
-            u = np.zeros(d, dtype=complex)
-            u[0] = 1.0  # the cycle matrix
-            u += 0.1 * g
-        elif tag == fam.ORTHOGONAL:
-            u = 0.1 * g
-        elif tag in (fam.VANDERMONDE, fam.VANDERMONDE_T):
-            w = np.exp(-2j * np.pi * np.arange(1, n + 1) / n)
-            u = w * (1.0 + 0.1 * fam.complex_gaussian(rng, n))
-        elif tag == fam.SKEW_SYMMETRIC or tag == fam.SUBSPACE:
-            u = g
-        elif tag in (fam.ANTI_TRIANGULAR_TOP, fam.ANTI_TRIANGULAR_BOTTOM):
-            u = fam.coordinates_of(spec, fam.exchange_matrix(n)) + 0.1 * g
-        else:
-            # families containing the identity
-            u = fam.coordinates_of(spec, np.eye(n, dtype=complex)) + 0.1 * g
-        if tag in fam._LINEAR_TAGS:
+        u = fam.fit_center(spec, rng, i)
+        if spec.kind.linear:
             # balance the factor norms; only linear families scale with
             # their coefficients, so leave the others at their centers
             A = fam.parameterize(spec, u)
@@ -145,7 +116,7 @@ def _warm_start(prob: DecompositionProblem, T: np.ndarray):
     """If the target already lies in the first family and every other
     factor can sit at the identity, start from that exact chain."""
     first = prob.factors[0]
-    if first.kind.tag not in fam._LINEAR_TAGS:
+    if not first.kind.linear:
         return None
     if not fam.is_member(first, T, 1e-12):
         return None

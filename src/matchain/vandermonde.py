@@ -25,6 +25,7 @@ from .dominance import (
     numerical_rank,
 )
 from .errors import DegeneratePointError, ParameterRangeError
+from .families import vand  # noqa: F401  (re-exported: the generalized Vandermonde matrix)
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,6 @@ class VandTypeList:
 
 def type_list(n: int, s) -> VandTypeList:
     return VandTypeList(n=int(n), s=tuple(int(v) for v in s))
-
-
-def vand(n: int, s: int, nodes) -> np.ndarray:
-    """Generalized Vandermonde matrix: entry (p, q) is x_q^(s+p-1)."""
-    nodes = np.asarray(nodes, dtype=complex).reshape(-1)
-    if nodes.size != n:
-        raise ParameterRangeError(f"need {n} nodes, got {nodes.size}")
-    exps = s + np.arange(n)
-    if np.any(exps < 0) and np.any(nodes == 0):
-        raise DegeneratePointError("zero node with a negative exponent")
-    return np.power(nodes[None, :], exps[:, None])
 
 
 def unit_root(n: int) -> complex:

@@ -266,6 +266,22 @@ def test_sample_is_seeded_and_member():
     assert fam.is_member(spec, M, 1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--family", "skew", "--n", "1"],
+    ["bounds", "--family", "orthogonal", "--n", "1"],
+    ["sample", "--family", "skew", "--n", "1"],
+    ["sample", "--family", "orthogonal", "--n", "1"],
+    ["verify", "--family", "skew", "--n", "1", "--r", "2"],
+    ["verify", "--family", "orthogonal", "--n", "1", "--r", "2"],
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_family_without_parameters_is_a_usage_error(argv):
+    # skew-symmetric and orthogonal 1 x 1 families have dimension 0
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("alias,canonical", [
     ("skew", "skew-symmetric"),
     ("upper", "triangular-upper"),

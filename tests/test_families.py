@@ -45,6 +45,124 @@ def test_family_dimension(tag, k, d4, d6):
     assert _spec(tag, 6, k=k, s=s).param_dim == d6
 
 
+# closed forms of the linear family dimensions, f(n, k)
+CLOSED_FORMS = {
+    "diagonal": lambda n, k: n,
+    "bidiagonal-upper": lambda n, k: 2 * n - 1,
+    "bidiagonal-lower": lambda n, k: 2 * n - 1,
+    "bidiagonal": lambda n, k: 3 * n - 2,
+    "k-diagonal": lambda n, k: (2 * k - 1) * n - k * (k - 1),
+    "k-diagonal-upper": lambda n, k: k * n - k * (k - 1) // 2,
+    "k-diagonal-lower": lambda n, k: k * n - k * (k - 1) // 2,
+    "triangular-upper": lambda n, k: n * (n + 1) // 2,
+    "triangular-lower": lambda n, k: n * (n + 1) // 2,
+    "anti-triangular-top": lambda n, k: n * (n + 1) // 2,
+    "anti-triangular-bottom": lambda n, k: n * (n + 1) // 2,
+    "skew-symmetric": lambda n, k: n * (n - 1) // 2,
+    "toeplitz": lambda n, k: 2 * n - 1,
+    "toeplitz-sym": lambda n, k: n,
+    "hankel-persym": lambda n, k: n,
+    "centrosymmetric": lambda n, k: (n * n + 1) // 2,
+}
+
+
+def _linear_cases(sizes):
+    """(tag, n, k) for every structured linear family, banded ones at every k."""
+    return [(tag, n, k) for tag in CLOSED_FORMS for n in sizes
+            for k in (range(1, n + 1) if tag.startswith("k-diagonal") else [None])]
+
+
+def test_closed_forms_agree_with_dimensions_table():
+    for tag, k, d4, d6 in DIMENSIONS:
+        if tag in CLOSED_FORMS:
+            assert (CLOSED_FORMS[tag](4, k), CLOSED_FORMS[tag](6, k)) == (d4, d6), tag
+
+
+def test_linear_dimensions_match_closed_forms():
+    for tag, n, k in _linear_cases(range(1, 9)):
+        assert fam.family_dimension(fam.FamilyKind(tag, k=k), n) == CLOSED_FORMS[tag](n, k)
+
+
+def _closed_form_matrix(tag, n, k, p):
+    """The member with parameters p, built entry by entry from the
+    family's definition and its documented parameter order."""
+    M = np.zeros((n, n), dtype=complex)
+    bands = {
+        "diagonal": lambda i, j: i == j,
+        "bidiagonal-upper": lambda i, j: j - i in (0, 1),
+        "bidiagonal-lower": lambda i, j: i - j in (0, 1),
+        "bidiagonal": lambda i, j: abs(i - j) <= 1,
+        "k-diagonal": lambda i, j: abs(i - j) < (k or 0),
+        "k-diagonal-upper": lambda i, j: 0 <= j - i < (k or 0),
+        "k-diagonal-lower": lambda i, j: 0 <= i - j < (k or 0),
+        "triangular-upper": lambda i, j: i <= j,
+        "triangular-lower": lambda i, j: i >= j,
+        # 1-based: entry (i, j) vanishes when i + j > n + 1, or < n + 1
+        "anti-triangular-top": lambda i, j: (i + 1) + (j + 1) <= n + 1,
+        "anti-triangular-bottom": lambda i, j: (i + 1) + (j + 1) >= n + 1,
+    }
+    if tag in bands:  # one parameter per allowed position, row by row
+        allowed = [(i, j) for i in range(n) for j in range(n) if bands[tag](i, j)]
+        for c, (i, j) in zip(p, allowed):
+            M[i, j] = c
+    elif tag == "skew-symmetric":  # the strict upper triangle row by row
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for c, (i, j) in zip(p, upper):
+            M[i, j], M[j, i] = c, -c
+    elif tag == "toeplitz":  # diagonals from the bottom-left corner up
+        for i in range(n):
+            for j in range(n):
+                M[i, j] = p[(n - 1) + (j - i)]
+    elif tag == "toeplitz-sym":  # p[d] on the +d and -d diagonals
+        for i in range(n):
+            for j in range(n):
+                M[i, j] = p[abs(i - j)]
+    elif tag == "hankel-persym":  # J times the symmetric Toeplitz matrix
+        M = _closed_form_matrix("toeplitz-sym", n, k, p)[::-1, :]
+    elif tag == "centrosymmetric":  # the first half row by row, then rotated
+        half = (n * n + 1) // 2
+        for idx in range(half):
+            i, j = divmod(idx, n)
+            M[i, j] = M[n - 1 - i, n - 1 - j] = p[idx]
+    return M
+
+
+@pytest.mark.parametrize("tag,n,k", _linear_cases([4]))
+def test_parameter_order_matches_closed_form(tag, n, k):
+    spec = fam.family_spec(fam.FamilyKind(tag, k=k), n)
+    p = np.arange(1, spec.param_dim + 1).astype(complex)
+    np.testing.assert_array_equal(fam.parameterize(spec, p), _closed_form_matrix(tag, n, k, p))
+
+
+def test_structured_bases_are_orthogonal():
+    """The Gram matrix of every structured basis is diagonal, which is what
+    membership by projection onto the span relies on."""
+    for tag, n, k in _linear_cases(range(2, 8)):
+        B = fam.linear_basis(fam.family_spec(fam.FamilyKind(tag, k=k), n)).reshape(-1, n * n)
+        G = B.conj() @ B.T
+        assert np.array_equal(G, np.diag(np.diag(G))), (tag, n, k)
+
+
+def test_linear_membership_measures_the_projection_residual():
+    # the diagonal matrices plus eps on each of the 12 off-diagonal entries:
+    # the largest violated entry is eps, the projection residual sqrt(12) eps
+    spec = _spec("diagonal", 4)
+    eps = 1e-3
+    M = np.eye(4) + eps * (np.ones((4, 4)) - np.eye(4))
+    scale = 1.0 + np.linalg.norm(M)
+    assert fam.is_member(spec, M, 3.5 * eps / scale)
+    assert not fam.is_member(spec, M, 3.4 * eps / scale)
+
+
+def test_kind_from_tag_rejects_arguments_the_family_does_not_take():
+    for tag, kw in [("diagonal", {"k": 3}), ("vandermonde", {"k": 1}),
+                    ("k-diagonal", {"s": 1}), ("skew-symmetric", {"s": 0}),
+                    ("k-diagonal", {"k": "2"}), ("vandermonde", {"s": 1.0})]:
+        with pytest.raises(ParameterRangeError):
+            fam.kind_from_tag(tag, **kw)
+    assert fam.kind_from_tag("k-diagonal", k=2) == fam.k_diagonal(2)
+
+
 def test_k_diagonal_edge_dimensions():
     # k=1 collapses to diagonal, k=n is a full matrix
     assert _spec("k-diagonal", 5, k=1).param_dim == 5

@@ -123,6 +123,34 @@ def test_kind_from_dict_rejects_unknown_tag():
         mio.kind_from_dict({"tag": "wat"})
 
 
+def _basis_doc(mats):
+    return [[[[float(z.real), float(z.imag)] for z in row] for row in B] for B in mats]
+
+
+@pytest.mark.parametrize("doc", [
+    # a basis is read only for a subspace
+    {"tag": "skew-symmetric", "basis": _basis_doc([np.eye(2) / np.sqrt(2)])},
+    # one shape for every basis matrix
+    {"tag": "subspace", "basis": _basis_doc([np.eye(2) / np.sqrt(2)]) + _basis_doc([np.eye(3)])},
+    # orthonormal: the Gram matrix of [I, I] / sqrt(2) is all 1/2
+    {"tag": "subspace", "basis": _basis_doc([np.eye(2) / 2, np.eye(2) / 2])},
+    {"tag": "subspace", "basis": []},
+    {"tag": "subspace", "k": 2, "basis": _basis_doc([np.eye(2) / np.sqrt(2)])},
+    # integer arguments, and only those the family takes
+    {"tag": "k-diagonal", "k": "x"},
+    {"tag": "k-diagonal", "k": 2.5},
+    {"tag": "vandermonde", "s": True},
+    {"tag": "diagonal", "k": 3},
+    {"tag": "k-diagonal", "s": 1},
+    {"tag": "k-diagonal"},
+], ids=["basis-outside-subspace", "ragged-basis", "non-orthonormal-basis", "empty-basis",
+        "k-against-basis", "string-k", "fractional-k", "bool-s", "k-not-taken", "s-not-taken",
+        "missing-k"])
+def test_kind_from_dict_rejects_malformed_kinds(doc):
+    with pytest.raises(MatrixParseError):
+        mio.kind_from_dict(doc)
+
+
 def test_chain_round_trip_is_bit_exact():
     T = np.diag(np.array([1.0, 2.0, 3.0], dtype=complex))
     chain = fit_chain(T, dom.problem(["bidiagonal"], 3), FitOptions(seed=0))
