@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -629,8 +629,7 @@ def _vandermonde_center(spec, g, rng, slot):
 # ---------------------------------------------------------------------------
 # the family table
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """Everything specific to one family tag.  A structured linear family
     gives grid: (i, j, n, k) -> the array of _grid, for i, j = np.indices((n, n)).
     A nonlinear family gives dimension, parameterize, tangent ((spec, point,
