@@ -92,9 +92,9 @@ def _closed_form_matrix(tag, n, k, p):
         "bidiagonal-upper": lambda i, j: j - i in (0, 1),
         "bidiagonal-lower": lambda i, j: i - j in (0, 1),
         "bidiagonal": lambda i, j: abs(i - j) <= 1,
-        "k-diagonal": lambda i, j: abs(i - j) < (k or 0),
-        "k-diagonal-upper": lambda i, j: 0 <= j - i < (k or 0),
-        "k-diagonal-lower": lambda i, j: 0 <= i - j < (k or 0),
+        "k-diagonal": lambda i, j: abs(i - j) < k,
+        "k-diagonal-upper": lambda i, j: 0 <= j - i < k,
+        "k-diagonal-lower": lambda i, j: 0 <= i - j < k,
         "triangular-upper": lambda i, j: i <= j,
         "triangular-lower": lambda i, j: i >= j,
         # 1-based: entry (i, j) vanishes when i + j > n + 1, or < n + 1
