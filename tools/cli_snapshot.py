@@ -80,6 +80,11 @@ COMMANDS = [
      "--chain", "vandermonde-t:1,vandermonde:1,vandermonde-t:2,vandermonde:2", "--seed", "11"],
     ["decompose", "--in", "gauss3.json", "--chain", "subspace:5,subspace:5", "--seed", "12"],
     ["decompose", "--in", "gauss3.json", "--chain", "toeplitz,toeplitz", "--seed", "13"],
+    # a block of lower then upper bidiagonal factors: n - 1 and n of each
+    ["decompose", "--in", "gauss4-a.json",
+     "--chain", ",".join(["bidiagonal-lower"] * 3 + ["bidiagonal-upper"] * 3), "--seed", "14"],
+    ["decompose", "--in", "gauss4-a.json",
+     "--chain", ",".join(["bidiagonal-lower"] * 4 + ["bidiagonal-upper"] * 4), "--seed", "15"],
 ]
 
 # every family, with the argument it takes
