@@ -85,7 +85,7 @@ def decompose_companion(A, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CompanionRes
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ParameterRangeError("input must be a square matrix")
-    if not np.all(np.isfinite(A.view(float))):
+    if not np.isfinite(A).all():
         raise ParameterRangeError("input matrix must have finite entries")
     n = A.shape[0]
 

@@ -531,7 +531,7 @@ def is_member(spec: FamilySpec, M, tol: float) -> bool:
     fits.
     """
     M = np.asarray(M, dtype=complex)
-    if M.shape != (spec.n, spec.n) or not np.all(np.isfinite(M.view(float))):
+    if M.shape != (spec.n, spec.n) or not np.isfinite(M).all():
         return False
     own = _FAMILIES[spec.kind.tag].member
     if own is not None:

@@ -6,21 +6,22 @@ residual is holomorphic in the parameters, so the normal equations use the
 plain complex Jacobian with conjugate transposes.  Restarts draw fresh
 initial chains from per-restart seeds and the best residual wins.
 
-decompose_bidiagonal splits a generic matrix into lower times upper
-triangular by elimination without pivoting, then fits each triangle with n
-bidiagonal factors.  decompose_centrosymmetric fits a chain of symmetric
-Toeplitz factors (optionally twisted into persymmetric Hankel form by the
-anti-identity, whose parity rule decides whether the twisted chain
-multiplies to the target or to its row-reversal).
+decompose_bidiagonal builds its factors by LU without pivoting and Neville
+elimination of each triangle, with no fitting; these constructions and the
+companion one also start fit_chain.  decompose_centrosymmetric fits a chain
+of symmetric Toeplitz factors (optionally twisted into persymmetric Hankel
+form by the anti-identity, whose parity rule decides whether the twisted
+chain multiplies to the target or to its row-reversal).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import families as fam
+from .companion import STATUS_UNIQUE, decompose_companion
 from .dominance import (
     DecompositionProblem,
     TARGET_CENTRO,
@@ -28,6 +29,7 @@ from .dominance import (
     chain_product,
     jacobian,
     lower_bound_linear,
+    problem,
     target_space,
 )
 from .errors import (
@@ -89,7 +91,7 @@ def _as_target(T, n=None) -> np.ndarray:
         raise ParameterRangeError("target must be a square matrix")
     if n is not None and T.shape[0] != n:
         raise ParameterRangeError("target size does not match the problem")
-    if not np.all(np.isfinite(T.view(float))):
+    if not np.isfinite(T).all():
         raise ParameterRangeError("target must have finite entries")
     return T
 
@@ -151,9 +153,10 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     (J^H J + lambda I) delta = -J^H res; damping is divided by 10 after an
     accepted step and multiplied by 10 after a rejected one (floored at
     1e-12, and a restart is abandoned once it exceeds 1e12 without
-    improvement).  Restart k draws its initial chain from seed + k;
-    init_params, when given, replaces the draw of restart 0.  The best
-    restart by residual (ties to the earlier one) is returned.
+    improvement).  Restart k draws its initial chain from seed + k, but
+    restart 0 starts from init_params when given, else from _warm_start,
+    else from an exact construction (_exact_start).  The best restart by
+    residual (ties to the earlier one) is returned.
 
     Raises InfeasibleProblemError when the parameter count cannot cover the
     target dimension.
@@ -167,19 +170,22 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
         # shortcut puts this particular target inside the chain
         raise InfeasibleProblemError(
             f"{prob.param_dim} parameters cannot cover a {prob.target.dim}-dimensional target")
+    start = init_params
+    if start is None:
+        try:
+            start = warm if warm is not None else _exact_start(prob, T)
+        except NonGenericMatrixError:
+            pass  # restart 0 draws its chain like the others
     full_prob = DecompositionProblem(
         n=prob.n, factors=prob.factors, target=target_space(TARGET_FULL, prob.n))
     tscale = max(1.0, float(np.linalg.norm(T)))
     tvec = T.reshape(-1)
     best = None
     for restart in range(opts.restarts):
-        rng = np.random.default_rng(opts.seed + restart)
-        if restart == 0 and init_params is not None:
-            params_list = [np.asarray(u, dtype=complex).reshape(-1).copy() for u in init_params]
-        elif restart == 0 and warm is not None:
-            params_list = warm
+        if restart == 0 and start is not None:
+            params_list = [np.asarray(u, dtype=complex).reshape(-1).copy() for u in start]
         else:
-            params_list = _initial_params(prob, T, rng)
+            params_list = _initial_params(prob, T, np.random.default_rng(opts.seed + restart))
         theta = np.concatenate(params_list)
 
         try:
@@ -268,53 +274,66 @@ def lu_nopivot(A, pivot_tol: float = LU_PIVOT_TOL):
     return L, U
 
 
-def decompose_bidiagonal(T, opts: FitOptions | None = None) -> FactorChain:
-    """Write a generic matrix as a product of 2n bidiagonal factors.
+def _neville(L, count: int):
+    """Parameters of count >= n - 1 unit lower bidiagonal factors whose
+    product is the unit lower triangular L, by Neville elimination: step j
+    clears column j from the bottom up, row i losing m = A[i, j] / A[i-1, j]
+    times row i-1 as it stood at the start of the step.  The elementary
+    factors regroup into bidiagonal factor g = i - j (g = n-1 down to 1, left
+    to right), entry (i, i-1), parameter 2i - 1; identities pad the rest."""
+    n = L.shape[0]
+    A = L.copy()
+    out = np.zeros((count, 2 * n - 1), dtype=complex)
+    out[:, ::2] = 1.0
+    tol = LU_PIVOT_TOL * (1.0 + float(np.linalg.norm(L)))
+    for j in range(n - 1):
+        piv, below = A[j:n - 1, j], A[j + 1:, j]
+        small = np.abs(piv) <= tol
+        if np.any(small & (np.abs(below) > tol)):
+            raise NonGenericMatrixError(f"Neville elimination breaks down in column {j + 1}")
+        m = np.divide(below, piv, out=np.zeros(n - 1 - j, dtype=complex), where=~small)
+        A[j + 1:, j:] -= m[:, None] * A[j:n - 1, j:]
+        out[n - 1 - np.arange(1, n - j), 2 * np.arange(j + 1, n) - 1] = m
+    return list(out)
 
-    Elimination without pivoting gives T = L U; each triangle is then fit
-    with n bidiagonal factors of the matching orientation, and the two
-    fitted chains are concatenated."""
-    opts = opts or FitOptions()
-    T = _as_target(T)
-    n = T.shape[0]
+
+def _exact_start(prob: DecompositionProblem, T: np.ndarray):
+    """Parameters of an exact chain for T when the chain is one the paper
+    constructs, else None: lower times upper triangular (LU), n companion
+    factors, or a >= n - 1 lower then b >= max(n - 1, 1) upper bidiagonal
+    factors.  For the last, T = L D V with V unit upper triangular; Neville
+    elimination factors L, and V^T, whose factors transpose into upper ones
+    in reverse order with the same parameter vectors; D joins the first
+    upper factor.  Raises NonGenericMatrixError on a breakdown."""
+    n, tags = prob.n, [spec.kind.tag for spec in prob.factors]
+    if tags == [fam.TRIANGULAR_LOWER, fam.TRIANGULAR_UPPER]:
+        L, U = lu_nopivot(T)
+        return [L[np.tril_indices(n)], U[np.triu_indices(n)]]
+    if tags == [fam.COMPANION] * n:
+        result = decompose_companion(T)
+        return result.coefficients.columns if result.status == STATUS_UNIQUE else None
+    a = tags.count(fam.BIDIAGONAL_LOWER)
+    b = len(tags) - a
+    if (tags != [fam.BIDIAGONAL_LOWER] * a + [fam.BIDIAGONAL_UPPER] * b
+            or a < n - 1 or b < max(n - 1, 1)):
+        return None
     L, U = lu_nopivot(T)
-    prob_l = DecompositionProblem(
-        n=n,
-        factors=tuple(fam.family_spec(fam.BIDIAGONAL_LOWER, n) for _ in range(n)),
-        target=target_space(TARGET_FULL, n),
-    )
-    prob_u = DecompositionProblem(
-        n=n,
-        factors=tuple(fam.family_spec(fam.BIDIAGONAL_UPPER, n) for _ in range(n)),
-        target=target_space(TARGET_FULL, n),
-    )
-    # the triangle fits must overshoot the requested tolerance because their
-    # errors get multiplied by the other triangle's norm in the product
-    sub_opts = replace(opts, residual_tol=max(opts.residual_tol * 1e-3, 1e-14))
-    fit_l = fit_chain(L, prob_l, sub_opts)
-    fit_u = fit_chain(U, prob_u, sub_opts)
-    combined_prob = DecompositionProblem(
-        n=n, factors=prob_l.factors + prob_u.factors, target=target_space(TARGET_FULL, n))
-    params = list(fit_l.params) + list(fit_u.params)
-    factors = list(fit_l.factors) + list(fit_u.factors)
-    resid = float(np.linalg.norm(chain_product(factors) - T)) / max(1.0, float(np.linalg.norm(T)))
-    iterations = fit_l.iterations + fit_u.iterations
-    if resid > opts.residual_tol:
-        # a short joint pass over all 2n factors cleans up the residual
-        polish = fit_chain(T, combined_prob, replace(opts, restarts=1), init_params=params)
-        if polish.residual < resid:
-            params, factors = polish.params, polish.factors
-            resid = polish.residual
-            iterations += polish.iterations
-    return FactorChain(
-        problem=combined_prob,
-        params=params,
-        factors=factors,
-        residual=resid,
-        iterations=iterations,
-        converged=resid <= opts.residual_tol,
-        target=T.copy(),
-    )
+    d = np.diagonal(U)
+    upper = _neville((U / d[:, None]).T, b)[::-1]
+    upper[0][::2] *= d
+    upper[0][1::2] *= d[:-1]
+    return _neville(L, a) + upper
+
+
+def decompose_bidiagonal(T, opts: FitOptions | None = None) -> FactorChain:
+    """Write a generic matrix as a product of n lower then n upper
+    bidiagonal factors, built by Neville elimination of its LU factors (no
+    fitting).  fit_chain returns the built chain at iteration 0, or refines
+    it when its residual is above tolerance.  Raises NonGenericMatrixError
+    when either elimination breaks down."""
+    n = _as_target(T).shape[0]
+    prob = problem([fam.BIDIAGONAL_LOWER] * n + [fam.BIDIAGONAL_UPPER] * n, n)
+    return fit_chain(T, prob, opts, init_params=_exact_start(prob, T))
 
 
 def decompose_centrosymmetric(T, use_hankel: bool = False,

@@ -7,6 +7,7 @@ import pytest
 
 import matchain.families as fam
 import matchain.dominance as dom
+from matchain.companion import decompose_companion
 from matchain.errors import (
     InfeasibleProblemError,
     NonGenericMatrixError,
@@ -195,6 +196,112 @@ def test_decompose_bidiagonal_upper_triangular_input():
     assert chain.converged
     for F in chain.factors[:n]:
         np.testing.assert_allclose(F, np.eye(n), atol=1e-9)
+
+
+@pytest.mark.parametrize("n, seed", [(12, 1), (48, 2)])
+def test_decompose_bidiagonal_is_constructed_not_fitted(n, seed):
+    """Neville elimination gives the factors directly: the chain comes back
+    at iteration 0.  n=12 on the default_rng(1) target is the case that used
+    to take 589 iterations and end unconverged."""
+    chain = decompose_bidiagonal(_random_target(n, seed))
+    assert chain.converged
+    assert chain.iterations == 0
+    assert chain.residual <= 1e-8
+    assert len(chain.factors) == 2 * n
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_decompose_bidiagonal_residual_and_membership(n):
+    lower = fam.family_spec(fam.BIDIAGONAL_LOWER, n)
+    upper = fam.family_spec(fam.BIDIAGONAL_UPPER, n)
+    for trial in range(20):
+        T = _random_target(n, 1000 * n + trial)
+        chain = decompose_bidiagonal(T)
+        assert chain.residual <= 1e-11
+        assert np.linalg.norm(chain.product() - T) <= 1e-11 * max(1.0, np.linalg.norm(T))
+        for F in chain.factors[:n]:
+            assert fam.is_member(lower, F, 1e-12)
+        for F in chain.factors[n:]:
+            assert fam.is_member(upper, F, 1e-12)
+
+
+def _neville_breakdown():
+    """A unit lower L, so LU succeeds, whose first column has a zero above
+    a nonzero: Neville elimination cannot clear L[2, 0] with row 1."""
+    L = np.eye(3, dtype=complex)
+    L[1, 0], L[2, 0], L[2, 1] = 0.0, 1.0, 0.5
+    return L
+
+
+def test_decompose_bidiagonal_neville_breakdown():
+    L = _neville_breakdown()
+    lu_nopivot(L)  # elimination without pivoting goes through
+    with pytest.raises(NonGenericMatrixError, match="Neville"):
+        decompose_bidiagonal(L)
+
+
+@pytest.mark.parametrize("chain, n", [
+    pytest.param(["triangular-lower", "triangular-upper"], 4, id="lu-n4"),
+    pytest.param(["triangular-lower", "triangular-upper"], 8, id="lu-n8"),
+    pytest.param(["triangular-lower", "triangular-upper"], 16, id="lu-n16"),
+    pytest.param(["companion"] * 5, 5, id="companion-n5"),
+    pytest.param(["bidiagonal-lower"] * 3 + ["bidiagonal-upper"] * 5, 4, id="bidiagonal-3-5-n4"),
+])
+def test_fit_chain_starts_from_an_exact_construction(chain, n):
+    T = _random_target(n, 70 + n)
+    prob = dom.problem(chain, n)
+    fit = fit_chain(T, prob)
+    assert fit.converged
+    assert fit.iterations == 0
+    np.testing.assert_allclose(fit.product(), T, atol=1e-10)
+    for spec, F in zip(prob.factors, fit.factors):
+        assert fam.is_member(spec, F, 1e-10)
+
+
+def test_fit_chain_falls_back_to_random_restarts_on_breakdown():
+    L = _neville_breakdown()
+    prob = dom.problem(["bidiagonal-lower"] * 2 + ["bidiagonal-upper"] * 2, 3)
+    chain = fit_chain(L, prob, FitOptions(seed=0))
+    assert chain.iterations > 0  # started from a seeded draw, not an exact chain
+    assert chain.converged
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda T: lu_nopivot(T), id="lu_nopivot"),
+    pytest.param(lambda T: fit_chain(T, dom.problem(["triangular-lower", "triangular-upper"], 4)),
+                 id="fit_chain"),
+    pytest.param(decompose_bidiagonal, id="decompose_bidiagonal"),
+    pytest.param(lambda T: fam.is_member(fam.family_spec("toeplitz", 4), T, 1e-12),
+                 id="is_member"),
+    pytest.param(decompose_companion, id="decompose_companion"),
+])
+def test_transposed_complex_input(call):
+    """A transposed complex matrix is not contiguous along its last axis;
+    every entry point accepts it and agrees with a contiguous copy."""
+    T = _random_target(4, 31).T
+    assert not T.flags.c_contiguous
+    a, b = call(T), call(T.copy())
+    if isinstance(a, tuple):
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+    elif isinstance(a, bool):
+        assert a == b
+    elif hasattr(a, "residual"):
+        assert a.residual == b.residual
+    else:
+        assert a.status == b.status
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf), complex(np.nan, 0)])
+def test_non_finite_entries_are_rejected(bad):
+    T = _random_target(3, 32)
+    T[1, 2] = bad
+    for M in (T, T.T):
+        with pytest.raises(ParameterRangeError):
+            lu_nopivot(M)
+        with pytest.raises(ParameterRangeError):
+            decompose_companion(M)
+        assert not fam.is_member(fam.family_spec("toeplitz", 3), M, 1e-12)
 
 
 def test_decompose_bidiagonal_refuses_pivot_free_targets():
