@@ -268,28 +268,19 @@ def test_fit_chain_falls_back_to_random_restarts_on_breakdown():
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda T: lu_nopivot(T), id="lu_nopivot"),
-    pytest.param(lambda T: fit_chain(T, dom.problem(["triangular-lower", "triangular-upper"], 4)),
-                 id="fit_chain"),
-    pytest.param(decompose_bidiagonal, id="decompose_bidiagonal"),
+    pytest.param(lambda T: fit_chain(
+        T, dom.problem(["triangular-lower", "triangular-upper"], 4)).params, id="fit_chain"),
+    pytest.param(lambda T: decompose_bidiagonal(T).params, id="decompose_bidiagonal"),
     pytest.param(lambda T: fam.is_member(fam.family_spec("toeplitz", 4), T, 1e-12),
                  id="is_member"),
-    pytest.param(decompose_companion, id="decompose_companion"),
+    pytest.param(lambda T: decompose_companion(T).coefficients.columns, id="decompose_companion"),
 ])
 def test_transposed_complex_input(call):
     """A transposed complex matrix is not contiguous along its last axis;
     every entry point accepts it and agrees with a contiguous copy."""
     T = _random_target(4, 31).T
     assert not T.flags.c_contiguous
-    a, b = call(T), call(T.copy())
-    if isinstance(a, tuple):
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-    elif isinstance(a, bool):
-        assert a == b
-    elif hasattr(a, "residual"):
-        assert a.residual == b.residual
-    else:
-        assert a.status == b.status
+    np.testing.assert_array_equal(call(T), call(T.copy()))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf), complex(np.nan, 0)])
