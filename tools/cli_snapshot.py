@@ -49,6 +49,7 @@ INPUTS = {
     "centro5.json": centrosymmetric(5, 5),
     "centro3.json": centrosymmetric(7, 3),
     "gauss48.json": gaussian(6, 48),
+    "gauss6.json": gaussian(16, 6),
 }
 
 COMMANDS = [
@@ -85,6 +86,9 @@ COMMANDS = [
      "--chain", ",".join(["bidiagonal-lower"] * 3 + ["bidiagonal-upper"] * 3), "--seed", "14"],
     ["decompose", "--in", "gauss4-a.json",
      "--chain", ",".join(["bidiagonal-lower"] * 4 + ["bidiagonal-upper"] * 4), "--seed", "15"],
+    # n - 1 tridiagonal factors: no exact start, so every restart starts
+    # from the identity centers
+    ["decompose", "--in", "gauss6.json", "--chain", ",".join(["bidiagonal"] * 5), "--seed", "16"],
 ]
 
 # every family, with the argument it takes
