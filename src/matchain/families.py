@@ -284,6 +284,14 @@ def _unit_rows(spec: FamilySpec) -> np.ndarray:
     return _cached_unit_rows(kind.tag, spec.n, kind.k)
 
 
+def _combine(params: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_l params[l] basis[l] for a (d, n, n) basis, as one (1, d) by
+    (d, n^2) matrix product: the BLAS call a tensor contraction over the
+    first axis makes, without its per-call shape bookkeeping."""
+    d, n, _ = basis.shape
+    return np.dot(params.reshape(1, -1), basis.reshape(d, n * n)).reshape(n, n)
+
+
 def linear_basis(spec: FamilySpec) -> np.ndarray:
     """Basis matrices of a linear family, in parameter order, as a (d, n, n)
     array."""
@@ -411,27 +419,24 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(A)
 
 
-def _expm_frechet(S: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Frechet derivative of expm at S in direction E (block-matrix trick)."""
-    n = S.shape[0]
-    blk = np.zeros((2 * n, 2 * n), dtype=complex)
-    blk[:n, :n] = S
-    blk[n:, n:] = S
-    blk[:n, n:] = E
-    return _expm(blk)[:n, n:]
-
-
 def _orthogonal_matrix(spec: FamilySpec, params) -> np.ndarray:
     """exp of the skew-symmetric matrix with the same parameters."""
-    return _expm(np.tensordot(params, _cached_basis(SKEW_SYMMETRIC, spec.n, None), axes=1))
+    return _expm(_combine(params, _cached_basis(SKEW_SYMMETRIC, spec.n, None)))
 
 
 def _orthogonal_frame(spec: FamilySpec, point, is_params: bool):
     skew = _cached_basis(SKEW_SYMMETRIC, spec.n, None)
     if not is_params:
         return point, _frozen(np.stack([point @ E for E in skew]))
-    S = np.tensordot(_check_params(spec, point), skew, axes=1)
-    return _expm(S), _frozen(np.stack([_expm_frechet(S, E) for E in skew]))
+    n = spec.n
+    S = _combine(_check_params(spec, point), skew)
+    # the Frechet derivative of expm at S in direction E is the upper right
+    # block of expm([[S, E], [0, S]]); one batched expm takes every direction
+    blk = np.zeros((len(skew), 2 * n, 2 * n), dtype=complex)
+    blk[:, :n, :n] = S
+    blk[:, n:, n:] = S
+    blk[:, :n, n:] = skew
+    return _expm(S), _frozen(np.ascontiguousarray(_expm(blk)[:, :n, n:]))
 
 
 def _orthogonal_member(spec: FamilySpec, M, tol: float) -> bool:
@@ -469,7 +474,7 @@ def parameterize(spec: FamilySpec, params) -> np.ndarray:
     own = _FAMILIES[spec.kind.tag].parameterize
     if own is not None:
         return own(spec, params)
-    return np.tensordot(params, _basis(spec), axes=1)
+    return _combine(params, _basis(spec))
 
 
 def tangent_basis(spec: FamilySpec, point) -> TangentFrame:
@@ -574,6 +579,22 @@ def coordinates_of(spec: FamilySpec, M) -> np.ndarray:
     return coeff
 
 
+@lru_cache(maxsize=None)
+def _center_coordinates(tag: str, n: int, k, exchange: bool) -> np.ndarray:
+    """Read-only coordinates of I, or of J when exchange, in a structured
+    linear family: one least-squares solve per (tag, n, k)."""
+    M = exchange_matrix(n) if exchange else np.eye(n, dtype=complex)
+    return _frozen(coordinates_of(family_spec(FamilyKind(tag, k=k), n), M))
+
+
+def identity_coordinates(spec: FamilySpec) -> np.ndarray:
+    """Coordinates of the identity in a linear family that contains it, as
+    a read-only array."""
+    if spec.kind.basis is not None:
+        return _frozen(coordinates_of(spec, np.eye(spec.n, dtype=complex)))
+    return _center_coordinates(spec.kind.tag, spec.n, spec.kind.k, False)
+
+
 def fit_center(spec: FamilySpec, rng: np.random.Generator, slot: int) -> np.ndarray:
     """Starting parameters for factor `slot` (1-based) of a fit: the family's
     center, perturbed by a complex Gaussian of param_dim entries drawn from
@@ -594,11 +615,11 @@ def bounds_facts(kind: FamilyKind, n: int):
 # fit centers: (spec, g, rng, slot) -> parameters, g a Gaussian of param_dim
 
 def _identity_center(spec, g, rng, slot):
-    return coordinates_of(spec, np.eye(spec.n, dtype=complex)) + 0.1 * g
+    return identity_coordinates(spec) + 0.1 * g
 
 
 def _exchange_center(spec, g, rng, slot):
-    return coordinates_of(spec, exchange_matrix(spec.n)) + 0.1 * g
+    return _center_coordinates(spec.kind.tag, spec.n, spec.kind.k, True) + 0.1 * g
 
 
 def _first_parameter_center(spec, g, rng, slot):
@@ -667,8 +688,10 @@ _FAMILIES = {
     DIAGONAL: _Family(grid=lambda i, j, n, k: _pattern(i == j)),
     BIDIAGONAL_UPPER: _Family(grid=lambda i, j, n, k: _pattern((j - i == 0) | (j - i == 1))),
     BIDIAGONAL_LOWER: _Family(grid=lambda i, j, n, k: _pattern((i - j == 0) | (i - j == 1))),
+    # measured (n = 2..9): n - 1 tridiagonal factors reach a generic target
+    # and, from n = 3, n - 2 do not
     BIDIAGONAL: _Family(grid=lambda i, j, n, k: _pattern(abs(j - i) <= 1),
-                        generic_r=lambda n: 2 * n),
+                        generic_r=lambda n: max(1, n - 1)),
     K_DIAGONAL: _Family(arg="k", grid=lambda i, j, n, k: _pattern(abs(j - i) <= k - 1)),
     K_DIAGONAL_UPPER: _Family(arg="k",
                               grid=lambda i, j, n, k: _pattern((0 <= j - i) & (j - i <= k - 1))),

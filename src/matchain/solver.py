@@ -125,10 +125,7 @@ def _warm_start(prob: DecompositionProblem, T: np.ndarray):
     rest = prob.factors[1:]
     if not all(fam.contains_identity(spec) for spec in rest):
         return None
-    out = [fam.coordinates_of(first, T)]
-    eye = np.eye(prob.n, dtype=complex)
-    out.extend(fam.coordinates_of(spec, eye) for spec in rest)
-    return out
+    return [fam.coordinates_of(first, T)] + [fam.identity_coordinates(spec) for spec in rest]
 
 
 def _split(prob: DecompositionProblem, theta: np.ndarray):

@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import matchain.dominance as dom
 import matchain.families as fam
 import matchain.io as mio
 from matchain.companion import companion_matrix
@@ -245,6 +246,20 @@ def test_bounds_skew():
     assert doc["lower_bound"] == 3
     assert doc["generic_r"] == 3
     assert doc["surjective_r"] == 13
+
+
+def test_bounds_bidiagonal_generic_count_is_certified():
+    """The tridiagonal family's quoted count: a chain of generic_r factors
+    has full Jacobian rank, one factor fewer does not (from n = 3)."""
+    for n in range(2, 8):
+        _, r = fam.bounds_facts(fam.kind_from_tag("bidiagonal"), n)
+        assert dom.estimate_image_dimension(dom.problem(["bidiagonal"] * r, n), trials=5).dominant
+        if n >= 3:
+            fewer = dom.problem(["bidiagonal"] * (r - 1), n)
+            assert not dom.estimate_image_dimension(fewer, trials=5).dominant
+    doc = json.loads(run_cli("bounds", "--family", "bidiagonal", "--n", "5").stdout)
+    assert doc["generic_r"] == 4
+    assert doc["surjective_r"] == 17
 
 
 def test_bounds_companion_is_not_a_cone():

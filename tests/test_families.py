@@ -391,6 +391,79 @@ def test_tangent_basis_linear_family_is_constant():
         np.testing.assert_array_equal(a, b)
 
 
+def test_parameterize_is_the_basis_contraction():
+    """Every linear family evaluates to the same bytes as the contraction of
+    its parameters with its basis, strided parameter views included."""
+    kinds = [(fam.FamilyKind(tag, k=k), n) for tag, n, k in _linear_cases(range(1, 9))
+             if CLOSED_FORMS[tag](n, k) > 0]
+    kinds += [(fam.random_subspace(n, k, rng_seed=n), n) for n, k in [(1, 1), (3, 4), (5, 25)]]
+    for kind, n in kinds:
+        spec = fam.family_spec(kind, n)
+        theta = fam.complex_gaussian(np.random.default_rng(n), 2 * spec.param_dim)
+        for p in (theta[:spec.param_dim], theta[::2]):
+            expect = np.tensordot(p, fam.linear_basis(spec), axes=1)
+            assert fam.parameterize(spec, p).tobytes() == expect.tobytes(), (kind, n)
+
+
+def _expm_frechet_stack(S, directions):
+    """Frechet derivatives of expm at S, one 2n x 2n block exponential per
+    direction: the reference for the batched orthogonal frame."""
+    import scipy.linalg
+
+    n = S.shape[0]
+    out = []
+    for E in directions:
+        blk = np.zeros((2 * n, 2 * n), dtype=complex)
+        blk[:n, :n] = blk[n:, n:] = S
+        blk[:n, n:] = E
+        out.append(scipy.linalg.expm(blk)[:n, n:])
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_orthogonal_frame_matches_per_direction_derivatives(n):
+    import scipy.linalg
+
+    spec = _spec("orthogonal", n)
+    skew = fam.linear_basis(_spec("skew-symmetric", n))
+    for scale in (1e-3, 1.0, 1e2):  # 1e2 needs scaling and squaring
+        p = scale * fam.complex_gaussian(np.random.default_rng(n), spec.param_dim)
+        S = np.tensordot(p, skew, axes=1)
+        frame = fam.tangent_basis(spec, p)
+        assert frame.base_point.tobytes() == scipy.linalg.expm(S).tobytes()
+        assert frame.basis.tobytes() == _expm_frechet_stack(S, skew).tobytes()
+
+
+CENTERS = [("diagonal", None, np.eye), ("bidiagonal", None, np.eye),
+           ("bidiagonal-upper", None, np.eye), ("bidiagonal-lower", None, np.eye),
+           ("k-diagonal", 2, np.eye), ("k-diagonal-upper", 3, np.eye),
+           ("k-diagonal-lower", 2, np.eye), ("triangular-upper", None, np.eye),
+           ("triangular-lower", None, np.eye), ("toeplitz", None, np.eye),
+           ("centrosymmetric", None, np.eye),
+           ("anti-triangular-top", None, fam.exchange_matrix),
+           ("anti-triangular-bottom", None, fam.exchange_matrix)]
+
+
+@pytest.mark.parametrize("tag,k,center", CENTERS)
+def test_fit_center_is_the_center_plus_a_small_draw(tag, k, center):
+    for n in (1, 4, 7):
+        spec = _spec(tag, n, k=min(k, n) if k else None)
+        g = fam.complex_gaussian(np.random.default_rng(3), spec.param_dim)
+        expect = (fam.coordinates_of(spec, center(n).astype(complex)) + 0.1 * g).tobytes()
+        first = fam.fit_center(spec, np.random.default_rng(3), 1)
+        assert first.tobytes() == expect
+        first[:] = 99.0  # the caller owns what it gets; the cached center is untouched
+        assert fam.fit_center(spec, np.random.default_rng(3), 2).tobytes() == expect
+
+
+def test_identity_coordinates_are_read_only():
+    for spec in (_spec("triangular-lower", 4), fam.family_spec(fam.random_subspace(2, 4), 2)):
+        u = fam.identity_coordinates(spec)
+        np.testing.assert_allclose(fam.parameterize(spec, u), np.eye(spec.n), atol=1e-12)
+        with pytest.raises(ValueError):
+            u[0] = 1.0
+
+
 def test_exchange_matrix_involution():
     J = fam.exchange_matrix(6)
     np.testing.assert_array_equal(J @ J, np.eye(6))
