@@ -5,9 +5,11 @@
 Each command runs in a fresh `python -m matchain` process that imports
 matchain from PATH (default: this checkout's src), with BLAS pinned to one
 thread.  For each command one line is printed: the command, its exit code
-and the sha256 of its stdout.  Run it against two checkouts and diff the
-two outputs: identical lines mean byte-identical output and equal exit
-codes.  Input matrices are drawn from fixed seeds and written to a
+and the sha256 of its stdout.  A `decompose` line also prints the fit's
+iterations, converged flag and residual (3 significant digits), read from
+its JSON stdout, so that a fit that differs only in its last bits shows as
+the same fit.  Run it against two checkouts and diff the two outputs:
+identical lines mean byte-identical output and equal exit codes.  Input matrices are drawn from fixed seeds and written to a
 temporary directory, which is the working directory of every command, so
 the printed commands name the same files on every run.  Only the standard
 library is used, so the script runs against any checkout.
@@ -107,6 +109,16 @@ for seed, family in enumerate(FAMILIES, start=20):
     ]
 
 
+def fit_summary(stdout):
+    """The fit certificate of a `decompose` stdout, or '' when there is none."""
+    try:
+        doc = json.loads(stdout)
+        return (f"  iterations={doc['iterations']}  converged={doc['converged']}"
+                f"  residual={doc['residual']:.3g}")
+    except (ValueError, KeyError, TypeError):
+        return ""
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
@@ -124,7 +136,9 @@ def main(argv=None):
             res = subprocess.run([sys.executable, "-m", "matchain", *cmd], cwd=work, env=env,
                                  capture_output=True, check=False)
             digest = hashlib.sha256(res.stdout).hexdigest()
-            print(f"matchain {' '.join(cmd)}  exit={res.returncode}  sha256={digest}", flush=True)
+            fit = fit_summary(res.stdout) if cmd[0] == "decompose" else ""
+            print(f"matchain {' '.join(cmd)}  exit={res.returncode}{fit}  sha256={digest}",
+                  flush=True)
 
 
 if __name__ == "__main__":
