@@ -116,14 +116,15 @@ def _initial_params(prob: DecompositionProblem, T: np.ndarray, rng: np.random.Ge
 
 def _warm_start(prob: DecompositionProblem, T: np.ndarray):
     """If the target already lies in the first family and every other
-    factor can sit at the identity, start from that exact chain."""
+    factor is a linear family that contains the identity, start from that
+    exact chain."""
     first = prob.factors[0]
     if not first.kind.linear:
         return None
     if not fam.is_member(first, T, 1e-12):
         return None
     rest = prob.factors[1:]
-    if not all(fam.contains_identity(spec) for spec in rest):
+    if not all(spec.kind.linear and fam.contains_identity(spec) for spec in rest):
         return None
     return [fam.coordinates_of(first, T)] + [fam.identity_coordinates(spec) for spec in rest]
 

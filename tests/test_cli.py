@@ -126,6 +126,18 @@ def test_decompose_infeasible_chain_is_an_error(tmp_path):
     assert res.returncode == 1
 
 
+def test_decompose_member_target_with_a_nonlinear_later_factor(tmp_path):
+    # the target lies in the first family, but an orthogonal factor has no
+    # linear coordinates of the identity: the fit starts like any other
+    rng = np.random.default_rng(7)
+    T = np.triu(fam.complex_gaussian(rng, 9).reshape(3, 3))
+    path = tmp_path / "t.json"
+    mio.write_matrix(T, str(path))
+    res = run_cli("decompose", "--in", str(path), "--chain", "upper,orthogonal")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["converged"] is True
+
+
 @pytest.mark.parametrize("text,code,field", [
     # a malformed options file is a parse error
     pytest.param('{"velocity": 9}', 2, "velocity", id="unknown-field"),
