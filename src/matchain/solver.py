@@ -2,9 +2,11 @@
 
 fit_chain runs a Levenberg-damped Gauss-Newton iteration on the stacked
 factor parameters, minimizing || A_1(u_1) .. A_r(u_r) - T ||_F.  The
-residual is holomorphic in the parameters, so the normal equations use the
-plain complex Jacobian with conjugate transposes.  Restarts draw fresh
-initial chains from per-restart seeds and the best residual wins.
+residual is holomorphic in the parameters, so the step uses the plain
+complex Jacobian with conjugate transposes: each damping trial is one
+Householder QR of the damped least-squares problem (_damped_step), which
+never forms the normal equations.  Restarts draw fresh initial chains from
+per-restart seeds and the best residual wins.
 
 decompose_bidiagonal builds its factors by LU without pivoting and Neville
 elimination of each triangle, with no fitting; these constructions and the
@@ -143,12 +145,38 @@ def _evaluate(prob: DecompositionProblem, params_list):
     return factors, chain_product(factors)
 
 
+def _damped_step(J, res, lam):
+    """The Levenberg step delta solving (J^H J + lam I) delta = -J^H res,
+    as the least-squares problem of the smaller of two equivalent forms:
+    [J; sqrt(lam) I] delta = [-res; 0] when J has no more columns than rows,
+    else delta = -J^H y with [J^H; sqrt(lam) I] y = [0; res / sqrt(lam)].
+    One QR of K = J or J^H with the right-hand side appended as its last
+    column leaves Q^H b in the last column of R; R is upper triangular, so
+    np.linalg.solve makes no row swaps."""
+    wide = J.shape[0] < J.shape[1]
+    K = J.conj().T if wide else J
+    rows, k = K.shape
+    root = np.sqrt(lam)
+    A = np.zeros((rows + k, k + 1), dtype=complex)
+    A[:rows, :k] = K
+    A[rows + np.arange(k), np.arange(k)] = root
+    if wide:
+        A[rows:, k] = res / root
+    else:
+        A[:rows, k] = -res
+    R = np.linalg.qr(A, mode="r")
+    x = np.linalg.solve(R[:k, :k], R[:k, k])
+    return -(K @ x) if wide else x
+
+
 def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
               init_params=None) -> FactorChain:
     """Fit a chain of structured factors to the target matrix T.
 
-    Gauss-Newton with multiplicative Levenberg damping: the step solves
-    (J^H J + lambda I) delta = -J^H res; damping is divided by 10 after an
+    Gauss-Newton with multiplicative Levenberg damping: each trial step
+    solves (J^H J + lambda I) delta = -J^H res by one QR of the damped
+    least-squares problem (_damped_step), so the conditioning is that of J;
+    damping is divided by 10 after an
     accepted step and multiplied by 10 after a rejected one (floored at
     1e-12, and a restart is abandoned once it exceeds 1e12 without
     improvement).  Restart k draws its initial chain from seed + k, but
@@ -202,14 +230,9 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
                 J = jacobian(full_prob, _split(prob, theta))
             except DegeneratePointError:
                 break
-            # damped step through the SVD: delta = -V sig/(sig^2+lam) U^H res,
-            # which keeps the conditioning of J instead of squaring it
-            U, sig, Vh = np.linalg.svd(J, full_matrices=False)
-            coef = U.conj().T @ res
             improved = False
             while lam <= DAMPING_CEIL:
-                delta = -(Vh.conj().T @ (sig / (sig * sig + lam) * coef))
-                cand = theta + delta
+                cand = theta + _damped_step(J, res, lam)
                 try:
                     cand_factors, cand_prod = _evaluate(prob, _split(prob, cand))
                 except DegeneratePointError:

@@ -7,6 +7,7 @@ import pytest
 
 import matchain.families as fam
 import matchain.dominance as dom
+import matchain.solver as solver
 from matchain.companion import decompose_companion
 from matchain.errors import (
     InfeasibleProblemError,
@@ -145,6 +146,65 @@ def test_unconverged_chain_is_reported_not_raised():
     chain = fit_chain(T, prob, FitOptions(seed=0, max_iterations=1, restarts=1))
     assert not chain.converged
     assert chain.residual > 1e-8
+
+
+def _svd_step(J, res, lam):
+    """The Levenberg step from the SVD of J: -V sig/(sig^2 + lam) U^H res."""
+    U, sig, Vh = np.linalg.svd(J, full_matrices=False)
+    return -(Vh.conj().T @ (sig / (sig * sig + lam) * (U.conj().T @ res)))
+
+
+@pytest.mark.parametrize("chain, n, rank, lams, rtol", [
+    pytest.param(["skew-symmetric"] * 3, 8, 64, [1e-12, 1e-6, 1e-3, 1.0, 1e6], 1e-10,
+                 id="wide-skew3-n8"),
+    pytest.param(["companion"] * 3, 5, 15, [1e-12, 1e-6, 1e-3, 1.0, 1e6], 1e-10,
+                 id="tall-companion3-n5"),
+    pytest.param(["companion"] * 4, 4, 16, [1e-12, 1e-6, 1e-3, 1.0, 1e6], 1e-10,
+                 id="square-companion4-n4"),
+    # rank-deficient J: below lam = 1e-6 both steps carry rounding noise
+    # along the near-null directions, so they are compared from there up
+    pytest.param(["toeplitz-sym"] * 5, 7, 25, [1e-6, 1e-3, 1.0, 1e6], 1e-8,
+                 id="deficient-toeplitz-sym5-n7"),
+    pytest.param(["anti-triangular-top", "anti-triangular-bottom"], 3, 6,
+                 [1e-6, 1e-3, 1.0, 1e6], 1e-8, id="deficient-top-bottom-n3"),
+    pytest.param(["skew-symmetric"] * 3, 5, 24, [1e-6, 1e-3, 1.0, 1e6], 1e-8,
+                 id="deficient-skew3-n5"),
+])
+def test_damped_step_matches_the_svd_formula(chain, n, rank, lams, rtol):
+    prob = dom.problem(chain, n)
+    T = _random_target(n, 40 + n)
+    params = solver._initial_params(prob, T, np.random.default_rng(n))
+    J = dom.jacobian(prob, params)
+    res = (dom.chain_product([fam.parameterize(spec, u)
+                              for spec, u in zip(prob.factors, params)]) - T).reshape(-1)
+    assert J.shape == (n * n, prob.param_dim)
+    assert np.linalg.matrix_rank(J) == rank
+    for lam in lams:
+        np.testing.assert_allclose(solver._damped_step(J, res, lam), _svd_step(J, res, lam),
+                                   rtol=rtol, atol=0, err_msg=f"lambda {lam}")
+
+
+@pytest.mark.parametrize("fit", [
+    pytest.param(lambda: fit_chain(_random_target(8, 900), dom.problem(["skew-symmetric"] * 3, 8),
+                                   FitOptions(seed=1)), id="skew3-n8"),
+    pytest.param(lambda: decompose_centrosymmetric(_centro_target(5, 50)), id="centro-n5"),
+    pytest.param(lambda: fit_chain(
+        _random_target(4, 31), dom.problem(["bidiagonal-lower", "bidiagonal-upper"] * 4, 4),
+        FitOptions(seed=2)), id="alternating-bidiagonal-n4"),
+    pytest.param(lambda: fit_chain(
+        _random_target(3, 32), dom.problem(["orthogonal", "triangular-upper",
+                                            "triangular-lower"], 3), FitOptions(seed=3)),
+        id="orthogonal-upper-lower-n3"),
+    pytest.param(lambda: fit_chain(
+        _random_target(3, 33), dom.problem(["anti-triangular-top", "anti-triangular-bottom"], 3),
+        FitOptions(seed=8)), id="top-bottom-n3-unconverged"),
+])
+def test_fit_iterations_match_the_svd_step(fit, monkeypatch):
+    qr = fit()
+    monkeypatch.setattr(solver, "_damped_step", _svd_step)
+    svd = fit()
+    assert (qr.iterations, qr.converged) == (svd.iterations, svd.converged)
+    np.testing.assert_allclose(qr.residual, svd.residual, rtol=1e-2)
 
 
 def test_lu_nopivot_round_trip():
