@@ -176,10 +176,9 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     Gauss-Newton with multiplicative Levenberg damping: each trial step
     solves (J^H J + lambda I) delta = -J^H res by one QR of the damped
     least-squares problem (_damped_step), so the conditioning is that of J;
-    damping is divided by 10 after an
-    accepted step and multiplied by 10 after a rejected one (floored at
-    1e-12, and a restart is abandoned once it exceeds 1e12 without
-    improvement).  Restart k draws its initial chain from seed + k, but
+    damping is divided by 10 after an accepted step and multiplied by 10
+    after a rejected one (floored at 1e-12, and a restart is abandoned once
+    it exceeds 1e12 without improvement).  Restart k draws its initial chain from seed + k, but
     restart 0 starts from init_params when given, else from _warm_start,
     else from an exact construction (_exact_start).  The best restart by
     residual (ties to the earlier one) is returned.

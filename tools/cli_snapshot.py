@@ -9,10 +9,11 @@ and the sha256 of its stdout.  A `decompose` line also prints the fit's
 iterations, converged flag and residual (3 significant digits), read from
 its JSON stdout, so that a fit that differs only in its last bits shows as
 the same fit.  Run it against two checkouts and diff the two outputs:
-identical lines mean byte-identical output and equal exit codes.  Input matrices are drawn from fixed seeds and written to a
-temporary directory, which is the working directory of every command, so
-the printed commands name the same files on every run.  Only the standard
-library is used, so the script runs against any checkout.
+identical lines mean byte-identical output and equal exit codes.  Input
+matrices are drawn from fixed seeds and written to a temporary directory,
+which is the working directory of every command, so the printed commands
+name the same files on every run.  Only the standard library is used, so
+the script runs against any checkout.
 """
 
 import argparse
