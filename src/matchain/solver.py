@@ -5,8 +5,9 @@ factor parameters, minimizing || A_1(u_1) .. A_r(u_r) - T ||_F.  The
 residual is holomorphic in the parameters, so the step uses the plain
 complex Jacobian with conjugate transposes: each damping trial is one
 Householder QR of the damped least-squares problem (_damped_step), which
-never forms the normal equations.  Restarts draw fresh initial chains from
-per-restart seeds and the best residual wins.
+never forms the normal equations.  The damping follows the gain ratio of
+actual to predicted decrease (Nielsen 1999).  Restarts draw fresh initial
+chains from per-restart seeds and the best residual wins.
 
 decompose_bidiagonal builds its factors by LU without pivoting and Neville
 elimination of each triangle, with no fitting; these constructions and the
@@ -151,8 +152,10 @@ def _damped_step(J, res, lam):
     [J; sqrt(lam) I] delta = [-res; 0] when J has no more columns than rows,
     else delta = -J^H y with [J^H; sqrt(lam) I] y = [0; res / sqrt(lam)].
     One QR of K = J or J^H with the right-hand side appended as its last
-    column leaves Q^H b in the last column of R; R is upper triangular, so
-    np.linalg.solve makes no row swaps."""
+    column leaves Q^H b in the last column of R.  Back substitution on R
+    runs in blocks of 64 columns, bottom block first: one np.linalg.solve
+    on the triangular diagonal block (no row swaps) and one matvec that
+    updates the rows above it."""
     wide = J.shape[0] < J.shape[1]
     K = J.conj().T if wide else J
     rows, k = K.shape
@@ -165,7 +168,11 @@ def _damped_step(J, res, lam):
     else:
         A[:rows, k] = -res
     R = np.linalg.qr(A, mode="r")
-    x = np.linalg.solve(R[:k, :k], R[:k, k])
+    x = R[:k, k].copy()
+    for hi in range(k, 0, -64):
+        lo = max(hi - 64, 0)
+        x[lo:hi] = np.linalg.solve(R[lo:hi, lo:hi], x[lo:hi])
+        x[:lo] -= R[:lo, lo:hi] @ x[lo:hi]
     return -(K @ x) if wide else x
 
 
@@ -175,13 +182,16 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
 
     Gauss-Newton with multiplicative Levenberg damping: each trial step
     solves (J^H J + lambda I) delta = -J^H res by one QR of the damped
-    least-squares problem (_damped_step), so the conditioning is that of J;
-    damping is divided by 10 after an accepted step and multiplied by 10
-    after a rejected one (floored at 1e-12, and a restart is abandoned once
-    it exceeds 1e12 without improvement).  Restart k draws its initial chain from seed + k, but
-    restart 0 starts from init_params when given, else from _warm_start,
-    else from an exact construction (_exact_start).  The best restart by
-    residual (ties to the earlier one) is returned.
+    least-squares problem (_damped_step), so the conditioning is that of J.
+    A step is accepted only if it lowers the residual, and then damping is
+    multiplied by max(1/3, 1 - (2 rho - 1)^3), rho the gain ratio of actual to
+    predicted decrease (Nielsen, IMM-REP-1999-05, DTU 1999), floored at 1e-12;
+    rejected trials multiply it by 2, 4, 8, ... within one iteration, and a
+    restart is abandoned once it exceeds 1e12 without improvement.  Restart k
+    draws its initial chain from seed + k, but restart 0 starts from
+    init_params when given, else from _warm_start, else from an exact
+    construction (_exact_start).  The best restart by residual (ties to the
+    earlier one) is returned.
 
     Raises InfeasibleProblemError when the parameter count cannot cover the
     target dimension.
@@ -230,22 +240,30 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
             except DegeneratePointError:
                 break
             improved = False
+            grow = 2.0
             while lam <= DAMPING_CEIL:
-                cand = theta + _damped_step(J, res, lam)
+                delta = _damped_step(J, res, lam)
+                cand = theta + delta
                 try:
                     cand_factors, cand_prod = _evaluate(prob, _split(prob, cand))
                 except DegeneratePointError:
-                    lam *= 10.0
+                    lam, grow = lam * grow, 2.0 * grow
                     continue
                 cand_res = cand_prod.reshape(-1) - tvec
                 cand_norm = float(np.linalg.norm(cand_res))
                 if cand_norm < res_norm:
+                    # gain ratio rho, actual over predicted decrease: for this
+                    # step the linear model's ||res||^2 - ||res + J delta||^2
+                    # is ||J delta||^2 + 2 lam ||delta||^2, which cannot
+                    # cancel.  Every rho >= 1 gives the factor 1/3.
+                    pred = float(np.linalg.norm(J @ delta) ** 2 + 2.0 * lam * np.linalg.norm(delta) ** 2)
+                    rho = min((res_norm ** 2 - cand_norm ** 2) / pred, 1.0)
                     theta, res, res_norm = cand, cand_res, cand_norm
                     factors, prod = cand_factors, cand_prod
-                    lam = max(lam / 10.0, DAMPING_FLOOR)
+                    lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), DAMPING_FLOOR)
                     improved = True
                     break
-                lam *= 10.0
+                lam, grow = lam * grow, 2.0 * grow
             if not improved:
                 break  # stalled
         rel = res_norm / tscale

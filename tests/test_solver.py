@@ -157,6 +157,11 @@ def _svd_step(J, res, lam):
 @pytest.mark.parametrize("chain, n, rank, lams, rtol", [
     pytest.param(["skew-symmetric"] * 3, 8, 64, [1e-12, 1e-6, 1e-3, 1.0, 1e6], 1e-10,
                  id="wide-skew3-n8"),
+    # k = 144 and 256 rows of R: the back substitution runs in 64-column blocks
+    pytest.param(["skew-symmetric"] * 3, 12, 144, [1e-12, 1e-6, 1e-3, 1.0, 1e6], 1e-10,
+                 id="wide-skew3-n12"),
+    pytest.param(["skew-symmetric"] * 3, 16, 256, [1e-12, 1e-6, 1e-3, 1.0, 1e6], 1e-10,
+                 id="wide-skew3-n16"),
     pytest.param(["companion"] * 3, 5, 15, [1e-12, 1e-6, 1e-3, 1.0, 1e6], 1e-10,
                  id="tall-companion3-n5"),
     pytest.param(["companion"] * 4, 4, 16, [1e-12, 1e-6, 1e-3, 1.0, 1e6], 1e-10,
@@ -182,6 +187,48 @@ def test_damped_step_matches_the_svd_formula(chain, n, rank, lams, rtol):
     for lam in lams:
         np.testing.assert_allclose(solver._damped_step(J, res, lam), _svd_step(J, res, lam),
                                    rtol=rtol, atol=0, err_msg=f"lambda {lam}")
+
+
+@pytest.mark.parametrize("chain, n", [
+    pytest.param(["skew-symmetric"] * 3, 8, id="wide-skew3-n8"),
+    pytest.param(["companion"] * 3, 5, id="tall-companion3-n5"),
+    pytest.param(["companion"] * 4, 4, id="square-companion4-n4"),
+])
+def test_predicted_decrease_matches_the_linear_model(chain, n):
+    """fit_chain's gain ratio divides by ||J d||^2 + 2 lam ||d||^2, the
+    decrease ||res||^2 - ||res + J d||^2 of the linear model at the step d."""
+    prob = dom.problem(chain, n)
+    T = _random_target(n, 40 + n)
+    params = solver._initial_params(prob, T, np.random.default_rng(n))
+    J = dom.jacobian(prob, params)
+    res = (dom.chain_product([fam.parameterize(spec, u)
+                              for spec, u in zip(prob.factors, params)]) - T).reshape(-1)
+    for lam in [1e-6, 1e-3, 1.0]:
+        d = solver._damped_step(J, res, lam)
+        pred = np.linalg.norm(J @ d) ** 2 + 2 * lam * np.linalg.norm(d) ** 2
+        model = np.linalg.norm(res) ** 2 - np.linalg.norm(res + J @ d) ** 2
+        assert pred > 0
+        np.testing.assert_allclose(pred, model, rtol=1e-8, err_msg=f"lambda {lam}")
+
+
+def test_fit_accepts_most_damping_trials(monkeypatch):
+    """Gain-ratio damping: most trials are accepted, where a fixed
+    divide-by-10 / multiply-by-10 schedule rejects nearly every other one."""
+    trials = []
+    step = solver._damped_step
+    monkeypatch.setattr(solver, "_damped_step", lambda *a: trials.append(1) or step(*a))
+    alternating = dom.problem(["bidiagonal-lower", "bidiagonal-upper"] * 4, 4)
+    fits = [lambda k: decompose_centrosymmetric(_centro_target(5, 60 + k), opts=FitOptions(seed=k)),
+            lambda k: fit_chain(_random_target(8, 70 + k), dom.problem(["skew-symmetric"] * 3, 8),
+                                FitOptions(seed=k)),
+            lambda k: fit_chain(_random_target(4, 80 + k), alternating, FitOptions(seed=k))]
+    iterations = 0
+    for fit in fits:
+        for k in range(5):
+            chain = fit(k)
+            assert chain.converged
+            iterations += chain.iterations
+    assert len(trials) <= 1.6 * iterations
 
 
 @pytest.mark.parametrize("fit", [
