@@ -43,6 +43,12 @@ def centrosymmetric(seed, n):
              for j in range(n)] for i in range(n)]
 
 
+def lower_triangular(seed, n):
+    """A Gaussian matrix with the entries above the diagonal set to zero."""
+    A = gaussian(seed, n)
+    return [[A[i][j] if j <= i else (0.0, 0.0) for j in range(n)] for i in range(n)]
+
+
 # input files: name -> entries
 INPUTS = {
     "gauss4-a.json": gaussian(1, 4),
@@ -53,6 +59,7 @@ INPUTS = {
     "centro3.json": centrosymmetric(7, 3),
     "gauss48.json": gaussian(6, 48),
     "gauss6.json": gaussian(16, 6),
+    "lower4.json": lower_triangular(17, 4),
 }
 
 COMMANDS = [
@@ -92,6 +99,14 @@ COMMANDS = [
     # n - 1 tridiagonal factors: no exact start, so every restart starts
     # from the identity centers
     ["decompose", "--in", "gauss6.json", "--chain", ",".join(["bidiagonal"] * 5), "--seed", "16"],
+    # a target inside the first family: restart 0 starts from the target
+    # and identities
+    ["decompose", "--in", "lower4.json", "--chain", "lower,upper", "--seed", "17"],
+    # a negative type, and a zero-exponent row in the tangent frame
+    ["sample", "--family", "vandermonde:-2", "--n", "4", "--seed", "18"],
+    ["verify", "--family", "vandermonde:-2", "--n", "4", "--r", "2", "--seed", "18"],
+    ["sample", "--family", "vandermonde-t:0", "--n", "4", "--seed", "19"],
+    ["verify", "--family", "vandermonde-t:0", "--n", "4", "--r", "2", "--seed", "19"],
 ]
 
 # every family, with the argument it takes
