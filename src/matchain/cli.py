@@ -33,7 +33,7 @@ from .dominance import (
     target_space,
 )
 from .errors import MatChainError, MatrixParseError, ParameterRangeError
-from .io import matrix_to_dict, read_matrix, report_to_dict, chain_to_dict
+from .io import SCHEMA_VERSION, matrix_to_dict, read_json, read_matrix, report_to_dict, chain_to_dict
 from .solver import FitOptions, fit_chain
 
 EXIT_OK = 0
@@ -123,12 +123,7 @@ _REAL_OPTIONS = ("residual_tol", "damping_init")
 
 
 def _read_options(path) -> FitOptions:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MatrixParseError(f"invalid JSON: {exc.msg}", line=exc.lineno,
-                               column=exc.colno) from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise MatrixParseError("options file must hold a JSON object")
     unknown = set(doc) - set(_INT_OPTIONS) - set(_REAL_OPTIONS)
@@ -163,7 +158,7 @@ def _cmd_companion(args) -> int:
     A = read_matrix(args.infile)
     result = decompose_companion(A, pivot_tol=args.tol)
     doc = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "n": int(A.shape[0]),
         "status": result.status,
         "failed_column": result.failed_column,

@@ -303,45 +303,45 @@ def linear_basis(spec: FamilySpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # nonlinear families
 
+def _powers(nodes: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Entry (p, q) is nodes[q]^exps[p]."""
+    if np.any(exps < 0) and np.any(nodes == 0):
+        raise DegeneratePointError("zero node with a negative exponent")
+    return np.power(nodes[None, :], exps[:, None])
+
+
 def vand(n: int, s: int, nodes) -> np.ndarray:
     """Generalized Vandermonde matrix: entry (p, q) is x_q^(s+p-1) for
     p, q = 1 .. n."""
     nodes = np.asarray(nodes, dtype=complex).reshape(-1)
     if nodes.size != n:
         raise ParameterRangeError(f"need {n} nodes, got {nodes.size}")
-    exps = s + np.arange(n)
-    if np.any(exps < 0) and np.any(nodes == 0):
-        raise DegeneratePointError("zero node with a negative exponent")
-    return np.power(nodes[None, :], exps[:, None])
+    return _powers(nodes, s + np.arange(n))
 
 
-def _vand_tangent(n: int, s: int, nodes: np.ndarray):
-    """Per-node derivative matrices; column q of the q-th matrix is
-    d/dx_q of (x_q^(s+p-1))."""
+def require_distinct_nodes(nodes, tol: float):
+    """Raise DegeneratePointError when two nodes lie within tol of each
+    other."""
     nodes = np.asarray(nodes, dtype=complex)
-    exps = s + np.arange(n)
+    gaps = np.abs(nodes[:, None] - nodes[None, :])[np.triu_indices(nodes.size, 1)]
+    if np.any(gaps <= tol):
+        raise DegeneratePointError("repeated Vandermonde nodes")
+
+
+def _vand_tangent(n: int, s: int, nodes) -> np.ndarray:
+    """Per-node derivative matrices as one (n, n, n) stack: column q of the
+    q-th matrix is d/dx_q of (x_q^(s+p-1)), that is e x_q^(e-1) for the
+    exponent e = s+p-1, and 0 in the rows where e = 0."""
+    nodes = np.asarray(nodes, dtype=complex)
     scale = float(np.max(np.abs(nodes))) if nodes.size else 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(nodes[a] - nodes[b]) <= 1e-12 * (1.0 + scale):
-                raise DegeneratePointError("repeated Vandermonde nodes")
-    mats = []
-    for q in range(n):
-        col = np.zeros(n, dtype=complex)
-        for p in range(n):
-            e = exps[p]
-            if e == 0:
-                col[p] = 0.0
-            else:
-                if nodes[q] == 0 and e - 1 < 0:
-                    raise DegeneratePointError("zero node with a negative exponent")
-                col[p] = e * nodes[q] ** (e - 1)
-        if np.max(np.abs(col)) == 0.0:
-            raise DegeneratePointError("tangent column vanishes at this node")
-        T = np.zeros((n, n), dtype=complex)
-        T[:, q] = col
-        mats.append(T)
-    return mats
+    require_distinct_nodes(nodes, 1e-12 * (1.0 + scale))
+    exps = s + np.arange(n)
+    cols = exps[:, None] * _powers(nodes, np.where(exps == 0, 0, exps - 1))
+    if np.any(np.max(np.abs(cols), axis=0) == 0.0):
+        raise DegeneratePointError("tangent column vanishes at this node")
+    frame = np.zeros((n, n, n), dtype=complex)
+    frame[np.arange(n), :, np.arange(n)] = cols.T
+    return frame
 
 
 def _nodes_from_matrix(n: int, s: int, V: np.ndarray) -> np.ndarray:
@@ -353,18 +353,12 @@ def _nodes_from_matrix(n: int, s: int, V: np.ndarray) -> np.ndarray:
         if s < 0 and v == 0:
             raise NonMemberError("zero entry cannot be a negative power")
         return np.array([v ** (1.0 / s)]) if v != 0 else np.array([0.0 + 0j])
-    colscale = np.max(np.abs(V), axis=0)
-    nodes = np.zeros(n, dtype=complex)
-    for q in range(n):
-        if abs(V[0, q]) <= 1e-14 * (1.0 + colscale[q]):
-            nodes[q] = 0.0
-        else:
-            nodes[q] = V[1, q] / V[0, q]
-    return nodes
+    zero = np.abs(V[0]) <= 1e-14 * (1.0 + np.max(np.abs(V), axis=0))
+    return np.divide(V[1], V[0], out=np.zeros(n, dtype=complex), where=~zero)
 
 
-# orient maps a Vandermonde matrix (rows are powers) to a family member and
-# back: the identity, or the transpose for vandermonde-t
+# orient maps a Vandermonde matrix (rows are powers), or a stack of them, to
+# family members and back: the identity, or the transpose for vandermonde-t
 
 def _vand_frame(orient, spec: FamilySpec, point, is_params: bool):
     n, s = spec.n, spec.kind.s
@@ -374,37 +368,25 @@ def _vand_frame(orient, spec: FamilySpec, point, is_params: bool):
     else:
         base = point
         nodes = _nodes_from_matrix(n, s, orient(base))
-    return base, _frozen(np.stack([orient(m) for m in _vand_tangent(n, s, nodes)]))
+    return base, _frozen(orient(_vand_tangent(n, s, nodes)))
 
 
 def _vand_member(orient, spec: FamilySpec, M, tol: float) -> bool:
     n, s = spec.n, spec.kind.s
     V = orient(M)
+    scale = tol * (1.0 + float(np.linalg.norm(M)))
     if n == 1:
         v = V[0, 0]
         if s == 0:
-            return abs(v - 1.0) <= tol * (1.0 + float(np.linalg.norm(M)))
+            return abs(v - 1.0) <= scale
         if s < 0:
             return abs(v) > 0.0
         return True
     try:
-        nodes = _nodes_from_matrix(n, s, V)
-    except NonMemberError:
+        rebuilt = vand(n, s, _nodes_from_matrix(n, s, V))
+    except DegeneratePointError:
         return False
-    exps = s + np.arange(n)
-    for q in range(n):
-        col = V[:, q]
-        if nodes[q] == 0.0:
-            if s >= 1:
-                ok = float(np.max(np.abs(col))) <= tol * (1.0 + float(np.linalg.norm(col)))
-            else:
-                ok = False
-        else:
-            rebuilt = np.power(nodes[q], exps)
-            ok = float(np.max(np.abs(col - rebuilt))) <= tol * (1.0 + float(np.linalg.norm(col)))
-        if not ok:
-            return False
-    return True
+    return float(np.max(np.abs(V - rebuilt))) <= scale
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -731,7 +713,7 @@ _FAMILIES = {
                        tangent=_companion_frame, member=_companion_member,
                        center=_first_parameter_center, generic_r=lambda n: n),
     VANDERMONDE: _vandermonde_family(lambda V: V),
-    VANDERMONDE_T: _vandermonde_family(lambda V: V.T.copy()),
+    VANDERMONDE_T: _vandermonde_family(lambda V: np.swapaxes(V, -1, -2).copy()),
 }
 
 ALL_TAGS = frozenset(_FAMILIES)

@@ -17,12 +17,8 @@ import re as _re
 import numpy as np
 
 from . import families as fam
-from .dominance import (
-    DecompositionProblem,
-    DominanceReport,
-    target_space,
-)
-from .errors import MatrixParseError, ParameterRangeError
+from .dominance import DecompositionProblem, DominanceReport, problem
+from .errors import MatChainError, MatrixParseError, ParameterRangeError
 from .solver import FactorChain
 
 SCHEMA_VERSION = "1"
@@ -44,6 +40,31 @@ def _write_text(target, text: str):
         return
     with open(target, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def read_json(source):
+    """Parse the JSON text of a path or open stream.  Invalid JSON raises
+    MatrixParseError with the line and column of the fault."""
+    try:
+        return json.loads(_read_text(source))
+    except json.JSONDecodeError as exc:
+        raise MatrixParseError(
+            f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+
+
+def _from_versioned(doc, build):
+    """build(doc) for a JSON object stamped with SCHEMA_VERSION.  A document
+    of another version, or one whose fields are missing or of the wrong
+    type, raises MatrixParseError."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise MatrixParseError(f"unsupported schema_version {version!r}")
+    try:
+        return build(doc)
+    except MatChainError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MatrixParseError(f"malformed document: {type(exc).__name__}: {exc}") from None
 
 
 def _guess_format(source, fmt):
@@ -114,21 +135,14 @@ def read_matrix(source, format: str | None = None) -> np.ndarray:
     name (csv only for a .csv suffix).  CSV rows are lines, entries are
     comma-separated, and each entry is a real or an a+bi token.
     """
-    fmt = _guess_format(source, format)
-    text = _read_text(source)
-    if fmt == FORMAT_JSON:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MatrixParseError(
-                f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    if _guess_format(source, format) == FORMAT_JSON:
+        doc = read_json(source)
         if not isinstance(doc, dict) or "entries" not in doc:
             raise MatrixParseError("matrix JSON must be an object with an 'entries' field")
         n = doc.get("n", len(doc["entries"]) if isinstance(doc["entries"], list) else 0)
         return _matrix_from_pairs(n, doc["entries"])
     rows = []
-    lines = [ln for ln in text.splitlines()]
-    for lineno, ln in enumerate(lines, start=1):
+    for lineno, ln in enumerate(_read_text(source).splitlines(), start=1):
         if not ln.strip():
             continue
         row = []
@@ -219,13 +233,7 @@ def _problem_to_dict(prob: DecompositionProblem) -> dict:
 
 
 def _problem_from_dict(doc: dict) -> DecompositionProblem:
-    n = doc["n"]
-    kinds = [kind_from_dict(d) for d in doc["factors"]]
-    return DecompositionProblem(
-        n=n,
-        factors=tuple(fam.family_spec(kind, n) for kind in kinds),
-        target=target_space(doc["target"], n),
-    )
+    return problem([kind_from_dict(d) for d in doc["factors"]], doc["n"], doc["target"])
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +261,10 @@ def write_chain(chain: FactorChain, target):
 
 
 def chain_from_dict(doc: dict) -> FactorChain:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise MatrixParseError(
-            f"unsupported schema_version {doc.get('schema_version')!r}")
+    return _from_versioned(doc, _chain_from_dict)
+
+
+def _chain_from_dict(doc: dict) -> FactorChain:
     prob = _problem_from_dict(doc["problem"])
     n = prob.n
     if len(doc["factors"]) == 0:
@@ -275,12 +284,7 @@ def chain_from_dict(doc: dict) -> FactorChain:
 
 
 def read_chain(source) -> FactorChain:
-    try:
-        doc = json.loads(_read_text(source))
-    except json.JSONDecodeError as exc:
-        raise MatrixParseError(
-            f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
-    return chain_from_dict(doc)
+    return chain_from_dict(read_json(source))
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +309,7 @@ def write_report(report: DominanceReport, target):
 
 
 def report_from_dict(doc: dict) -> DominanceReport:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise MatrixParseError(
-            f"unsupported schema_version {doc.get('schema_version')!r}")
-    return DominanceReport(
+    return _from_versioned(doc, lambda doc: DominanceReport(
         problem=dict(doc["problem"]),
         trials=int(doc["trials"]),
         ranks=[int(v) for v in doc["ranks"]],
@@ -317,13 +318,8 @@ def report_from_dict(doc: dict) -> DominanceReport:
         dominant=bool(doc["dominant"]),
         tolerance=float(doc["tolerance"]),
         seed=int(doc["seed"]),
-    )
+    ))
 
 
 def read_report(source) -> DominanceReport:
-    try:
-        doc = json.loads(_read_text(source))
-    except json.JSONDecodeError as exc:
-        raise MatrixParseError(
-            f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
-    return report_from_dict(doc)
+    return report_from_dict(read_json(source))

@@ -117,21 +117,6 @@ def _initial_params(prob: DecompositionProblem, T: np.ndarray, rng: np.random.Ge
     return out
 
 
-def _warm_start(prob: DecompositionProblem, T: np.ndarray):
-    """If the target already lies in the first family and every other
-    factor is a linear family that contains the identity, start from that
-    exact chain."""
-    first = prob.factors[0]
-    if not first.kind.linear:
-        return None
-    if not fam.is_member(first, T, 1e-12):
-        return None
-    rest = prob.factors[1:]
-    if not all(spec.kind.linear and fam.contains_identity(spec) for spec in rest):
-        return None
-    return [fam.coordinates_of(first, T)] + [fam.identity_coordinates(spec) for spec in rest]
-
-
 def _split(prob: DecompositionProblem, theta: np.ndarray):
     out = []
     pos = 0
@@ -189,28 +174,29 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     rejected trials multiply it by 2, 4, 8, ... within one iteration, and a
     restart is abandoned once it exceeds 1e12 without improvement.  Restart k
     draws its initial chain from seed + k, but restart 0 starts from
-    init_params when given, else from _warm_start, else from an exact
-    construction (_exact_start).  The best restart by residual (ties to the
-    earlier one) is returned.
+    init_params when given, else from an exact chain for T (_exact_start, the
+    one start from a construction; there is no separate warm start).  The
+    best restart by residual (ties to the earlier one) is returned.
 
     Raises InfeasibleProblemError when the parameter count cannot cover the
-    target dimension.
+    target dimension and T does not lie in the chain's first family with
+    identities after it.
     """
     opts = opts or FitOptions()
     T = _as_target(T, prob.n)
-    warm = _warm_start(prob, T)
-    if warm is None and not lower_bound_linear(
-            [s.param_dim for s in prob.factors], prob.target.dim):
+    feasible = lower_bound_linear([s.param_dim for s in prob.factors], prob.target.dim)
+    exact = None
+    if init_params is None or not feasible:
+        try:
+            exact = _exact_start(prob, T)
+        except NonGenericMatrixError:
+            pass  # restart 0 draws its chain like the others
+    if exact is None and not feasible:
         # too few parameters to reach a generic target, and no structural
         # shortcut puts this particular target inside the chain
         raise InfeasibleProblemError(
             f"{prob.param_dim} parameters cannot cover a {prob.target.dim}-dimensional target")
-    start = init_params
-    if start is None:
-        try:
-            start = warm if warm is not None else _exact_start(prob, T)
-        except NonGenericMatrixError:
-            pass  # restart 0 draws its chain like the others
+    start = exact if init_params is None else init_params
     full_prob = DecompositionProblem(
         n=prob.n, factors=prob.factors, target=target_space(TARGET_FULL, prob.n))
     tscale = max(1.0, float(np.linalg.norm(T)))
@@ -289,25 +275,25 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
 # ---------------------------------------------------------------------------
 # pipelines
 
-def lu_nopivot(A, pivot_tol: float = LU_PIVOT_TOL):
+def lu_nopivot(A):
     """Doolittle elimination without pivoting: A = L U with unit-diagonal L.
 
-    Raises NonGenericMatrixError when a pivot is tiny relative to the input
-    (a vanishing leading principal minor)."""
+    Raises NonGenericMatrixError when a pivot is at most LU_PIVOT_TOL times
+    1 + ||A||_F (a vanishing leading principal minor)."""
     A = _as_target(A)
     n = A.shape[0]
     U = A.copy()
     L = np.eye(n, dtype=complex)
     scale = 1.0 + float(np.linalg.norm(A))
     for j in range(n - 1):
-        if abs(U[j, j]) <= pivot_tol * scale:
+        if abs(U[j, j]) <= LU_PIVOT_TOL * scale:
             raise NonGenericMatrixError(
                 f"pivot {j + 1} vanishes; elimination without pivoting breaks down")
         mult = U[j + 1:, j] / U[j, j]
         L[j + 1:, j] = mult
         U[j + 1:, j:] -= np.outer(mult, U[j, j:])
         U[j + 1:, j] = 0.0
-    if n >= 1 and abs(U[n - 1, n - 1]) <= pivot_tol * scale:
+    if n >= 1 and abs(U[n - 1, n - 1]) <= LU_PIVOT_TOL * scale:
         raise NonGenericMatrixError("trailing pivot vanishes; the matrix is not generic")
     return L, U
 
@@ -336,13 +322,21 @@ def _neville(L, count: int):
 
 
 def _exact_start(prob: DecompositionProblem, T: np.ndarray):
-    """Parameters of an exact chain for T when the chain is one the paper
-    constructs, else None: lower times upper triangular (LU), n companion
-    factors, or a >= n - 1 lower then b >= max(n - 1, 1) upper bidiagonal
-    factors.  For the last, T = L D V with V unit upper triangular; Neville
-    elimination factors L, and V^T, whose factors transpose into upper ones
-    in reverse order with the same parameter vectors; D joins the first
-    upper factor.  Raises NonGenericMatrixError on a breakdown."""
+    """Parameters of an exact chain for T, else None.  First T followed by
+    identities, when T lies in the first family and every later factor is a
+    linear family that contains the identity: the only start a chain too
+    short for a generic target can take (there is no separate _warm_start).
+    Else a chain the paper constructs: lower times upper triangular (LU), n
+    companion factors, or a >= n - 1 lower then b >= max(n - 1, 1) upper
+    bidiagonal factors.  For the last, T = L D V with V unit upper
+    triangular; Neville elimination factors L, and V^T, whose factors
+    transpose into upper ones in reverse order with the same parameter
+    vectors; D joins the first upper factor.  Raises NonGenericMatrixError
+    on a breakdown."""
+    first, rest = prob.factors[0], prob.factors[1:]
+    if (first.kind.linear and fam.is_member(first, T, 1e-12)
+            and all(spec.kind.linear and fam.contains_identity(spec) for spec in rest)):
+        return [fam.coordinates_of(first, T)] + [fam.identity_coordinates(spec) for spec in rest]
     n, tags = prob.n, [spec.kind.tag for spec in prob.factors]
     if tags == [fam.TRIANGULAR_LOWER, fam.TRIANGULAR_UPPER]:
         L, U = lu_nopivot(T)
@@ -400,26 +394,16 @@ def decompose_centrosymmetric(T, use_hankel: bool = False,
         r = n // 2 + 1
     if r < 1:
         raise ParameterRangeError("chain length must be positive")
-    prob = DecompositionProblem(
-        n=n,
-        factors=tuple(fam.family_spec(fam.SYMMETRIC_TOEPLITZ, n) for _ in range(r)),
-        target=target_space(TARGET_CENTRO, n),
-    )
-    chain = fit_chain(T, prob, opts)
+    chain = fit_chain(T, problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)
     if not use_hankel:
         return chain
     J = fam.exchange_matrix(n)
-    hankel_prob = DecompositionProblem(
-        n=n,
-        factors=tuple(fam.family_spec(fam.PERSYMMETRIC_HANKEL, n) for _ in range(r)),
-        target=target_space(TARGET_CENTRO, n),
-    )
     factors = [J @ A for A in chain.factors]
     effective_target = (J @ T) if r % 2 == 1 else T
     resid = float(np.linalg.norm(chain_product(factors) - effective_target))
     resid /= max(1.0, float(np.linalg.norm(effective_target)))
     return FactorChain(
-        problem=hankel_prob,
+        problem=problem([fam.PERSYMMETRIC_HANKEL] * r, n, TARGET_CENTRO),
         params=[u.copy() for u in chain.params],  # same coefficients in the J S_k basis
         factors=factors,
         residual=resid,

@@ -24,8 +24,8 @@ from .dominance import (
     DominanceReport,
     numerical_rank,
 )
-from .errors import DegeneratePointError, ParameterRangeError
-from .families import vand  # noqa: F401  (re-exported: the generalized Vandermonde matrix)
+from .errors import ParameterRangeError
+from .families import require_distinct_nodes, vand
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,11 @@ def mp_block(n: int, types: VandTypeList, p: int) -> np.ndarray:
     if types.n != n:
         raise ParameterRangeError("type list size does not match n")
     w = unit_root(n)
-    M = np.zeros((n, n), dtype=complex)
-    for q in range(1, n + 1):
-        for j, sj in enumerate(types.s, start=1):
-            if q == p:
-                M[q - 1, j - 1] = (2 * sj + n - 1) * n * w ** (-p) / 2.0
-            else:
-                v = w ** (p - q)
-                M[q - 1, j - 1] = -(n * v / (1.0 - v)) * w ** ((p - q) * sj - 2 * p + q)
+    q = np.arange(1, n + 1)[:, None]
+    s = np.array(types.s)[None, :]
+    v = w ** (p - q)
+    M = -(n * v / np.where(q == p, 1.0, 1.0 - v)) * w ** ((p - q) * s - 2 * p + q)
+    M[p - 1] = (2 * s[0] + n - 1) * n * w ** (-p) / 2.0
     return M
 
 
@@ -135,11 +132,8 @@ def det_tilde(n: int, types: VandTypeList, p: int, alphas):
         raise ParameterRangeError(f"need {n} alphas, got {alphas.size}")
     w = unit_root(n)
     nodes = np.array([w ** (-sj) for sj in types.s])
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(nodes[a] - nodes[b]) <= 1e-12:
-                raise DegeneratePointError("repeated nodes: types coincide modulo n")
-    M = np.power(nodes[None, :], np.arange(n)[:, None])
+    require_distinct_nodes(nodes, 1e-12)
+    M = vand(n, 0, nodes)
     M[p - 1, :] = alphas * nodes ** (p - 1)
     direct = complex(np.linalg.det(M))
     V = complex(np.prod([nodes[b] - nodes[a] for a in range(n) for b in range(a + 1, n)]))
@@ -160,13 +154,9 @@ def full_jacobian(types: VandTypeList) -> np.ndarray:
     depends only on the p-th node variables, so permuting columns to group
     by p turns the matrix into blockdiag(M_1, ..., M_n)."""
     n = types.n
-    M = np.zeros((n * n, n * n), dtype=complex)
-    for p in range(1, n + 1):
-        Mp = mp_block(n, types, p)
-        rows = slice((p - 1) * n, p * n)
-        for j in range(1, n + 1):
-            M[rows, (j - 1) * n + (p - 1)] = Mp[:, j - 1]
-    return M
+    M = np.zeros((n, n, n, n), dtype=complex)
+    M[np.arange(n), :, :, np.arange(n)] = jacobian_blocks(types)
+    return M.reshape(n * n, n * n)
 
 
 def vandermonde_dominance(n: int, s, rel_tol: float = DEFAULT_RANK_TOL) -> DominanceReport:

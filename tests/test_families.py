@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matchain.families as fam
-from matchain.errors import NonMemberError, ParameterRangeError
+from matchain.errors import DegeneratePointError, NonMemberError, ParameterRangeError
 
 
 def _spec(tag, n, k=None, s=None):
@@ -498,3 +498,65 @@ def test_product_of_upper_bidiagonals_is_banded(data):
         P = P @ fam.parameterize(spec, fam.complex_gaussian(rng, spec.param_dim))
     mask = fam.pattern_mask("k-diagonal-upper", n, k=k)
     assert np.all(P[~mask] == 0)
+
+
+def _vand_tangent_reference(n, s, nodes):
+    """Per-entry derivative matrices: column q of the q-th matrix holds
+    e x_q^(e-1) for the exponent e = s+p-1, and 0 where e = 0."""
+    exps = s + np.arange(n)
+    mats = []
+    for q in range(n):
+        col = np.zeros(n, dtype=complex)
+        for p in range(n):
+            e = exps[p]
+            col[p] = 0.0 if e == 0 else e * nodes[q] ** (e - 1)
+        T = np.zeros((n, n), dtype=complex)
+        T[:, q] = col
+        mats.append(T)
+    return mats
+
+
+# n = 1 at s = 0 has only the exponent 0: its frame is degenerate
+@pytest.mark.parametrize("tag", ["vandermonde", "vandermonde-t"])
+@pytest.mark.parametrize("n, s", [(n, s) for n in (1, 3, 5) for s in (-2, 0, 1, 3)
+                                  if (n, s) != (1, 0)])
+def test_vandermonde_frame_matches_the_per_entry_derivatives(tag, n, s):
+    spec = _spec(tag, n, s=s)
+    orient = (lambda m: m) if tag == "vandermonde" else (lambda m: m.T)
+    for seed in range(3):
+        x = fam.complex_gaussian(np.random.default_rng(seed), n)
+        expect = np.stack([orient(m) for m in _vand_tangent_reference(n, s, x)])
+        frame = fam.tangent_basis(spec, x)
+        assert frame.basis.tobytes() == expect.tobytes()
+        assert not frame.basis.flags.writeable
+
+
+@pytest.mark.parametrize("n, s, nodes", [
+    pytest.param(3, 1, [1.0, 2.0, 1.0], id="repeated-nodes"),
+    pytest.param(3, -1, [0.0, 1.0, 2.0], id="zero-node-negative-type"),
+    pytest.param(1, 0, [2.0], id="n1-type0"),
+])
+def test_vandermonde_degenerate_points(n, s, nodes):
+    for tag in ("vandermonde", "vandermonde-t"):
+        with pytest.raises(DegeneratePointError):
+            fam.tangent_basis(_spec(tag, n, s=s), np.array(nodes, dtype=complex))
+
+
+def test_vandermonde_membership_edge_cases():
+    for tag in ("vandermonde", "vandermonde-t"):
+        orient = (lambda m: m) if tag == "vandermonde" else (lambda m: m.T)
+        x = np.array([0.0, 1.5, -2.0 + 1j])
+        for s in (1, 2):  # a zero node is a zero column
+            spec = _spec(tag, 3, s=s)
+            assert fam.is_member(spec, fam.parameterize(spec, x), 1e-12), (tag, s)
+        for s in (-1, 0):  # a zero top entry is no power of any node
+            spec = _spec(tag, 3, s=s)
+            V = orient(fam.parameterize(spec, np.array([1.5, -2.0 + 1j, 0.5j]))).copy()
+            V[0, 0] = 0.0
+            assert not fam.is_member(spec, orient(V), 1e-8), (tag, s)
+        for v in (0.0, 3.0 - 2.0j):
+            assert fam.is_member(_spec(tag, 1, s=2), np.array([[v]]), 1e-12)
+        assert fam.is_member(_spec(tag, 1, s=-1), np.array([[3.0 - 2.0j]]), 1e-12)
+        assert not fam.is_member(_spec(tag, 1, s=-1), np.array([[0.0]]), 1e-12)
+        assert fam.is_member(_spec(tag, 1, s=0), np.array([[1.0]]), 1e-12)
+        assert not fam.is_member(_spec(tag, 1, s=0), np.array([[1.5]]), 1e-12)

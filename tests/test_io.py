@@ -192,3 +192,30 @@ def test_written_json_is_plain_data():
     parsed = json.loads(json.dumps(doc))
     assert parsed["dominant"] is False or parsed["dominant"] is True
     assert all(isinstance(v, int) for v in parsed["ranks"])
+
+
+def _chain_doc():
+    T = np.diag(np.array([1.0, 2.0], dtype=complex))
+    return mio.chain_to_dict(fit_chain(T, dom.problem(["diagonal"], 2)))
+
+
+def _report_doc():
+    return mio.report_to_dict(
+        dom.estimate_image_dimension(dom.problem(["diagonal"], 2), trials=1))
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("read, doc", [
+    pytest.param(mio.read_chain, lambda: [_chain_doc()], id="chain-array"),
+    pytest.param(mio.read_chain, lambda: _without(_chain_doc(), "problem"), id="chain-no-problem"),
+    pytest.param(mio.read_chain, lambda: dict(_chain_doc(), residual="x"), id="chain-residual-x"),
+    pytest.param(mio.read_report, lambda: [_report_doc()], id="report-array"),
+    pytest.param(mio.read_report, lambda: _without(_report_doc(), "trials"), id="report-no-trials"),
+    pytest.param(mio.read_report, lambda: dict(_report_doc(), trials="x"), id="report-trials-x"),
+])
+def test_malformed_documents_raise_parse_errors(read, doc):
+    with pytest.raises(MatrixParseError):
+        read(io.StringIO(json.dumps(doc())))

@@ -476,3 +476,34 @@ def test_decompose_centrosymmetric_identity():
     chain = decompose_centrosymmetric(np.eye(5, dtype=complex))
     assert chain.converged
     assert chain.residual <= 1e-12
+
+
+def test_target_in_the_first_family_takes_priority_over_lu():
+    """A lower triangular target on the LU chain starts from itself and the
+    identity, not from its LU factors."""
+    T = np.tril(_random_target(4, 81))
+    prob = dom.problem(["triangular-lower", "triangular-upper"], 4)
+    chain = fit_chain(T, prob)
+    assert chain.iterations == 0 and chain.converged
+    assert np.array_equal(chain.factors[1], np.eye(4))
+    np.testing.assert_allclose(chain.factors[0], T, atol=1e-14)
+
+
+def test_init_params_on_a_too_short_chain_still_raise():
+    prob = dom.problem(["diagonal", "diagonal"], 4)
+    init = [np.ones(4, dtype=complex), np.ones(4, dtype=complex)]
+    with pytest.raises(InfeasibleProblemError):
+        fit_chain(_random_target(4, 82), prob, init_params=init)
+
+
+def test_decompose_bidiagonal_factors_its_target_once(monkeypatch):
+    calls = []
+
+    def counting_lu(A):
+        calls.append(A)
+        return lu_nopivot(A)
+
+    monkeypatch.setattr(solver, "lu_nopivot", counting_lu)
+    chain = decompose_bidiagonal(_random_target(5, 83))
+    assert chain.converged and chain.iterations == 0
+    assert len(calls) == 1

@@ -155,3 +155,16 @@ def test_dominance_degenerates_at_the_true_singular_sum():
 def test_dominance_rejects_bad_types():
     with pytest.raises(ParameterRangeError):
         vm.vandermonde_dominance(3, (1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_full_jacobian_is_block_diagonal_by_node_index(n):
+    """Grouping the columns by node index p turns the Jacobian into
+    blockdiag(M_1, ..., M_n) exactly."""
+    rng = np.random.default_rng(n)
+    types = vm.type_list(n, _random_valid_types(rng, n))
+    by_node = np.arange(n * n).reshape(n, n).T.reshape(-1)  # column (j, p) -> (p, j)
+    expect = np.zeros((n * n, n * n), dtype=complex)
+    for p, Mp in enumerate(vm.jacobian_blocks(types)):
+        expect[p * n:(p + 1) * n, p * n:(p + 1) * n] = Mp
+    assert np.array_equal(vm.full_jacobian(types)[:, by_node], expect)
