@@ -39,7 +39,6 @@ from .dominance import (
     problem,
     skew_dimension_row,
     surjectivity_bound,
-    target_space,
     two_factor_tangent_test,
 )
 from .errors import (
@@ -60,13 +59,7 @@ from .families import (
     exchange_matrix,
     family_dimension,
     family_spec,
-    generalized_vandermonde,
-    generalized_vandermonde_transpose,
     is_member,
-    k_diagonal,
-    k_diagonal_lower,
-    k_diagonal_upper,
-    kind_from_tag,
     linear_basis,
     parameterize,
     pattern_mask,

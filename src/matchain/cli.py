@@ -4,7 +4,8 @@ Subcommands: verify (dominance report for a factor chain), table (the
 skew-symmetric image-dimension table with computed ranks), decompose (fit
 a chain to a matrix file), companion (structured coefficient solve),
 bounds (dimension-count arithmetic for one family), sample (draw a random
-family member).  JSON goes to stdout, diagnostics to stderr.
+family member).  Results go to stdout, as JSON except for table's text
+table; diagnostics go to stderr.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3 dominance
 not observed, 4 fit did not converge, 5 companion solve not unique.
@@ -13,6 +14,7 @@ not observed, 4 fit did not converge, 5 companion solve not unique.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -25,12 +27,12 @@ from .dominance import (
     TARGET_CENTRO,
     TARGET_DET,
     TARGET_FULL,
+    TargetSpace,
     estimate_image_dimension,
     lower_bound_cone,
     problem,
     skew_dimension_row,
     surjectivity_bound,
-    target_space,
 )
 from .errors import MatChainError, MatrixParseError, ParameterRangeError
 from .io import SCHEMA_VERSION, matrix_to_dict, read_json, read_matrix, report_to_dict, chain_to_dict
@@ -118,19 +120,17 @@ def _cmd_table(args) -> int:
     return EXIT_OK if all_match else EXIT_NOT_DOMINANT
 
 
-_INT_OPTIONS = ("max_iterations", "restarts", "seed")
-_REAL_OPTIONS = ("residual_tol", "damping_init")
-
-
 def _read_options(path) -> FitOptions:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise MatrixParseError("options file must hold a JSON object")
-    unknown = set(doc) - set(_INT_OPTIONS) - set(_REAL_OPTIONS)
+    # the annotations of FitOptions are strings (postponed evaluation)
+    types = {f.name: f.type for f in dataclasses.fields(FitOptions)}
+    unknown = set(doc) - set(types)
     if unknown:
         raise MatrixParseError(f"unknown option fields: {sorted(unknown)}")
     for key, value in doc.items():
-        real = key in _REAL_OPTIONS
+        real = types[key] == "float"
         # bool is a subclass of int, but true is no count and no tolerance
         if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
             kind = "a real number" if real else "an integer"
@@ -177,7 +177,7 @@ def _bounds_doc(kind: fam.FamilyKind, n: int) -> dict:
     spec = fam.family_spec(kind, n)
     m = spec.param_dim
     target_tag, known_generic = fam.bounds_facts(kind, n)
-    tgt = target_space(target_tag, n)
+    tgt = TargetSpace(target_tag, n)
     is_cone = kind.linear
     if is_cone and m >= 2:
         lower = lower_bound_cone(m, tgt.dim)

@@ -34,9 +34,15 @@ DEFAULT_RANK_TOL = 1e-8
 DEFAULT_TRIALS = 5
 
 
+# target tag -> dimension at size n
+_TARGET_DIMS = {TARGET_FULL: lambda n: n * n, TARGET_DET: lambda n: n * n - 1,
+                TARGET_CENTRO: lambda n: (n * n + 1) // 2}
+
+
 @dataclass(frozen=True)
 class TargetSpace:
-    """The ambient space a product is measured against.
+    """The ambient space a product is measured against, checked on
+    construction (a known tag, n >= 1).
 
     full: all n x n matrices (dimension n^2)
     det: the determinant hypersurface (dimension n^2 - 1); used for chains
@@ -49,24 +55,15 @@ class TargetSpace:
     tag: str
     n: int
 
+    def __post_init__(self):
+        if not isinstance(self.tag, str) or self.tag not in _TARGET_DIMS:
+            raise ParameterRangeError(f"unknown target tag {self.tag!r}")
+        if self.n < 1:
+            raise ParameterRangeError(f"matrix size n={self.n} must be positive")
+
     @property
     def dim(self) -> int:
-        n = self.n
-        if self.tag == TARGET_FULL:
-            return n * n
-        if self.tag == TARGET_DET:
-            return n * n - 1
-        if self.tag == TARGET_CENTRO:
-            return (n * n + 1) // 2
-        raise ParameterRangeError(f"unknown target tag {self.tag!r}")
-
-
-def target_space(tag: str, n: int) -> TargetSpace:
-    if tag not in (TARGET_FULL, TARGET_DET, TARGET_CENTRO):
-        raise ParameterRangeError(f"unknown target tag {tag!r}")
-    if n < 1:
-        raise ParameterRangeError(f"matrix size n={n} must be positive")
-    return TargetSpace(tag=tag, n=n)
+        return _TARGET_DIMS[self.tag](self.n)
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ class DecompositionProblem:
 def problem(kinds, n: int, target: str = TARGET_FULL) -> DecompositionProblem:
     """Convenience constructor: a chain of family kinds at size n."""
     specs = tuple(fam.family_spec(k, n) for k in kinds)
-    return DecompositionProblem(n=n, factors=specs, target=target_space(target, n))
+    return DecompositionProblem(n=n, factors=specs, target=TargetSpace(target, n))
 
 
 @dataclass

@@ -66,20 +66,48 @@ SUBSPACE = "subspace"
 
 @dataclass(frozen=True)
 class FamilyKind:
-    """Tag plus the structural parameters some kinds need.
+    """Tag plus the structural parameters some kinds need, checked on
+    construction.
 
     k is the bandwidth for the k-diagonal kinds and the dimension for
     SUBSPACE; s is the type of a generalized Vandermonde family.  basis
-    carries the orthonormal matrices of a random subspace, stacked as a
-    (k, n, n) array, and is excluded from equality (two independently drawn
-    subspaces of the same dimension compare equal on the structural fields
-    only).
+    carries the Frobenius-orthonormal matrices of a random subspace (which
+    projection membership relies on), copied to a read-only (k, n, n) array,
+    and is excluded from equality (two independently drawn subspaces of the
+    same dimension compare equal on the structural fields only).
     """
 
     tag: str
     k: int | None = None
     s: int | None = None
     basis: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        arg = _family(self.tag).arg
+        for name, value in (("k", self.k), ("s", self.s)):
+            if value is not None and arg is None:
+                raise ParameterRangeError(f"family {self.tag!r} takes no argument")
+            if value is not None and (name != arg or isinstance(value, bool)
+                                      or not isinstance(value, (int, np.integer))):
+                raise ParameterRangeError(f"{name}={value!r} is not an integer argument of {self.tag!r}")
+        if self.tag == SUBSPACE:
+            if self.basis is None:
+                raise ParameterRangeError("subspaces are drawn by random_subspace() (token subspace:k)")
+            # a C-ordered copy: members' bytes depend on its layout, and the caller's array stays writable
+            basis = np.array(self.basis, dtype=complex, order="C")
+            if basis.ndim != 3 or len(basis) == 0 or basis.shape[1] != basis.shape[2]:
+                raise ParameterRangeError("a subspace basis is a nonempty stack of n x n matrices")
+            if self.k is not None and self.k != len(basis):
+                raise ParameterRangeError(f"subspace dimension k={self.k} but {len(basis)} basis matrices")
+            rows = basis.reshape(len(basis), -1)
+            if float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows))))) > 1e-10:
+                raise ParameterRangeError("subspace basis is not orthonormal")
+            object.__setattr__(self, "k", len(basis))
+            object.__setattr__(self, "basis", _frozen(basis))
+        elif self.basis is not None:
+            raise ParameterRangeError(f"family {self.tag!r} takes no basis")
+        elif arg is not None and getattr(self, arg) is None:
+            raise ParameterRangeError(f"family {self.tag!r} needs an argument {arg}")
 
     def label(self) -> str:
         arg = _family(self.tag).arg
@@ -92,74 +120,15 @@ class FamilyKind:
         return _family(self.tag).parameterize is None
 
 
-def kind_from_tag(tag: str, k: int | None = None, s: int | None = None,
-                  basis=None) -> FamilyKind:
-    """Validated kind of a tag and the argument it takes: the bandwidth k of
-    a banded family, the type s of a Vandermonde family, or the orthonormal
-    (k, n, n) basis of a subspace."""
-    arg = _family(tag).arg
-    for name, value in (("k", k), ("s", s)):
-        if value is not None and (name != arg or isinstance(value, bool)
-                                  or not isinstance(value, (int, np.integer))):
-            raise ParameterRangeError(f"{name}={value!r} is not an integer argument of {tag!r}")
-    if tag == SUBSPACE:
-        if basis is None:
-            raise ParameterRangeError("subspaces are drawn by random_subspace() (token subspace:k)")
-        return _subspace_kind(basis, k)
-    if basis is not None:
-        raise ParameterRangeError(f"family {tag!r} takes no basis")
-    if arg is not None and {"k": k, "s": s}[arg] is None:
-        raise ParameterRangeError(f"family {tag!r} needs an argument {arg}")
-    return FamilyKind(tag, k=k, s=s)
-
-
 def kind_from_argument(tag: str, arg: int | None, n: int, rng_seed=0) -> FamilyKind:
     """The kind a family token tag[:arg] names: arg is the bandwidth of a
     banded family, the type of a Vandermonde family (0 when omitted), or the
     dimension of a random subspace of the n x n matrices drawn from
     rng_seed."""
-    name = _family(tag).arg
     if tag == SUBSPACE and arg is not None:
         return random_subspace(n, arg, rng_seed=rng_seed)
-    if name is None:
-        if arg is not None:
-            raise ParameterRangeError(f"family {tag!r} takes no argument")
-        return kind_from_tag(tag)
-    return kind_from_tag(tag, **{name: 0 if arg is None and name == "s" else arg})
-
-
-def _subspace_kind(basis, k=None) -> FamilyKind:
-    """A subspace kind from a Frobenius-orthonormal (k, n, n) basis, which
-    projection membership relies on."""
-    basis = np.array(basis, dtype=complex)
-    if basis.ndim != 3 or len(basis) == 0 or basis.shape[1] != basis.shape[2]:
-        raise ParameterRangeError("a subspace basis is a nonempty stack of n x n matrices")
-    if k is not None and k != len(basis):
-        raise ParameterRangeError(f"subspace dimension k={k} but {len(basis)} basis matrices")
-    rows = basis.reshape(len(basis), -1)
-    if float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows))))) > 1e-10:
-        raise ParameterRangeError("subspace basis is not orthonormal")
-    return FamilyKind(SUBSPACE, k=len(basis), basis=_frozen(basis))
-
-
-def k_diagonal(k: int) -> FamilyKind:
-    return FamilyKind(K_DIAGONAL, k=k)
-
-
-def k_diagonal_upper(k: int) -> FamilyKind:
-    return FamilyKind(K_DIAGONAL_UPPER, k=k)
-
-
-def k_diagonal_lower(k: int) -> FamilyKind:
-    return FamilyKind(K_DIAGONAL_LOWER, k=k)
-
-
-def generalized_vandermonde(s: int) -> FamilyKind:
-    return FamilyKind(VANDERMONDE, s=int(s))
-
-
-def generalized_vandermonde_transpose(s: int) -> FamilyKind:
-    return FamilyKind(VANDERMONDE_T, s=int(s))
+    name = _family(tag).arg or "k"  # FamilyKind rejects a k the tag does not take
+    return FamilyKind(tag, **{name: 0 if arg is None and name == "s" else arg})
 
 
 @dataclass(frozen=True)
@@ -175,7 +144,7 @@ def family_spec(kind, n: int) -> FamilySpec:
     """Validate (kind, n) and attach the parameter dimension, which must be
     positive."""
     if isinstance(kind, str):
-        kind = kind_from_tag(kind)
+        kind = FamilyKind(kind)
     d = family_dimension(kind, n)
     if d == 0:
         raise ParameterRangeError(f"family {kind.label()} has no parameters at n={n}")
@@ -198,13 +167,9 @@ def family_dimension(kind, n: int) -> int:
     """Dimension of the family inside the n x n matrices: the number of
     basis matrices of a linear family, n(n-1)/2 for the complex orthogonal
     group, and n for companion and generalized Vandermonde families."""
-    if isinstance(kind, str):
-        kind = FamilyKind(kind)
     if n < 1:
         raise ParameterRangeError(f"matrix size n={n} must be positive")
     entry = _family(kind.tag)
-    if entry.arg is not None and getattr(kind, entry.arg) is None:
-        raise ParameterRangeError(f"family {kind.tag!r} needs an argument {entry.arg}")
     if entry.grid is None:
         return entry.dimension(kind, n)
     return int(np.abs(_grid(kind.tag, int(n), kind.k)).max())
@@ -492,7 +457,7 @@ def sample_point(spec: FamilySpec, rng_seed=0):
     """Draw (params, matrix) with i.i.d. standard complex Gaussian
     parameters.  Deterministic in the seed; degenerate Vandermonde draws
     (coinciding nodes) are resampled."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     smooth = _FAMILIES[spec.kind.tag].smooth
     for _ in range(100):
         params = complex_gaussian(rng, spec.param_dim)
@@ -538,13 +503,13 @@ def random_subspace(n: int, k: int, rng_seed=0) -> FamilyKind:
     """
     if not 1 <= k <= n * n:
         raise ParameterRangeError(f"subspace dimension k={k} out of range 1..{n * n}")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     for _ in range(100):
         X = complex_gaussian(rng, n * n * k).reshape(n * n, k)
         Q, R = np.linalg.qr(X)
         if np.min(np.abs(np.diag(R))) <= 1e-10:
             continue
-        return FamilyKind(SUBSPACE, k=k, basis=_frozen(np.ascontiguousarray(Q.T).reshape(k, n, n)))
+        return FamilyKind(SUBSPACE, k=k, basis=Q.T.reshape(k, n, n))
     raise DegeneratePointError("could not draw an independent subspace basis")
 
 
@@ -661,7 +626,7 @@ def _vandermonde_family(orient) -> _Family:
 
 
 def _subspace_dimension(kind, n):
-    if kind.basis is None or kind.basis.shape[1:] != (n, n):
+    if kind.basis.shape[1:] != (n, n):
         raise ParameterRangeError(f"subspace kind carries no basis of {n} x {n} matrices")
     return len(kind.basis)
 

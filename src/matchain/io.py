@@ -54,13 +54,15 @@ def read_json(source):
 
 def _from_versioned(doc, build):
     """build(doc) for a JSON object stamped with SCHEMA_VERSION.  A document
-    of another version, or one whose fields are missing or of the wrong
-    type, raises MatrixParseError."""
+    of another version, or one whose fields are missing, of the wrong type
+    or out of range, raises MatrixParseError."""
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise MatrixParseError(f"unsupported schema_version {version!r}")
     try:
         return build(doc)
+    except ParameterRangeError as exc:
+        raise MatrixParseError(str(exc)) from None
     except MatChainError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -218,7 +220,7 @@ def kind_from_dict(doc: dict) -> fam.FamilyKind:
         n = len(mats[0]) if isinstance(mats[0], list) else 0
         basis = np.stack([_matrix_from_pairs(n, B) for B in mats])
     try:
-        return fam.kind_from_tag(doc["tag"], k=doc.get("k"), s=doc.get("s"), basis=basis)
+        return fam.FamilyKind(doc["tag"], k=doc.get("k"), s=doc.get("s"), basis=basis)
     except ParameterRangeError as exc:
         raise MatrixParseError(str(exc)) from None
 
@@ -267,10 +269,12 @@ def chain_from_dict(doc: dict) -> FactorChain:
 def _chain_from_dict(doc: dict) -> FactorChain:
     prob = _problem_from_dict(doc["problem"])
     n = prob.n
-    if len(doc["factors"]) == 0:
-        raise MatrixParseError("chain has no factors")
     params = [np.array([_pair_to_complex(p) for p in u], dtype=complex)
               for u in doc["params"]]
+    sizes = [spec.param_dim for spec in prob.factors]
+    if [u.size for u in params] != sizes or len(doc["factors"]) != prob.r:
+        raise MatrixParseError(f"a chain of {prob.r} factors needs {prob.r} matrices and "
+                               f"parameter vectors of sizes {sizes}")
     factors = [_matrix_from_pairs(n, F) for F in doc["factors"]]
     return FactorChain(
         problem=prob,

@@ -29,11 +29,11 @@ from .dominance import (
     DecompositionProblem,
     TARGET_CENTRO,
     TARGET_FULL,
+    TargetSpace,
     chain_product,
     jacobian,
     lower_bound_linear,
     problem,
-    target_space,
 )
 from .errors import (
     DegeneratePointError,
@@ -198,7 +198,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
             f"{prob.param_dim} parameters cannot cover a {prob.target.dim}-dimensional target")
     start = exact if init_params is None else init_params
     full_prob = DecompositionProblem(
-        n=prob.n, factors=prob.factors, target=target_space(TARGET_FULL, prob.n))
+        n=prob.n, factors=prob.factors, target=TargetSpace(TARGET_FULL, prob.n))
     tscale = max(1.0, float(np.linalg.norm(T)))
     tvec = T.reshape(-1)
     best = None

@@ -139,7 +139,7 @@ def test_criterion_05_two_factor_tangent_toys():
     J = fam.exchange_matrix(3).astype(complex)
 
     def spec(tag):
-        return fam.family_spec(fam.kind_from_tag(tag), 3)
+        return fam.family_spec(fam.FamilyKind(tag), 3)
 
     cases = [
         ("triangular-lower", "triangular-upper", (I, I), True),
@@ -160,7 +160,7 @@ def test_criterion_06_bidiagonal_products_and_pipeline():
     failures = []
     # products of k-1 upper bidiagonal factors are upper k-diagonal, exactly
     for n in range(2, 9):
-        spec = fam.family_spec(fam.kind_from_tag("bidiagonal-upper"), n)
+        spec = fam.family_spec(fam.FamilyKind("bidiagonal-upper"), n)
         for k in range(2, n + 1):
             rng = np.random.default_rng(60 * n + k)
             P = np.eye(n, dtype=complex)
@@ -252,7 +252,7 @@ def test_criterion_09_solver_convergence():
         chain = fit_chain(T, dom.problem(["skew-symmetric"] * 3, 8), FitOptions())
         if not chain.converged or chain.residual > 1e-8:
             failures.append(f"skew n=8 trial={trial}: residual {chain.residual:.3e}")
-    centro4 = fam.family_spec(fam.kind_from_tag("centrosymmetric"), 4)
+    centro4 = fam.family_spec(fam.FamilyKind("centrosymmetric"), 4)
     prob4 = dom.problem(["toeplitz-sym"] * 3, 4, target="centro")
     for trial in range(20):
         _, T = fam.sample_point(centro4, rng_seed=5000 + trial)
@@ -260,7 +260,7 @@ def test_criterion_09_solver_convergence():
         if not chain.converged or chain.residual > 1e-8:
             failures.append(f"toeplitz-sym n=4 r=3 trial={trial}:"
                             f" residual {chain.residual:.3e}")
-    centro5 = fam.family_spec(fam.kind_from_tag("centrosymmetric"), 5)
+    centro5 = fam.family_spec(fam.FamilyKind("centrosymmetric"), 5)
     prob5 = dom.problem(["toeplitz-sym"] * 3, 5, target="centro")
     for trial in range(20):
         _, T = fam.sample_point(centro5, rng_seed=5000 + trial)

@@ -264,7 +264,7 @@ def test_bounds_bidiagonal_generic_count_is_certified():
     """The tridiagonal family's quoted count: a chain of generic_r factors
     has full Jacobian rank, one factor fewer does not (from n = 3)."""
     for n in range(2, 8):
-        _, r = fam.bounds_facts(fam.kind_from_tag("bidiagonal"), n)
+        _, r = fam.bounds_facts(fam.FamilyKind("bidiagonal"), n)
         assert dom.estimate_image_dimension(dom.problem(["bidiagonal"] * r, n), trials=5).dominant
         if n >= 3:
             fewer = dom.problem(["bidiagonal"] * (r - 1), n)
@@ -289,7 +289,7 @@ def test_sample_is_seeded_and_member():
     assert a.stdout == b.stdout
     M = np.array([[complex(x, y) for x, y in row]
                   for row in json.loads(a.stdout)["entries"]])
-    spec = fam.family_spec(fam.kind_from_tag("toeplitz-sym"), 5)
+    spec = fam.family_spec(fam.FamilyKind("toeplitz-sym"), 5)
     assert fam.is_member(spec, M, 1e-12)
 
 

@@ -9,12 +9,18 @@ from matchain.errors import ParameterRangeError
 
 
 def test_target_space_dimensions():
-    assert dom.target_space("full", 5).dim == 25
-    assert dom.target_space("det", 5).dim == 24
-    assert dom.target_space("centro", 5).dim == 13
-    assert dom.target_space("centro", 4).dim == 8
+    assert dom.TargetSpace("full", 5).dim == 25
+    assert dom.TargetSpace("det", 5).dim == 24
+    assert dom.TargetSpace("centro", 5).dim == 13
+    assert dom.TargetSpace("centro", 4).dim == 8
     with pytest.raises(ParameterRangeError):
-        dom.target_space("banana", 4)
+        dom.TargetSpace("banana", 4)
+
+
+@pytest.mark.parametrize("tag, n", [("bogus", 3), ("full", 0)])
+def test_target_space_checks_itself_on_construction(tag, n):
+    with pytest.raises(ParameterRangeError):
+        dom.TargetSpace(tag, n)
 
 
 def test_chain_product():
@@ -61,7 +67,7 @@ def test_problem_summary_and_param_dim():
     pytest.param(["toeplitz-sym"] * 3, 5, "centro", id="toeplitz-sym-centro"),
     pytest.param(["companion"] * 3, 3, "full", id="companion"),
     pytest.param(["orthogonal"] * 2, 3, "full", id="orthogonal"),
-    pytest.param([fam.generalized_vandermonde(1)] * 2, 3, "full", id="vandermonde:1"),
+    pytest.param([fam.FamilyKind("vandermonde", s=1)] * 2, 3, "full", id="vandermonde:1"),
 ])
 def test_jacobian_shape_and_column_content(kinds, n, target):
     """Each column is the differential applied to one frame direction, with
@@ -165,17 +171,17 @@ def test_surjectivity_bound():
 
 def test_two_factor_tangent_test_qr_like_pairs():
     I = np.eye(3, dtype=complex)
-    up = fam.family_spec(fam.kind_from_tag("triangular-upper"), 3)
-    lo = fam.family_spec(fam.kind_from_tag("triangular-lower"), 3)
-    orth = fam.family_spec(fam.kind_from_tag("orthogonal"), 3)
+    up = fam.family_spec(fam.FamilyKind("triangular-upper"), 3)
+    lo = fam.family_spec(fam.FamilyKind("triangular-lower"), 3)
+    orth = fam.family_spec(fam.FamilyKind("orthogonal"), 3)
     assert dom.two_factor_tangent_test(lo, up, (I, I))
     assert dom.two_factor_tangent_test(orth, up, (I, I))
     assert not dom.two_factor_tangent_test(up, up, (I, I))
 
 
 def test_two_factor_tangent_test_rejects_bad_base():
-    up = fam.family_spec(fam.kind_from_tag("triangular-upper"), 3)
-    lo = fam.family_spec(fam.kind_from_tag("triangular-lower"), 3)
+    up = fam.family_spec(fam.FamilyKind("triangular-upper"), 3)
+    lo = fam.family_spec(fam.FamilyKind("triangular-lower"), 3)
     bad = np.ones((3, 3), dtype=complex)  # not lower triangular
     from matchain.errors import NonMemberError
     with pytest.raises(NonMemberError):

@@ -9,7 +9,7 @@ from matchain.errors import DegeneratePointError, NonMemberError, ParameterRange
 
 
 def _spec(tag, n, k=None, s=None):
-    return fam.family_spec(fam.kind_from_tag(tag, k=k, s=s), n)
+    return fam.family_spec(fam.FamilyKind(tag, k=k, s=s), n)
 
 
 # tag, k, expected dimension at n=4, and at n=6
@@ -159,8 +159,8 @@ def test_kind_from_tag_rejects_arguments_the_family_does_not_take():
                     ("k-diagonal", {"s": 1}), ("skew-symmetric", {"s": 0}),
                     ("k-diagonal", {"k": "2"}), ("vandermonde", {"s": 1.0})]:
         with pytest.raises(ParameterRangeError):
-            fam.kind_from_tag(tag, **kw)
-    assert fam.kind_from_tag("k-diagonal", k=2) == fam.k_diagonal(2)
+            fam.FamilyKind(tag, **kw)
+    assert fam.FamilyKind("k-diagonal", k=2) == fam.kind_from_argument("k-diagonal", 2, 4)
 
 
 def test_k_diagonal_edge_dimensions():
@@ -175,15 +175,34 @@ def test_k_diagonal_edge_dimensions():
 
 def test_kind_from_tag_rejects_unknown_and_subspace():
     with pytest.raises(ParameterRangeError):
-        fam.kind_from_tag("hessenberg")
+        fam.FamilyKind("hessenberg")
     with pytest.raises(ParameterRangeError):
-        fam.kind_from_tag("subspace")
+        fam.FamilyKind("subspace")
+
+
+@pytest.mark.parametrize("tag, kw", [
+    ("toeplitz", {"k": 3}), ("k-diagonal", {"k": True}), ("k-diagonal", {"k": 2.5}),
+    ("vandermonde", {"s": 1.5}), ("k-diagonal", {}), ("bogus", {}),
+], ids=["argument-not-taken", "bool-k", "fractional-k", "fractional-s", "missing-k",
+        "unknown-tag"])
+def test_family_kind_checks_itself_on_construction(tag, kw):
+    with pytest.raises(ParameterRangeError):
+        fam.FamilyKind(tag, **kw)
+
+
+def test_subspace_kind_copies_its_basis_read_only():
+    B = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    kind = fam.FamilyKind("subspace", basis=B)
+    assert kind.k == 4 and kind.basis.flags.c_contiguous and not kind.basis.flags.writeable
+    assert B.flags.writeable  # the caller's array is left as it was
+    Bt = np.asfortranarray(B)
+    assert fam.FamilyKind("subspace", k=4, basis=Bt).basis.flags.c_contiguous
 
 
 def test_labels():
-    assert fam.kind_from_tag("toeplitz-sym").label() == "toeplitz-sym"
-    assert fam.k_diagonal(3).label() == "k-diagonal(3)"
-    assert fam.generalized_vandermonde(2).label() == "vandermonde(2)"
+    assert fam.FamilyKind("toeplitz-sym").label() == "toeplitz-sym"
+    assert fam.FamilyKind("k-diagonal", k=3).label() == "k-diagonal(3)"
+    assert fam.FamilyKind("vandermonde", s=2).label() == "vandermonde(2)"
     assert fam.random_subspace(4, 7).label() == "subspace(7)"
 
 
@@ -560,3 +579,27 @@ def test_vandermonde_membership_edge_cases():
         assert not fam.is_member(_spec(tag, 1, s=-1), np.array([[0.0]]), 1e-12)
         assert fam.is_member(_spec(tag, 1, s=0), np.array([[1.0]]), 1e-12)
         assert not fam.is_member(_spec(tag, 1, s=0), np.array([[1.5]]), 1e-12)
+
+
+@pytest.mark.parametrize("tag, s", [("vandermonde", -2), ("vandermonde-t", 0)])
+def test_vandermonde_frame_at_a_matrix_point_matches_the_frame_at_its_nodes(tag, s):
+    spec = _spec(tag, 4, s=s)
+    x = fam.complex_gaussian(np.random.default_rng(5), 4)
+    M = fam.parameterize(spec, x)
+    at_nodes = fam.tangent_basis(spec, x)
+    at_matrix = fam.tangent_basis(spec, M)
+    assert at_matrix.base_point.tobytes() == M.tobytes()
+    np.testing.assert_allclose(at_matrix.basis, at_nodes.basis, rtol=1e-12, atol=0)
+    assert not at_matrix.basis.flags.writeable
+
+
+def test_nodes_from_a_one_by_one_vandermonde_matrix():
+    v = np.array([[3.0 - 2.0j]])
+    # type 0: the only entry is x^0 = 1, and the node is taken to be 1
+    np.testing.assert_array_equal(fam._nodes_from_matrix(1, 0, v), [1.0])
+    for s in (2, -1):  # the node is a root of the entry: x^s = v
+        x = fam._nodes_from_matrix(1, s, v)
+        np.testing.assert_allclose(x ** s, v[0], rtol=1e-14)
+    np.testing.assert_array_equal(fam._nodes_from_matrix(1, 2, np.zeros((1, 1))), [0.0])
+    with pytest.raises(NonMemberError):
+        fam._nodes_from_matrix(1, -1, np.zeros((1, 1)))

@@ -102,9 +102,9 @@ def test_format_guessed_from_suffix(tmp_path):
 
 def test_kind_round_trip():
     kinds = [
-        fam.kind_from_tag("toeplitz-sym"),
-        fam.k_diagonal(3),
-        fam.generalized_vandermonde(-2),
+        fam.FamilyKind("toeplitz-sym"),
+        fam.FamilyKind("k-diagonal", k=3),
+        fam.FamilyKind("vandermonde", s=-2),
         fam.random_subspace(3, 5, rng_seed=4),
     ]
     for kind in kinds:
@@ -219,3 +219,23 @@ def _without(doc, key):
 def test_malformed_documents_raise_parse_errors(read, doc):
     with pytest.raises(MatrixParseError):
         read(io.StringIO(json.dumps(doc())))
+
+
+def test_chain_with_an_unknown_target_tag_raises_a_parse_error():
+    doc = _chain_doc()
+    doc["problem"]["target"] = "bogus"
+    with pytest.raises(MatrixParseError):
+        mio.chain_from_dict(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["params"][0].pop(),
+    lambda doc: doc["params"].pop(),
+    lambda doc: doc["params"].append(doc["params"][0]),
+    lambda doc: doc["factors"].append(doc["factors"][0]),
+], ids=["short-vector", "missing-vector", "extra-vector", "extra-factor"])
+def test_chain_parameters_and_factors_must_match_the_problem(edit):
+    doc = _chain_doc()  # one diagonal factor at n = 2: one vector of two parameters
+    edit(doc)
+    with pytest.raises(MatrixParseError):
+        mio.chain_from_dict(doc)

@@ -76,7 +76,7 @@ def test_diagonal_target_in_one_bidiagonal_factor_is_exact():
 
 
 def test_member_target_with_identity_padding_is_exact():
-    spec = fam.family_spec(fam.kind_from_tag("toeplitz"), 4)
+    spec = fam.family_spec(fam.FamilyKind("toeplitz"), 4)
     T = fam.parameterize(spec, fam.complex_gaussian(np.random.default_rng(5), 7))
     prob = dom.problem(["toeplitz", "bidiagonal", "bidiagonal"], 4)
     chain = fit_chain(T, prob)
@@ -303,7 +303,7 @@ def test_decompose_bidiagonal_structure():
 def test_decompose_bidiagonal_upper_triangular_input():
     """An upper bidiagonal target leaves the lower half at the identity."""
     n = 4
-    spec = fam.family_spec(fam.kind_from_tag("bidiagonal-upper"), n)
+    spec = fam.family_spec(fam.FamilyKind("bidiagonal-upper"), n)
     T = fam.parameterize(spec, fam.complex_gaussian(np.random.default_rng(8), 2 * n - 1))
     chain = decompose_bidiagonal(T)
     assert chain.converged
@@ -416,7 +416,7 @@ def test_decompose_bidiagonal_refuses_pivot_free_targets():
 
 
 def _centro_target(n, seed):
-    spec = fam.family_spec(fam.kind_from_tag("centrosymmetric"), n)
+    spec = fam.family_spec(fam.FamilyKind("centrosymmetric"), n)
     _, M = fam.sample_point(spec, rng_seed=seed)
     return M
 
@@ -426,7 +426,7 @@ def test_decompose_centrosymmetric_default_depth():
     chain = decompose_centrosymmetric(T)
     assert chain.converged
     assert len(chain.factors) == 3  # n // 2 + 1
-    st = fam.family_spec(fam.kind_from_tag("toeplitz-sym"), 5)
+    st = fam.family_spec(fam.FamilyKind("toeplitz-sym"), 5)
     for F in chain.factors:
         assert fam.is_member(st, F, 1e-8)
     np.testing.assert_allclose(chain.product(), T, atol=1e-7)
@@ -450,7 +450,7 @@ def test_decompose_centrosymmetric_hankel_mode_odd_depth():
     chain = decompose_centrosymmetric(T, use_hankel=True)
     assert chain.converged
     assert len(chain.factors) == 3
-    ph = fam.family_spec(fam.kind_from_tag("hankel-persym"), 5)
+    ph = fam.family_spec(fam.FamilyKind("hankel-persym"), 5)
     for F in chain.factors:
         assert fam.is_member(ph, F, 1e-8)
     np.testing.assert_allclose(chain.product(), J @ T, atol=1e-7)
@@ -507,3 +507,19 @@ def test_decompose_bidiagonal_factors_its_target_once(monkeypatch):
     chain = decompose_bidiagonal(_random_target(5, 83))
     assert chain.converged and chain.iterations == 0
     assert len(calls) == 1
+
+
+def test_vandermonde_chain_fit_converges_from_root_of_unity_centers():
+    """A Vandermonde chain has no exact start, so every restart starts from
+    fit_center: the n-th roots of unity, each scaled by 1 + 0.1 g."""
+    kinds = [fam.FamilyKind("vandermonde-t", s=1), fam.FamilyKind("vandermonde", s=1),
+             fam.FamilyKind("vandermonde-t", s=2), fam.FamilyKind("vandermonde", s=2)]
+    prob = dom.problem(kinds, 3)
+    u = fam.fit_center(prob.factors[0], np.random.default_rng(0), 1)
+    w = np.exp(-2j * np.pi * np.arange(1, 4) / 3)
+    assert np.all(np.abs(u / w - 1.0) < 0.5)
+    T = _random_target(3, 4)
+    chain = fit_chain(T, prob, FitOptions(seed=11))
+    assert chain.converged
+    resid = np.linalg.norm(dom.chain_product(chain.factors) - T) / max(1.0, np.linalg.norm(T))
+    assert resid <= 1e-8

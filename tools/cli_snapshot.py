@@ -124,6 +124,13 @@ for seed, family in enumerate(FAMILIES, start=20):
         ["verify", "--family", family, "--n", "4", "--r", "2", "--seed", str(seed)],
     ]
 
+# invalid family tokens and an unknown target: usage errors, so only the exit
+# code and the empty stdout are fingerprinted
+for family in ["toeplitz:3", "skew:2", "subspace", "k-diagonal", "k-diagonal:9",
+               "vandermonde:x", "bogus"]:
+    COMMANDS.append(["bounds", "--family", family, "--n", "5"])
+COMMANDS.append(["verify", "--family", "skew", "--n", "4", "--r", "2", "--target", "bogus"])
+
 
 def fit_summary(stdout):
     """The fit certificate of a `decompose` stdout, or '' when there is none."""
