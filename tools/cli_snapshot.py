@@ -77,6 +77,9 @@ COMMANDS = [
     ["decompose", "--in", "gauss3.json", "--chain", "orthogonal,upper,lower", "--seed", "3"],
     # the shapes of the benchmark's cli workload
     ["verify", "--family", "skew", "--n", "8", "--r", "3", "--seed", "5"],
+    # the orthogonal and companion shapes of the benchmark's certify workload
+    ["verify", "--family", "orthogonal", "--n", "8", "--r", "3", "--seed", "5"],
+    ["verify", "--family", "companion", "--n", "6", "--r", "6", "--seed", "6"],
     ["bounds", "--family", "toeplitz-sym", "--n", "7"],
     ["sample", "--family", "skew", "--n", "6", "--seed", "6"],
     ["companion", "--in", "gauss48.json"],
