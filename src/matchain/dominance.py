@@ -169,9 +169,13 @@ def differential_apply(base, tangents) -> np.ndarray:
 def jacobian(prob: DecompositionProblem, base_params) -> np.ndarray:
     """Jacobian of the product map against the stacked tangent frames.
 
-    base_params is one parameter vector per factor.  Column j is the
-    vectorized image under the differential of the j-th frame direction
-    (frames stacked family by family); rows are the target coordinates.
+    Each entry of base_params is a parameter vector or a member matrix of
+    its factor's family (see tangent_basis).  Rank verdicts pass matrices,
+    whose frames only span the tangent space; fits pass parameters, whose
+    frames are the parameterization's derivative that a Gauss-Newton step
+    needs.  Column j is the vectorized image under the differential of the
+    j-th frame direction (frames stacked family by family); rows are the
+    target coordinates.
 
     The d columns of slot i, with prefix P and suffix S, are the rows
     vec(P X_j S) = (P kron S^T) vec(X_j) of one (d, n^2) block, built in two
@@ -180,7 +184,7 @@ def jacobian(prob: DecompositionProblem, base_params) -> np.ndarray:
     the (d n) x n stack of the P X_j times S.
     """
     if len(base_params) != prob.r:
-        raise ParameterRangeError("need one parameter vector per factor")
+        raise ParameterRangeError("need one parameter vector or matrix per factor")
     frames = [fam.tangent_basis(spec, p) for spec, p in zip(prob.factors, base_params)]
     prefix, suffix = _prefixes_suffixes([f.base_point for f in frames])
     n = prob.n
@@ -196,13 +200,14 @@ def jacobian(prob: DecompositionProblem, base_params) -> np.ndarray:
 
 
 def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above rel_tol times the largest."""
+    """Number of singular values above rel_tol times the largest, taken
+    from the tall orientation (M or M^T share them; the tall SVD is faster)."""
     if not 0 < rel_tol < 1:
         raise ParameterRangeError(f"rank tolerance must lie in (0, 1), got {rel_tol}")
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0
-    sv = np.linalg.svd(M, compute_uv=False)
+    sv = np.linalg.svd(M.T if M.shape[0] < M.shape[1] else M, compute_uv=False)
     if sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
@@ -216,10 +221,14 @@ def estimate_image_dimension(
 ) -> DominanceReport:
     """Jacobian rank of the product map at random base points.
 
-    Each trial t draws its base parameters from seed + t (trials are
-    independent and could run in parallel; results are merged in trial
-    order).  The dimension estimate is the maximum rank seen, and the chain
-    is reported dominant when it reaches the target dimension.
+    Each trial t draws one member matrix per factor with sample_point from
+    seed + t (trials are independent and could run in parallel; results are
+    merged in trial order).  The Jacobian is taken at those matrices: a rank
+    needs only the span of each tangent frame, which a matrix point gives
+    without the parameterization's derivative (for the orthogonal group,
+    Q E over the skew basis E instead of a derivative of expm).  The
+    dimension estimate is the maximum rank seen, and the chain is reported
+    dominant when it reaches the target dimension.
     """
     if trials < 1:
         raise ParameterRangeError("need at least one trial")
@@ -227,9 +236,9 @@ def estimate_image_dimension(
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         for _ in range(100):
-            params = [fam.sample_point(spec, rng)[0] for spec in prob.factors]
+            points = [fam.sample_point(spec, rng)[1] for spec in prob.factors]
             try:
-                J = jacobian(prob, params)
+                J = jacobian(prob, points)
             except DegeneratePointError:
                 continue
             break

@@ -17,10 +17,12 @@ share one path built on their basis; a nonlinear family brings its own
 functions.
 
 Tangent frames are what the dominance machinery consumes: the rank of the
-product map's differential is computed against these frames, so for the
-nonlinear families the frames are the actual derivatives of the
+product map's differential is computed against these frames.  At a
+parameter vector a nonlinear family's frame is the derivative of the
 parameterization (the matrix exponential's Frechet derivative for the
-orthogonal group, per-node derivatives for Vandermonde families).
+orthogonal group, per-node derivatives for Vandermonde families), which a
+fit needs; at a member matrix it is a frame with the same span (Q E over
+the skew basis E for the orthogonal group), which is all a rank needs.
 """
 
 from __future__ import annotations
@@ -228,25 +230,9 @@ def _cached_basis(tag: str, n: int, k):
     return _frozen(basis.reshape(-1, n, n))
 
 
-@lru_cache(maxsize=None)
-def _cached_unit_rows(tag: str, n: int, k):
-    rows = _cached_basis(tag, n, k).reshape(-1, n * n)
-    return _frozen(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-
-
 def _basis(spec: FamilySpec) -> np.ndarray:
     kind = spec.kind
     return kind.basis if kind.basis is not None else _cached_basis(kind.tag, spec.n, kind.k)
-
-
-def _unit_rows(spec: FamilySpec) -> np.ndarray:
-    """The basis of a linear family as Frobenius-orthonormal (d, n^2) rows.
-    Structured bases are orthogonal (disjoint supports) and are normalized
-    here; subspace bases are orthonormal already."""
-    kind = spec.kind
-    if kind.basis is not None:
-        return kind.basis.reshape(len(kind.basis), -1)
-    return _cached_unit_rows(kind.tag, spec.n, kind.k)
 
 
 def _combine(params: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -374,7 +360,7 @@ def _orthogonal_matrix(spec: FamilySpec, params) -> np.ndarray:
 def _orthogonal_frame(spec: FamilySpec, point, is_params: bool):
     skew = _cached_basis(SKEW_SYMMETRIC, spec.n, None)
     if not is_params:
-        return point, _frozen(np.stack([point @ E for E in skew]))
+        return point, _frozen(point @ skew)
     n = spec.n
     S = _combine(_check_params(spec, point), skew)
     # the Frechet derivative of expm at S in direction E is the upper right
@@ -428,9 +414,10 @@ def tangent_basis(spec: FamilySpec, point) -> TangentFrame:
     """Tangent frame of the family at a point.
 
     point may be a parameter vector (1-d, length param_dim) or a member
-    matrix (n x n).  For linear families the frame is the fixed basis; for
-    the nonlinear families it is the derivative of the parameterization, so
-    finite differences of parameterize converge to these matrices.
+    matrix (n x n).  For linear families the frame is the fixed basis.  For
+    the nonlinear families, at a parameter vector it is the derivative of
+    the parameterization, so finite differences of parameterize converge to
+    these matrices; at a member matrix it spans the same tangent space.
     """
     point = np.asarray(point, dtype=complex)
     n = spec.n
@@ -488,9 +475,13 @@ def is_member(spec: FamilySpec, M, tol: float) -> bool:
     own = _FAMILIES[spec.kind.tag].member
     if own is not None:
         return own(spec, M, tol)
-    B = _unit_rows(spec)
+    # the basis rows are orthogonal (disjoint supports, or an orthonormal
+    # subspace), so the projection divides by their squared norms; both
+    # products avoid a conjugated copy of the basis
+    B = _basis(spec).reshape(-1, spec.n * spec.n)
+    re_im = B.view(float)
     v = M.reshape(-1)
-    resid = v - B.T @ (B.conj() @ v)
+    resid = v - B.T @ ((B @ v.conj()).conj() / np.einsum("ij,ij->i", re_im, re_im))
     return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(M)))
 
 

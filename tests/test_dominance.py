@@ -98,6 +98,68 @@ def test_jacobian_centro_target_rows():
     assert J.shape == (8, 8)
 
 
+def _kind_of(tag, n):
+    """A kind for each tag: bandwidth 2, type 0, or a subspace of dimension n."""
+    arg = {"subspace": n, "k-diagonal": 2, "k-diagonal-upper": 2, "k-diagonal-lower": 2}.get(tag)
+    return fam.kind_from_argument(tag, arg, n, rng_seed=n)
+
+
+@pytest.mark.parametrize("tag", sorted(fam.ALL_TAGS))
+def test_jacobian_at_sampled_matrices_matches_parameters(tag):
+    """Verdicts take the Jacobian at the matrices sample_point returns: the
+    same rank as at their parameters, and the same array where the frame
+    does not depend on the point's form (linear and companion families)."""
+    for n in (2, 4, 6):
+        prob = dom.problem([_kind_of(tag, n)] * 2, n)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            params, mats = zip(*(fam.sample_point(spec, rng) for spec in prob.factors))
+            J_params, J_mats = dom.jacobian(prob, params), dom.jacobian(prob, mats)
+            assert dom.numerical_rank(J_mats) == dom.numerical_rank(J_params)
+            if prob.factors[0].kind.linear or tag == "companion":
+                assert np.array_equal(J_mats, J_params)
+
+
+@pytest.mark.parametrize("tag", ["vandermonde", "vandermonde-t"])
+def test_sampled_vandermonde_matrices_are_members(tag):
+    """tangent_basis checks a matrix point's membership, and a NonMemberError
+    is not caught by estimate_image_dimension."""
+    for s in range(-3, 4):
+        for n in range(2, 9):
+            spec = fam.family_spec(fam.FamilyKind(tag, s=s), n)
+            for seed in range(5):
+                _, V = fam.sample_point(spec, seed)
+                assert fam.tangent_basis(spec, V).basis.shape == (n, n, n)
+
+
+def test_orthogonal_span_frame_spans_the_expm_derivative():
+    """Q E over the skew basis E spans the same tangent space at Q = expm(S)
+    as the derivative of expm: the joint rank is n(n-1)/2."""
+    for n in (3, 5, 8):
+        spec = fam.family_spec(fam.FamilyKind("orthogonal"), n)
+        params, Q = fam.sample_point(spec, n)
+        span = fam.tangent_basis(spec, Q)
+        deriv = fam.tangent_basis(spec, params)
+        np.testing.assert_array_equal(span.base_point, Q)
+        d = n * (n - 1) // 2
+        joint = np.concatenate([span.basis, deriv.basis]).reshape(2 * d, n * n)
+        assert dom.numerical_rank(span.basis.reshape(d, -1)) == d
+        assert dom.numerical_rank(joint) == d
+
+
+def test_numerical_rank_is_the_same_in_either_orientation():
+    rng = np.random.default_rng(8)
+    for rows, cols, rank in [(5, 9, 3), (9, 5, 3), (40, 70, 25), (70, 40, 39)]:
+        M = (fam.complex_gaussian(rng, rows * rank).reshape(rows, rank)
+             @ fam.complex_gaussian(rng, rank * cols).reshape(rank, cols))
+        assert dom.numerical_rank(M) == dom.numerical_rank(M.T) == rank
+    I = np.eye(4, dtype=complex)
+    lo = fam.family_spec(fam.FamilyKind("triangular-lower"), 4)
+    up = fam.family_spec(fam.FamilyKind("triangular-upper"), 4)
+    assert dom.two_factor_tangent_test(lo, up, (I, I))  # 20 frame matrices, wide
+    assert not dom.two_factor_tangent_test(up, up, (I, I))
+
+
 def test_numerical_rank_thresholds():
     M = np.diag([1.0, 1e-2, 1e-9, 0.0])
     assert dom.numerical_rank(M, rel_tol=1e-8) == 2
