@@ -134,6 +134,14 @@ for family in ["toeplitz:3", "skew:2", "subspace", "k-diagonal", "k-diagonal:9",
     COMMANDS.append(["bounds", "--family", family, "--n", "5"])
 COMMANDS.append(["verify", "--family", "skew", "--n", "4", "--r", "2", "--target", "bogus"])
 
+# type-0 Vandermonde families at n = 1, whose only member is [[1]]
+for family in ["vandermonde", "vandermonde-t:0"]:
+    COMMANDS += [
+        ["bounds", "--family", family, "--n", "1"],
+        ["sample", "--family", family, "--n", "1", "--seed", "41"],
+        ["verify", "--family", family, "--n", "1", "--r", "2", "--seed", "41"],
+    ]
+
 
 def fit_summary(stdout):
     """The fit certificate of a `decompose` stdout, or '' when there is none."""
