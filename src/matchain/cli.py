@@ -35,7 +35,8 @@ from .dominance import (
     surjectivity_bound,
 )
 from .errors import MatChainError, MatrixParseError, ParameterRangeError
-from .io import SCHEMA_VERSION, matrix_to_dict, read_json, read_matrix, report_to_dict, chain_to_dict
+from .io import (SCHEMA_VERSION, chain_to_dict, complex_pairs, matrix_to_dict, read_json,
+                 read_matrix, report_to_dict)
 from .solver import FitOptions, fit_chain
 
 EXIT_OK = 0
@@ -157,19 +158,14 @@ def _cmd_decompose(args) -> int:
 def _cmd_companion(args) -> int:
     A = read_matrix(args.infile)
     result = decompose_companion(A, pivot_tol=args.tol)
-    doc = {
+    coefficients = result.coefficients
+    _emit({
         "schema_version": SCHEMA_VERSION,
         "n": int(A.shape[0]),
         "status": result.status,
         "failed_column": result.failed_column,
-        "coefficients": None,
-    }
-    if result.coefficients is not None:
-        doc["coefficients"] = [
-            [[float(z.real), float(z.imag)] for z in col]
-            for col in result.coefficients.columns
-        ]
-    _emit(doc)
+        "coefficients": None if coefficients is None else complex_pairs(coefficients.columns),
+    })
     return EXIT_OK if result.status == STATUS_UNIQUE else EXIT_NOT_UNIQUE
 
 

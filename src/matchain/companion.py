@@ -47,9 +47,6 @@ class CompanionCoefficients:
     n: int
     columns: list  # list of n complex vectors, each of length n
 
-    def matrices(self) -> list:
-        return [companion_matrix(c) for c in self.columns]
-
 
 @dataclass
 class CompanionResult:

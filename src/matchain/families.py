@@ -9,7 +9,7 @@ provides, uniformly over a FamilySpec:
     family_dimension   dimension of the parameter space
     parameterize       params -> matrix
     tangent_basis      frame spanning the tangent space at a point
-    sample_point       a reproducible random smooth point
+    sample_point       a reproducible random point (one Gaussian draw)
     is_member          tolerance-based membership test
 
 Each family is one entry of the table _FAMILIES.  All linear families
@@ -298,8 +298,6 @@ def _vand_tangent(n: int, s: int, nodes) -> np.ndarray:
 def _nodes_from_matrix(n: int, s: int, V: np.ndarray) -> np.ndarray:
     """Read nodes off an oriented Vandermonde matrix (rows are powers)."""
     if n == 1:
-        if s == 0:
-            return np.array([1.0 + 0j])
         v = V[0, 0]
         if s < 0 and v == 0:
             raise NonMemberError("zero entry cannot be a negative power")
@@ -313,31 +311,20 @@ def _nodes_from_matrix(n: int, s: int, V: np.ndarray) -> np.ndarray:
 
 def _vand_frame(orient, spec: FamilySpec, point, is_params: bool):
     n, s = spec.n, spec.kind.s
-    if is_params:
-        nodes = _check_params(spec, point)
-        base = parameterize(spec, nodes)
-    else:
-        base = point
-        nodes = _nodes_from_matrix(n, s, orient(base))
-    return base, _frozen(orient(_vand_tangent(n, s, nodes)))
+    nodes = point if is_params else _nodes_from_matrix(n, s, orient(point))
+    return orient(_vand_tangent(n, s, nodes))
 
 
 def _vand_member(orient, spec: FamilySpec, M, tol: float) -> bool:
     n, s = spec.n, spec.kind.s
     V = orient(M)
-    scale = tol * (1.0 + float(np.linalg.norm(M)))
-    if n == 1:
-        v = V[0, 0]
-        if s == 0:
-            return abs(v - 1.0) <= scale
-        if s < 0:
-            return abs(v) > 0.0
-        return True
+    if n == 1:  # type 0 has no parameters at n = 1; a negative power is never 0
+        return s > 0 or abs(V[0, 0]) > 0.0
     try:
         rebuilt = vand(n, s, _nodes_from_matrix(n, s, V))
     except DegeneratePointError:
         return False
-    return float(np.max(np.abs(V - rebuilt))) <= scale
+    return float(np.max(np.abs(V - rebuilt))) <= tol * (1.0 + float(np.linalg.norm(M)))
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -360,16 +347,16 @@ def _orthogonal_matrix(spec: FamilySpec, params) -> np.ndarray:
 def _orthogonal_frame(spec: FamilySpec, point, is_params: bool):
     skew = _cached_basis(SKEW_SYMMETRIC, spec.n, None)
     if not is_params:
-        return point, _frozen(point @ skew)
+        return point @ skew
     n = spec.n
-    S = _combine(_check_params(spec, point), skew)
+    S = _combine(point, skew)
     # the Frechet derivative of expm at S in direction E is the upper right
     # block of expm([[S, E], [0, S]]); one batched expm takes every direction
     blk = np.zeros((len(skew), 2 * n, 2 * n), dtype=complex)
     blk[:, :n, :n] = S
     blk[:, n:, n:] = S
     blk[:, :n, n:] = skew
-    return _expm(S), _frozen(np.ascontiguousarray(_expm(blk)[:, :n, n:]))
+    return np.ascontiguousarray(_expm(blk)[:, :n, n:])
 
 
 def _orthogonal_member(spec: FamilySpec, M, tol: float) -> bool:
@@ -379,10 +366,9 @@ def _orthogonal_member(spec: FamilySpec, M, tol: float) -> bool:
 
 def _companion_frame(spec: FamilySpec, point, is_params: bool):
     n = spec.n
-    base = companion_matrix(_check_params(spec, point)) if is_params else point
     frame = np.zeros((n, n, n), dtype=complex)
     frame[:, :, n - 1] = np.eye(n)
-    return base, _frozen(frame)
+    return frame
 
 
 def _companion_member(spec: FamilySpec, M, tol: float) -> bool:
@@ -393,17 +379,12 @@ def _companion_member(spec: FamilySpec, M, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 # core operations
 
-def _check_params(spec: FamilySpec, params) -> np.ndarray:
+def parameterize(spec: FamilySpec, params) -> np.ndarray:
+    """Map a parameter vector to a matrix of the family."""
     params = np.asarray(params, dtype=complex).reshape(-1)
     if params.size != spec.param_dim:
         raise ParameterRangeError(
             f"expected {spec.param_dim} parameters for {spec.kind.label()} (n={spec.n}), got {params.size}")
-    return params
-
-
-def parameterize(spec: FamilySpec, params) -> np.ndarray:
-    """Map a parameter vector to a matrix of the family."""
-    params = _check_params(spec, params)
     own = _FAMILIES[spec.kind.tag].parameterize
     if own is not None:
         return own(spec, params)
@@ -414,7 +395,8 @@ def tangent_basis(spec: FamilySpec, point) -> TangentFrame:
     """Tangent frame of the family at a point.
 
     point may be a parameter vector (1-d, length param_dim) or a member
-    matrix (n x n).  For linear families the frame is the fixed basis.  For
+    matrix (n x n); the base point is parameterize of the vector, or the
+    matrix itself.  For linear families the frame is the fixed basis.  For
     the nonlinear families, at a parameter vector it is the derivative of
     the parameterization, so finite differences of parameterize converge to
     these matrices; at a member matrix it spans the same tangent space.
@@ -422,16 +404,17 @@ def tangent_basis(spec: FamilySpec, point) -> TangentFrame:
     point = np.asarray(point, dtype=complex)
     n = spec.n
     is_params = point.ndim == 1
-    if not is_params:
-        if point.shape != (n, n):
-            raise ParameterRangeError(f"point must be a parameter vector or an {n} x {n} matrix")
-        if not is_member(spec, point, 1e-8):
-            raise NonMemberError(f"matrix is not in {spec.kind.label()}")
+    if is_params:
+        base = parameterize(spec, point)
+    elif point.shape != (n, n):
+        raise ParameterRangeError(f"point must be a parameter vector or an {n} x {n} matrix")
+    elif not is_member(spec, point, 1e-8):
+        raise NonMemberError(f"matrix is not in {spec.kind.label()}")
+    else:
+        base = point
     own = _FAMILIES[spec.kind.tag].tangent
-    if own is not None:
-        return TangentFrame(*own(spec, point, is_params))
-    base = parameterize(spec, point) if is_params else point
-    return TangentFrame(base_point=base, basis=_basis(spec))
+    frame = _basis(spec) if own is None else _frozen(own(spec, point, is_params))
+    return TangentFrame(base_point=base, basis=frame)
 
 
 def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -441,21 +424,11 @@ def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def sample_point(spec: FamilySpec, rng_seed=0):
-    """Draw (params, matrix) with i.i.d. standard complex Gaussian
-    parameters.  Deterministic in the seed; degenerate Vandermonde draws
-    (coinciding nodes) are resampled."""
-    rng = np.random.default_rng(rng_seed)
-    smooth = _FAMILIES[spec.kind.tag].smooth
-    for _ in range(100):
-        params = complex_gaussian(rng, spec.param_dim)
-        try:
-            matrix = parameterize(spec, params)
-            if smooth is not None:
-                smooth(spec, params)
-        except DegeneratePointError:
-            continue
-        return params, matrix
-    raise DegeneratePointError(f"could not draw a smooth point of {spec.kind.label()}")
+    """Draw (params, matrix): one vector of i.i.d. standard complex Gaussian
+    parameters from default_rng(rng_seed), and its parameterization.  Such a
+    point is generic with probability one, so nothing is redrawn."""
+    params = complex_gaussian(np.random.default_rng(rng_seed), spec.param_dim)
+    return params, parameterize(spec, params)
 
 
 def is_member(spec: FamilySpec, M, tol: float) -> bool:
@@ -488,20 +461,13 @@ def is_member(spec: FamilySpec, M, tol: float) -> bool:
 def random_subspace(n: int, k: int, rng_seed=0) -> FamilyKind:
     """A uniformly random k-dimensional linear family of n x n matrices.
 
-    The basis is orthonormal for the Frobenius inner product (QR applied to
-    k vectorized complex Gaussian matrices; rank-deficient draws are
-    rejected, which almost surely never triggers).
+    The basis is the Householder Q of k vectorized complex Gaussian
+    matrices, orthonormal for the Frobenius inner product whatever the draw.
     """
     if not 1 <= k <= n * n:
         raise ParameterRangeError(f"subspace dimension k={k} out of range 1..{n * n}")
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(100):
-        X = complex_gaussian(rng, n * n * k).reshape(n * n, k)
-        Q, R = np.linalg.qr(X)
-        if np.min(np.abs(np.diag(R))) <= 1e-10:
-            continue
-        return FamilyKind(SUBSPACE, k=k, basis=Q.T.reshape(k, n, n))
-    raise DegeneratePointError("could not draw an independent subspace basis")
+    X = complex_gaussian(np.random.default_rng(rng_seed), n * n * k).reshape(n * n, k)
+    return FamilyKind(SUBSPACE, k=k, basis=np.linalg.qr(X)[0].T.reshape(k, n, n))
 
 
 def contains_identity(spec: FamilySpec) -> bool:
@@ -592,8 +558,9 @@ class _Family(NamedTuple):
     """Everything specific to one family tag.  A structured linear family
     gives grid: (i, j, n, k) -> the array of _grid, for i, j = np.indices((n, n)).
     A nonlinear family gives dimension, parameterize, tangent ((spec, point,
-    is_params) -> (base point, frame)), member, and smooth to reject degenerate
-    draws.  target (a dominance target tag) and generic_r are functions of n."""
+    is_params) -> the (d, n, n) frame at a checked point, see tangent_basis)
+    and member.  target (a dominance target tag) and generic_r are functions
+    of n."""
 
     arg: str | None = None  # "k" or "s": the argument the tag takes
     grid: Callable | None = None
@@ -601,18 +568,17 @@ class _Family(NamedTuple):
     parameterize: Callable | None = None
     tangent: Callable | None = None
     member: Callable | None = None
-    smooth: Callable | None = None
     center: Callable = _identity_center
     target: Callable = lambda n: "full"
     generic_r: Callable = lambda n: None
 
 
 def _vandermonde_family(orient) -> _Family:
+    # at n = 1 type 0 has one member, [[1]], and no parameters
     return _Family(
-        arg="s", dimension=lambda kind, n: n,
+        arg="s", dimension=lambda kind, n: 0 if n == 1 and kind.s == 0 else n,
         parameterize=lambda spec, params: orient(vand(spec.n, spec.kind.s, params)),
         tangent=partial(_vand_frame, orient), member=partial(_vand_member, orient),
-        smooth=lambda spec, params: _vand_tangent(spec.n, spec.kind.s, params),
         center=_vandermonde_center, generic_r=lambda n: 2 * n)
 
 

@@ -161,16 +161,17 @@ def read_matrix(source, format: str | None = None) -> np.ndarray:
     return np.array([row for _, row in rows], dtype=complex)
 
 
-def _complex_pairs(M) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+def complex_pairs(A) -> list:
+    """A complex array of any shape as nested lists of [re, im] floats."""
+    A = np.asarray(A, dtype=complex)
+    return np.stack((A.real, A.imag), -1).tolist()
 
 
 def matrix_to_dict(M) -> dict:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParameterRangeError("only square matrices are serialized")
-    return {"n": int(M.shape[0]), "entries": _complex_pairs(M)}
+    return {"n": int(M.shape[0]), "entries": complex_pairs(M)}
 
 
 def write_matrix(M, target, format: str | None = None):
@@ -205,7 +206,7 @@ def kind_to_dict(kind: fam.FamilyKind) -> dict:
     if kind.s is not None:
         out["s"] = int(kind.s)
     if kind.basis is not None:
-        out["basis"] = [_complex_pairs(B) for B in kind.basis]
+        out["basis"] = complex_pairs(kind.basis)
     return out
 
 
@@ -247,12 +248,12 @@ def chain_to_dict(chain: FactorChain) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "problem": _problem_to_dict(chain.problem),
-        "params": [[[float(z.real), float(z.imag)] for z in u] for u in chain.params],
-        "factors": [_complex_pairs(A) for A in chain.factors],
+        "params": [complex_pairs(u) for u in chain.params],
+        "factors": complex_pairs(chain.factors),
         "residual": float(chain.residual),
         "iterations": int(chain.iterations),
         "converged": bool(chain.converged),
-        "target": _complex_pairs(chain.target),
+        "target": complex_pairs(chain.target),
     }
 
 

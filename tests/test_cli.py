@@ -300,9 +300,12 @@ def test_sample_is_seeded_and_member():
     ["sample", "--family", "orthogonal", "--n", "1"],
     ["verify", "--family", "skew", "--n", "1", "--r", "2"],
     ["verify", "--family", "orthogonal", "--n", "1", "--r", "2"],
-], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+] + [[command, "--family", family, "--n", "1"] + (["--r", "2"] if command == "verify" else [])
+     for family in ("vandermonde", "vandermonde-t:0") for command in ("bounds", "sample", "verify")],
+    ids=lambda argv: f"{argv[0]}-{argv[2]}")
 def test_family_without_parameters_is_a_usage_error(argv):
-    # skew-symmetric and orthogonal 1 x 1 families have dimension 0
+    # skew-symmetric, orthogonal and type-0 Vandermonde 1 x 1 families have
+    # dimension 0
     res = run_cli(*argv)
     assert res.returncode == 1
     assert "error:" in res.stderr

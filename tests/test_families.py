@@ -368,6 +368,20 @@ def test_subspace_membership_and_coordinates():
     np.testing.assert_allclose(fam.coordinates_of(spec, M), p, atol=1e-12)
 
 
+@pytest.mark.parametrize("tag", sorted(fam.ALL_TAGS))
+def test_sample_point_is_one_gaussian_draw(tag):
+    """sample_point draws param_dim complex Gaussians from default_rng(seed)
+    once, and returns their parameterization: nothing is redrawn."""
+    arg = {"k-diagonal": 2, "k-diagonal-upper": 2, "k-diagonal-lower": 2, "subspace": 5,
+           "vandermonde": -1, "vandermonde-t": 2}.get(tag)
+    spec = fam.family_spec(fam.kind_from_argument(tag, arg, 4), 4)
+    for seed in range(3):
+        params, M = fam.sample_point(spec, rng_seed=seed)
+        expect = fam.complex_gaussian(np.random.default_rng(seed), spec.param_dim)
+        assert params.tobytes() == expect.tobytes()
+        assert M.tobytes() == fam.parameterize(spec, expect).tobytes()
+
+
 def test_sample_point_is_deterministic_member():
     spec = _spec("centrosymmetric", 4)
     p1, M1 = fam.sample_point(spec, rng_seed=9)
@@ -553,12 +567,21 @@ def test_vandermonde_frame_matches_the_per_entry_derivatives(tag, n, s):
 @pytest.mark.parametrize("n, s, nodes", [
     pytest.param(3, 1, [1.0, 2.0, 1.0], id="repeated-nodes"),
     pytest.param(3, -1, [0.0, 1.0, 2.0], id="zero-node-negative-type"),
-    pytest.param(1, 0, [2.0], id="n1-type0"),
 ])
 def test_vandermonde_degenerate_points(n, s, nodes):
     for tag in ("vandermonde", "vandermonde-t"):
         with pytest.raises(DegeneratePointError):
             fam.tangent_basis(_spec(tag, n, s=s), np.array(nodes, dtype=complex))
+
+
+def test_vandermonde_type_zero_has_no_parameters_at_n1():
+    """The only 1 x 1 matrix of type 0 is [[x^0]] = [[1]]: dimension 0, so
+    no spec exists, as for skew-symmetric and orthogonal at n = 1."""
+    for tag in ("vandermonde", "vandermonde-t"):
+        kind = fam.FamilyKind(tag, s=0)
+        assert fam.family_dimension(kind, 1) == 0
+        with pytest.raises(ParameterRangeError, match="has no parameters at n=1"):
+            fam.family_spec(kind, 1)
 
 
 def test_vandermonde_membership_edge_cases():
@@ -577,8 +600,6 @@ def test_vandermonde_membership_edge_cases():
             assert fam.is_member(_spec(tag, 1, s=2), np.array([[v]]), 1e-12)
         assert fam.is_member(_spec(tag, 1, s=-1), np.array([[3.0 - 2.0j]]), 1e-12)
         assert not fam.is_member(_spec(tag, 1, s=-1), np.array([[0.0]]), 1e-12)
-        assert fam.is_member(_spec(tag, 1, s=0), np.array([[1.0]]), 1e-12)
-        assert not fam.is_member(_spec(tag, 1, s=0), np.array([[1.5]]), 1e-12)
 
 
 @pytest.mark.parametrize("tag, s", [("vandermonde", -2), ("vandermonde-t", 0)])
@@ -595,8 +616,6 @@ def test_vandermonde_frame_at_a_matrix_point_matches_the_frame_at_its_nodes(tag,
 
 def test_nodes_from_a_one_by_one_vandermonde_matrix():
     v = np.array([[3.0 - 2.0j]])
-    # type 0: the only entry is x^0 = 1, and the node is taken to be 1
-    np.testing.assert_array_equal(fam._nodes_from_matrix(1, 0, v), [1.0])
     for s in (2, -1):  # the node is a root of the entry: x^s = v
         x = fam._nodes_from_matrix(1, s, v)
         np.testing.assert_allclose(x ** s, v[0], rtol=1e-14)
