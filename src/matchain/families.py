@@ -296,14 +296,18 @@ def _vand_tangent(n: int, s: int, nodes) -> np.ndarray:
 
 
 def _nodes_from_matrix(n: int, s: int, V: np.ndarray) -> np.ndarray:
-    """Read nodes off an oriented Vandermonde matrix (rows are powers)."""
+    """Read nodes off an oriented Vandermonde matrix (rows are powers).
+
+    A node is x = V[1] / V[0]; only an exact zero top entry x^s reads as
+    the node 0.  A small cutoff would also zero tiny nonzero nodes of a
+    high type s, where |x|^s is far below 1e-14, and their frame would
+    then vanish."""
     if n == 1:
         v = V[0, 0]
         if s < 0 and v == 0:
             raise NonMemberError("zero entry cannot be a negative power")
         return np.array([v ** (1.0 / s)]) if v != 0 else np.array([0.0 + 0j])
-    zero = np.abs(V[0]) <= 1e-14 * (1.0 + np.max(np.abs(V), axis=0))
-    return np.divide(V[1], V[0], out=np.zeros(n, dtype=complex), where=~zero)
+    return np.divide(V[1], V[0], out=np.zeros(n, dtype=complex), where=V[0] != 0)
 
 
 # orient maps a Vandermonde matrix (rows are powers), or a stack of them, to

@@ -129,6 +129,22 @@ def test_sampled_vandermonde_matrices_are_members(tag):
                 assert fam.tangent_basis(spec, V).basis.shape == (n, n, n)
 
 
+@pytest.mark.parametrize("tag", ["vandermonde", "vandermonde-t"])
+@pytest.mark.parametrize("s", [8, 12, 20])
+def test_high_type_vandermonde_verdicts_at_sampled_matrices(tag, s):
+    """At a high type s a Gaussian node x can have |x|^s far below 1e-14; it
+    is still a nonzero node, so the frame at the sampled matrix is the frame
+    at the sampled nodes, and a verdict needs no redraw."""
+    spec = fam.family_spec(fam.FamilyKind(tag, s=s), 8)
+    for seed in range(40):
+        x, V = fam.sample_point(spec, seed)
+        np.testing.assert_allclose(fam.tangent_basis(spec, V).basis,
+                                   fam.tangent_basis(spec, x).basis, rtol=1e-10, atol=0)
+    prob = dom.problem([spec.kind] * 16, 8)
+    for seed in range(0, 20, 5):
+        assert len(dom.estimate_image_dimension(prob, trials=5, seed=seed).ranks) == 5
+
+
 def test_orthogonal_span_frame_spans_the_expm_derivative():
     """Q E over the skew basis E spans the same tangent space at Q = expm(S)
     as the derivative of expm: the joint rank is n(n-1)/2."""
