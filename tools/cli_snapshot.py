@@ -110,6 +110,11 @@ COMMANDS = [
     ["verify", "--family", "vandermonde:-2", "--n", "4", "--r", "2", "--seed", "18"],
     ["sample", "--family", "vandermonde-t:0", "--n", "4", "--seed", "19"],
     ["verify", "--family", "vandermonde-t:0", "--n", "4", "--r", "2", "--seed", "19"],
+    # a det target, whose verdict keeps all n^2 rows, and an even-n centro
+    # target, whose verdict keeps the first ceil(n^2/2)
+    ["verify", "--family", "skew", "--n", "5", "--r", "3", "--target", "det", "--seed", "42"],
+    ["verify", "--family", "hankel-persym", "--n", "6", "--r", "4", "--target", "centro",
+     "--seed", "43"],
 ]
 
 # every family, with the argument it takes
