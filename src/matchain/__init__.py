@@ -12,7 +12,6 @@ plus cli expose files and a command line.
 """
 
 from .companion import (
-    CompanionCoefficients,
     CompanionResult,
     STATUS_NO_SOLUTION,
     STATUS_NON_UNIQUE,
@@ -53,7 +52,6 @@ from .errors import (
 from .families import (
     FamilyKind,
     FamilySpec,
-    TangentFrame,
     contains_identity,
     coordinates_of,
     exchange_matrix,

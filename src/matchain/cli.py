@@ -158,13 +158,12 @@ def _cmd_decompose(args) -> int:
 def _cmd_companion(args) -> int:
     A = read_matrix(args.infile)
     result = decompose_companion(A, pivot_tol=args.tol)
-    coefficients = result.coefficients
     _emit({
         "schema_version": SCHEMA_VERSION,
         "n": int(A.shape[0]),
         "status": result.status,
         "failed_column": result.failed_column,
-        "coefficients": None if coefficients is None else complex_pairs(coefficients.columns),
+        "coefficients": None if result.coefficients is None else complex_pairs(result.coefficients),
     })
     return EXIT_OK if result.status == STATUS_UNIQUE else EXIT_NOT_UNIQUE
 

@@ -41,24 +41,17 @@ def companion_matrix(c) -> np.ndarray:
 
 
 @dataclass
-class CompanionCoefficients:
-    """Last columns c_1 .. c_n of the companion factors C_1 .. C_n."""
-
-    n: int
-    columns: list  # list of n complex vectors, each of length n
-
-
-@dataclass
 class CompanionResult:
     """Outcome of decompose_companion.
 
-    status is one of "unique", "no-solution", "non-unique".  coefficients is
-    set only for "unique"; failed_column records the 1-based column q at
-    which a singular subsystem stopped the solve.
+    status is one of "unique", "no-solution", "non-unique".  coefficients,
+    set only for "unique", lists the last columns c_1 .. c_n of the factors
+    C_1 .. C_n; failed_column records the 1-based column q at which a
+    singular subsystem stopped the solve.
     """
 
     status: str
-    coefficients: CompanionCoefficients | None = None
+    coefficients: list | None = None
     failed_column: int | None = None
 
 
@@ -110,15 +103,12 @@ def decompose_companion(A, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CompanionRes
         c[: n - q0] = A[q0:, q0] - A[q0:, :m][:, ::-1] @ h
         columns.append(c)
 
-    return CompanionResult(
-        status=STATUS_UNIQUE,
-        coefficients=CompanionCoefficients(n=n, columns=columns),
-    )
+    return CompanionResult(status=STATUS_UNIQUE, coefficients=columns)
 
 
-def reconstruct_prefix(coeffs: CompanionCoefficients, k: int) -> np.ndarray:
-    """Partial product C_1 * ... * C_k, built by recurrence instead of
-    multiplication.
+def reconstruct_prefix(columns, k: int) -> np.ndarray:
+    """Partial product C_1 * ... * C_k of the companion factors with last
+    columns c_1 .. c_n, built by recurrence instead of multiplication.
 
     Columns q < n-k+1 carry the shift pattern (entry 1 where p - q = k),
     and columns q >= n-k+1 satisfy
@@ -130,7 +120,7 @@ def reconstruct_prefix(coeffs: CompanionCoefficients, k: int) -> np.ndarray:
     exactly the equation system the decomposition solves, so the recurrence
     doubles as an independent check on the factorization.
     """
-    n = coeffs.n
+    n = len(columns)
     if not 1 <= k <= n:
         raise ParameterRangeError(f"prefix length k={k} out of range 1..{n}")
     X = np.zeros((n, n), dtype=complex)
@@ -138,7 +128,7 @@ def reconstruct_prefix(coeffs: CompanionCoefficients, k: int) -> np.ndarray:
     for q0 in range(n - k):
         X[q0 + k, q0] = 1.0
     for q0 in range(n - k, n):
-        ci = np.asarray(coeffs.columns[q0 + k - n], dtype=complex)
+        ci = np.asarray(columns[q0 + k - n], dtype=complex)
         jmax = q0 + k - n  # q + k - n - 1 in 1-based terms
         col = np.zeros(n, dtype=complex)
         if jmax > 0:

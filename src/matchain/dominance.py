@@ -162,16 +162,13 @@ def differential_apply(base, tangents) -> np.ndarray:
     return out
 
 
-def jacobian(prob: DecompositionProblem, base_params) -> np.ndarray:
-    """Jacobian of the product map against the stacked tangent frames.
+def jacobian(factors, frames) -> np.ndarray:
+    """Jacobian of the product map at the base matrices A_1 .. A_r against
+    one (d_i, n, n) tangent frame per slot (see tangent_basis).
 
-    Each entry of base_params is a parameter vector or a member matrix of
-    its factor's family (see tangent_basis).  Rank verdicts pass matrices,
-    whose frames only span the tangent space; fits pass parameters, whose
-    frames are the parameterization's derivative that a Gauss-Newton step
-    needs.  Column j is the vectorized image under the differential of the
-    j-th frame direction (frames stacked family by family); rows are the
-    target coordinates.
+    Column j is the vectorized image under the differential of the j-th
+    frame direction (frames stacked slot by slot); row k is the k-th
+    row-major entry of the product, all n^2 of them.
 
     The d columns of slot i, with prefix P and suffix S, are the rows
     vec(P X_j S) = (P kron S^T) vec(X_j) of one (d, n^2) block, built in two
@@ -179,19 +176,16 @@ def jacobian(prob: DecompositionProblem, base_params) -> np.ndarray:
     matrix at once (one product broadcast over the (d, n, n) frame), then
     the (d n) x n stack of the P X_j times S.
     """
-    if len(base_params) != prob.r:
-        raise ParameterRangeError("need one parameter vector or matrix per factor")
-    frames = [fam.tangent_basis(spec, p) for spec, p in zip(prob.factors, base_params)]
-    prefix, suffix = _prefixes_suffixes([f.base_point for f in frames])
-    n = prob.n
-    out = np.empty((prob.param_dim, n * n), dtype=complex)
+    if len(factors) == 0 or len(factors) != len(frames):
+        raise ParameterRangeError("need a nonempty chain and one tangent frame per factor")
+    prefix, suffix = _prefixes_suffixes(factors)
+    n = len(factors[0])
+    out = np.empty((sum(len(frame) for frame in frames), n * n), dtype=complex)
     row = 0
     for frame, P, S in zip(frames, prefix, suffix):
-        d = len(frame.basis)
-        np.matmul((P @ frame.basis).reshape(d * n, n), S, out=out[row:row + d].reshape(d * n, n))
+        d = len(frame)
+        np.matmul((P @ frame).reshape(d * n, n), S, out=out[row:row + d].reshape(d * n, n))
         row += d
-    if prob.target.tag == TARGET_CENTRO:
-        out = out[:, : prob.target.dim]
     return out.T
 
 
@@ -222,7 +216,8 @@ def estimate_image_dimension(
     merged in trial order).  The Jacobian is taken at those matrices: a rank
     needs only the span of each tangent frame, which a matrix point gives
     without the parameterization's derivative (for the orthogonal group,
-    Q E over the skew basis E instead of a derivative of expm).  The
+    Q E over the skew basis E instead of a derivative of expm).  Its rows
+    are the target's coordinates (the first ceil(n^2/2) for centro).  The
     dimension estimate is the maximum rank seen, and the chain is reported
     dominant when it reaches the target dimension.
     """
@@ -231,8 +226,11 @@ def estimate_image_dimension(
     ranks = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
-        points = [fam.sample_point(spec, rng)[1] for spec in prob.factors]
-        ranks.append(numerical_rank(jacobian(prob, points), rel_tol))
+        factors = [fam.sample_point(spec, rng)[1] for spec in prob.factors]
+        J = jacobian(factors, [fam.tangent_basis(spec, A) for spec, A in zip(prob.factors, factors)])
+        if prob.target.tag == TARGET_CENTRO:
+            J = J[:prob.target.dim]
+        ranks.append(numerical_rank(J, rel_tol))
     d_estimate = max(ranks)
     return DominanceReport(
         problem=prob.summary(),
@@ -269,7 +267,7 @@ def two_factor_tangent_test(
     n = spec1.n
     if any(np.shape(pt) != (n, n) for pt in base):
         raise ParameterRangeError("base points must be n x n matrices")
-    B = np.concatenate([fam.tangent_basis(spec, pt).basis.reshape(-1, n * n)
+    B = np.concatenate([fam.tangent_basis(spec, pt).reshape(-1, n * n)
                         for spec, pt in zip((spec1, spec2), base)])
     return numerical_rank(B.T, rel_tol) == n * n
 

@@ -153,15 +153,6 @@ def family_spec(kind, n: int) -> FamilySpec:
     return FamilySpec(kind=kind, n=int(n), param_dim=d)
 
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """A base point and matrices spanning the tangent space there, stacked
-    as one read-only (d, n, n) array."""
-
-    base_point: np.ndarray
-    basis: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # dimensions and bases
 
@@ -383,24 +374,29 @@ def _companion_member(spec: FamilySpec, M, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 # core operations
 
-def parameterize(spec: FamilySpec, params) -> np.ndarray:
-    """Map a parameter vector to a matrix of the family."""
+def _parameter_vector(spec: FamilySpec, params) -> np.ndarray:
+    """params as a complex vector of the family's parameter count."""
     params = np.asarray(params, dtype=complex).reshape(-1)
     if params.size != spec.param_dim:
         raise ParameterRangeError(
             f"expected {spec.param_dim} parameters for {spec.kind.label()} (n={spec.n}), got {params.size}")
+    return params
+
+
+def parameterize(spec: FamilySpec, params) -> np.ndarray:
+    """Map a parameter vector to a matrix of the family."""
+    params = _parameter_vector(spec, params)
     own = _FAMILIES[spec.kind.tag].parameterize
     if own is not None:
         return own(spec, params)
     return _combine(params, _basis(spec))
 
 
-def tangent_basis(spec: FamilySpec, point) -> TangentFrame:
-    """Tangent frame of the family at a point.
+def tangent_basis(spec: FamilySpec, point) -> np.ndarray:
+    """Read-only (d, n, n) tangent frame of the family at a point.
 
     point may be a parameter vector (1-d, length param_dim) or a member
-    matrix (n x n); the base point is parameterize of the vector, or the
-    matrix itself.  For linear families the frame is the fixed basis.  For
+    matrix (n x n).  For linear families the frame is the fixed basis.  For
     the nonlinear families, at a parameter vector it is the derivative of
     the parameterization, so finite differences of parameterize converge to
     these matrices; at a member matrix it spans the same tangent space.
@@ -409,16 +405,13 @@ def tangent_basis(spec: FamilySpec, point) -> TangentFrame:
     n = spec.n
     is_params = point.ndim == 1
     if is_params:
-        base = parameterize(spec, point)
+        point = _parameter_vector(spec, point)
     elif point.shape != (n, n):
         raise ParameterRangeError(f"point must be a parameter vector or an {n} x {n} matrix")
     elif not is_member(spec, point, 1e-8):
         raise NonMemberError(f"matrix is not in {spec.kind.label()}")
-    else:
-        base = point
     own = _FAMILIES[spec.kind.tag].tangent
-    frame = _basis(spec) if own is None else _frozen(own(spec, point, is_params))
-    return TangentFrame(base_point=base, basis=frame)
+    return _basis(spec) if own is None else _frozen(own(spec, point, is_params))
 
 
 def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -562,9 +555,9 @@ class _Family(NamedTuple):
     """Everything specific to one family tag.  A structured linear family
     gives grid: (i, j, n, k) -> the array of _grid, for i, j = np.indices((n, n)).
     A nonlinear family gives dimension, parameterize, tangent ((spec, point,
-    is_params) -> the (d, n, n) frame at a checked point, see tangent_basis)
-    and member.  target (a dominance target tag) and generic_r are functions
-    of n."""
+    is_params) -> the (d, n, n) frame alone, at a point tangent_basis has
+    checked) and member.  target (a dominance target tag) and generic_r are
+    functions of n."""
 
     arg: str | None = None  # "k" or "s": the argument the tag takes
     grid: Callable | None = None

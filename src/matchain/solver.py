@@ -28,8 +28,6 @@ from .companion import STATUS_UNIQUE, decompose_companion
 from .dominance import (
     DecompositionProblem,
     TARGET_CENTRO,
-    TARGET_FULL,
-    TargetSpace,
     chain_product,
     jacobian,
     lower_bound_linear,
@@ -197,8 +195,6 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
         raise InfeasibleProblemError(
             f"{prob.param_dim} parameters cannot cover a {prob.target.dim}-dimensional target")
     start = exact if init_params is None else init_params
-    full_prob = DecompositionProblem(
-        n=prob.n, factors=prob.factors, target=TargetSpace(TARGET_FULL, prob.n))
     tscale = max(1.0, float(np.linalg.norm(T)))
     tvec = T.reshape(-1)
     best = None
@@ -222,7 +218,8 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
                 break
             iterations += 1
             try:
-                J = jacobian(full_prob, _split(prob, theta))
+                J = jacobian(factors, [fam.tangent_basis(spec, u)
+                                       for spec, u in zip(prob.factors, _split(prob, theta))])
             except DegeneratePointError:
                 break
             improved = False
@@ -343,7 +340,7 @@ def _exact_start(prob: DecompositionProblem, T: np.ndarray):
         return [L[np.tril_indices(n)], U[np.triu_indices(n)]]
     if tags == [fam.COMPANION] * n:
         result = decompose_companion(T)
-        return result.coefficients.columns if result.status == STATUS_UNIQUE else None
+        return result.coefficients if result.status == STATUS_UNIQUE else None
     a = tags.count(fam.BIDIAGONAL_LOWER)
     b = len(tags) - a
     if (tags != [fam.BIDIAGONAL_LOWER] * a + [fam.BIDIAGONAL_UPPER] * b

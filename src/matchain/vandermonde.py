@@ -91,8 +91,8 @@ def unit_root_inverse_pair(n: int, s_i: int) -> np.ndarray:
     return w ** (p * (q - 1 + s_i))
 
 
-def mp_block(n: int, types: VandTypeList, p: int) -> np.ndarray:
-    """The p-th Jacobian block M_p at the unit-root base point.
+def mp_block(types: VandTypeList, p: int) -> np.ndarray:
+    """The p-th Jacobian block M_p at the unit-root base point, n = types.n.
 
     Row q, column j holds the coefficient of the j-th factor's p-th node
     variable in the (p, q) output entry:
@@ -102,10 +102,9 @@ def mp_block(n: int, types: VandTypeList, p: int) -> np.ndarray:
 
     These are the geometric sums sum_k (k + s_j - 1) w^{(p-q)k} carried out
     in closed form and multiplied by w^{p(s_j-2) - q(s_j-1)}."""
+    n = types.n
     if not 1 <= p <= n:
         raise ParameterRangeError(f"block index p={p} out of range 1..{n}")
-    if types.n != n:
-        raise ParameterRangeError("type list size does not match n")
     w = unit_root(n)
     q = np.arange(1, n + 1)[:, None]
     s = np.array(types.s)[None, :]
@@ -115,7 +114,7 @@ def mp_block(n: int, types: VandTypeList, p: int) -> np.ndarray:
     return M
 
 
-def det_tilde(n: int, types: VandTypeList, p: int, alphas):
+def det_tilde(types: VandTypeList, p: int, alphas):
     """Determinant of the reduced block, directly and in closed form.
 
     The reduced block replaces row p of the node-power matrix
@@ -123,10 +122,9 @@ def det_tilde(n: int, types: VandTypeList, p: int, alphas):
     equals (V / n) * sum(alpha_j) where V is the Vandermonde determinant of
     the nodes w^{-s_j}, independently of p.  Returns (direct, formula).
     """
+    n = types.n
     if not 1 <= p <= n:
         raise ParameterRangeError(f"row index p={p} out of range 1..{n}")
-    if types.n != n:
-        raise ParameterRangeError("type list size does not match n")
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     if alphas.size != n:
         raise ParameterRangeError(f"need {n} alphas, got {alphas.size}")
@@ -143,7 +141,7 @@ def det_tilde(n: int, types: VandTypeList, p: int, alphas):
 
 def jacobian_blocks(types: VandTypeList):
     """All n blocks M_p, p = 1 .. n."""
-    return [mp_block(types.n, types, p) for p in range(1, types.n + 1)]
+    return [mp_block(types, p) for p in range(1, types.n + 1)]
 
 
 def full_jacobian(types: VandTypeList) -> np.ndarray:

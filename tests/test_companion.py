@@ -35,9 +35,9 @@ def test_unique_decomposition_round_trip():
         res = decompose_companion(A)
         assert res.status == STATUS_UNIQUE
         assert res.failed_column is None
-        assert len(res.coefficients.columns) == n
+        assert len(res.coefficients) == n
         prod = np.eye(n, dtype=complex)
-        for c in res.coefficients.columns:
+        for c in res.coefficients:
             prod = prod @ companion_matrix(c)
         assert np.linalg.norm(prod - A) <= 1e-10 * np.linalg.norm(A)
 
@@ -48,7 +48,7 @@ def test_reconstruct_prefix_builds_partial_products():
     assert res.status == STATUS_UNIQUE
     prod = np.eye(4, dtype=complex)
     for k in range(1, 5):
-        prod = prod @ companion_matrix(res.coefficients.columns[k - 1])
+        prod = prod @ companion_matrix(res.coefficients[k - 1])
         np.testing.assert_allclose(reconstruct_prefix(res.coefficients, k), prod, rtol=1e-12)
 
 
@@ -89,14 +89,14 @@ def test_identity_decomposes_into_cyclic_shifts():
     """I = sigma^n where sigma is the companion matrix of e1."""
     res = decompose_companion(np.eye(3, dtype=complex))
     assert res.status == STATUS_UNIQUE
-    for c in res.coefficients.columns:
+    for c in res.coefficients:
         np.testing.assert_array_equal(c, [1.0, 0.0, 0.0])
 
 
 def test_n1_matrix_is_its_own_companion():
     res = decompose_companion(np.array([[5.0 + 1j]]))
     assert res.status == STATUS_UNIQUE
-    np.testing.assert_array_equal(res.coefficients.columns[0], [5.0 + 1j])
+    np.testing.assert_array_equal(res.coefficients[0], [5.0 + 1j])
 
 
 def test_rejects_non_square():

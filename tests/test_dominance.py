@@ -61,6 +61,11 @@ def test_problem_summary_and_param_dim():
     }
 
 
+def _frames(prob, points):
+    """The tangent frame of each factor family at its point."""
+    return [fam.tangent_basis(spec, pt) for spec, pt in zip(prob.factors, points)]
+
+
 @pytest.mark.parametrize("kinds,n,target", [
     pytest.param(["bidiagonal-lower", "bidiagonal-upper"], 4, "full", id="band-pattern"),
     pytest.param(["skew-symmetric"] * 3, 4, "full", id="skew"),
@@ -75,14 +80,14 @@ def test_jacobian_shape_and_column_content(kinds, n, target):
     prob = dom.problem(kinds, n, target)
     rng = np.random.default_rng(5)
     params = [fam.sample_point(spec, rng)[0] for spec in prob.factors]
-    frames = [fam.tangent_basis(spec, p) for spec, p in zip(prob.factors, params)]
-    base = [f.base_point for f in frames]
-    J = dom.jacobian(prob, params)
+    base = [fam.parameterize(spec, p) for spec, p in zip(prob.factors, params)]
+    frames = _frames(prob, params)
     rows = (n * n + 1) // 2 if target == "centro" else n * n
+    J = dom.jacobian(base, frames)[:rows]
     assert J.shape == (rows, prob.param_dim)
     col = 0
     for i, frame in enumerate(frames):
-        for X in frame.basis:
+        for X in frame:
             tangents = [np.zeros((n, n), dtype=complex)] * prob.r
             tangents[i] = X
             expect = dom.differential_apply(base, tangents).reshape(-1)[:rows]
@@ -90,12 +95,29 @@ def test_jacobian_shape_and_column_content(kinds, n, target):
             col += 1
 
 
-def test_jacobian_centro_target_rows():
-    prob = dom.problem(["toeplitz-sym", "toeplitz-sym"], 4, target="centro")
-    base = [np.array([1, 0.3, 0, 0.1], dtype=complex),
-            np.array([1, 0, 0.2, 0], dtype=complex)]
-    J = dom.jacobian(prob, base)
-    assert J.shape == (8, 8)
+@pytest.mark.parametrize("kinds, n, target, shape", [
+    pytest.param(["toeplitz-sym"] * 2, 4, "centro", (8, 8), id="centro"),
+    pytest.param(["skew-symmetric"] * 3, 5, "det", (25, 30), id="det"),
+    pytest.param(["skew-symmetric"] * 3, 5, "full", (25, 30), id="full"),
+])
+def test_verdict_ranks_the_target_rows(monkeypatch, kinds, n, target, shape):
+    """A verdict ranks the Jacobian's rows in the target's coordinates: the
+    first ceil(n^2/2) for centro, all n^2 for det and full."""
+    shapes, rank = [], dom.numerical_rank
+    monkeypatch.setattr(dom, "numerical_rank",
+                        lambda M, rel_tol: shapes.append(M.shape) or rank(M, rel_tol))
+    dom.estimate_image_dimension(dom.problem(kinds, n, target), trials=2)
+    assert shapes == [shape] * 2
+
+
+def test_jacobian_needs_a_nonempty_chain_and_one_frame_per_factor():
+    spec = fam.family_spec("diagonal", 3)
+    A, B = np.eye(3, dtype=complex), np.diag([1.0, 2.0, 3.0]).astype(complex)
+    frame = fam.tangent_basis(spec, A)
+    with pytest.raises(ParameterRangeError):
+        dom.jacobian([A, B], [frame])
+    with pytest.raises(ParameterRangeError):
+        dom.jacobian([], [])
 
 
 @pytest.mark.parametrize("tag", sorted(fam.ALL_TAGS))
@@ -111,7 +133,8 @@ def test_jacobian_at_sampled_matrices_matches_parameters(tag):
         for seed in range(3):
             rng = np.random.default_rng(seed)
             params, mats = zip(*(fam.sample_point(spec, rng) for spec in prob.factors))
-            J_params, J_mats = dom.jacobian(prob, params), dom.jacobian(prob, mats)
+            J_params = dom.jacobian(mats, _frames(prob, params))
+            J_mats = dom.jacobian(mats, _frames(prob, mats))
             assert dom.numerical_rank(J_mats) == dom.numerical_rank(J_params)
             if prob.factors[0].kind.linear or tag == "companion":
                 assert np.array_equal(J_mats, J_params)
@@ -126,7 +149,7 @@ def test_sampled_vandermonde_matrices_are_members(tag):
             spec = fam.family_spec(fam.FamilyKind(tag, s=s), n)
             for seed in range(5):
                 _, V = fam.sample_point(spec, seed)
-                assert fam.tangent_basis(spec, V).basis.shape == (n, n, n)
+                assert fam.tangent_basis(spec, V).shape == (n, n, n)
 
 
 @pytest.mark.parametrize("tag", ["vandermonde", "vandermonde-t"])
@@ -138,8 +161,8 @@ def test_high_type_vandermonde_verdicts_at_sampled_matrices(tag, s):
     spec = fam.family_spec(fam.FamilyKind(tag, s=s), 8)
     for seed in range(40):
         x, V = fam.sample_point(spec, seed)
-        np.testing.assert_allclose(fam.tangent_basis(spec, V).basis,
-                                   fam.tangent_basis(spec, x).basis, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(fam.tangent_basis(spec, V),
+                                   fam.tangent_basis(spec, x), rtol=1e-10, atol=0)
     prob = dom.problem([spec.kind] * 16, 8)
     for seed in range(0, 20, 5):
         assert len(dom.estimate_image_dimension(prob, trials=5, seed=seed).ranks) == 5
@@ -153,10 +176,9 @@ def test_orthogonal_span_frame_spans_the_expm_derivative():
         params, Q = fam.sample_point(spec, n)
         span = fam.tangent_basis(spec, Q)
         deriv = fam.tangent_basis(spec, params)
-        np.testing.assert_array_equal(span.base_point, Q)
         d = n * (n - 1) // 2
-        joint = np.concatenate([span.basis, deriv.basis]).reshape(2 * d, n * n)
-        assert dom.numerical_rank(span.basis.reshape(d, -1)) == d
+        joint = np.concatenate([span, deriv]).reshape(2 * d, n * n)
+        assert dom.numerical_rank(span.reshape(d, -1)) == d
         assert dom.numerical_rank(joint) == d
 
 

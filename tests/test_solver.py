@@ -179,9 +179,9 @@ def test_damped_step_matches_the_svd_formula(chain, n, rank, lams, rtol):
     prob = dom.problem(chain, n)
     T = _random_target(n, 40 + n)
     params = solver._initial_params(prob, T, np.random.default_rng(n))
-    J = dom.jacobian(prob, params)
-    res = (dom.chain_product([fam.parameterize(spec, u)
-                              for spec, u in zip(prob.factors, params)]) - T).reshape(-1)
+    factors = [fam.parameterize(spec, u) for spec, u in zip(prob.factors, params)]
+    J = dom.jacobian(factors, [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)])
+    res = (dom.chain_product(factors) - T).reshape(-1)
     assert J.shape == (n * n, prob.param_dim)
     assert np.linalg.matrix_rank(J) == rank
     for lam in lams:
@@ -200,9 +200,9 @@ def test_predicted_decrease_matches_the_linear_model(chain, n):
     prob = dom.problem(chain, n)
     T = _random_target(n, 40 + n)
     params = solver._initial_params(prob, T, np.random.default_rng(n))
-    J = dom.jacobian(prob, params)
-    res = (dom.chain_product([fam.parameterize(spec, u)
-                              for spec, u in zip(prob.factors, params)]) - T).reshape(-1)
+    factors = [fam.parameterize(spec, u) for spec, u in zip(prob.factors, params)]
+    J = dom.jacobian(factors, [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)])
+    res = (dom.chain_product(factors) - T).reshape(-1)
     for lam in [1e-6, 1e-3, 1.0]:
         d = solver._damped_step(J, res, lam)
         pred = np.linalg.norm(J @ d) ** 2 + 2 * lam * np.linalg.norm(d) ** 2
@@ -235,6 +235,37 @@ def test_fit_accepts_most_damping_trials(monkeypatch):
             assert chain.converged
             iterations += chain.iterations
     assert trials <= 1.6 * iterations
+
+
+@pytest.mark.parametrize("chain, n", [
+    pytest.param(["skew-symmetric"] * 3, 8, id="skew3-n8"),
+    pytest.param(["orthogonal", "triangular-upper", "triangular-lower"], 3,
+                 id="orthogonal-upper-lower-n3"),
+])
+def test_fit_evaluates_each_factor_once_per_point(monkeypatch, chain, n):
+    """A fit parameterizes each factor once at its start and once per damping
+    trial, and once more per linear factor to balance the start: the
+    Jacobian reuses the factors of the accepted point."""
+    prob = dom.problem(chain, n)
+    T = _random_target(n, 3)
+    assert solver._exact_start(prob, T) is None
+    counts = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+        counts[name] = 0
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(fam, "parameterize")
+    count(solver, "_damped_step")
+    fit_chain(T, prob, FitOptions(restarts=1, seed=0))
+    linear = sum(spec.kind.linear for spec in prob.factors)
+    assert counts["_damped_step"] > 0
+    assert counts["parameterize"] == prob.r * (counts["_damped_step"] + 1) + linear
 
 
 @pytest.mark.parametrize("fit", [
@@ -386,7 +417,7 @@ def test_fit_chain_falls_back_to_random_restarts_on_breakdown():
     pytest.param(lambda T: decompose_bidiagonal(T).params, id="decompose_bidiagonal"),
     pytest.param(lambda T: fam.is_member(fam.family_spec("toeplitz", 4), T, 1e-12),
                  id="is_member"),
-    pytest.param(lambda T: decompose_companion(T).coefficients.columns, id="decompose_companion"),
+    pytest.param(lambda T: decompose_companion(T).coefficients, id="decompose_companion"),
 ])
 def test_transposed_complex_input(call):
     """A transposed complex matrix is not contiguous along its last axis;

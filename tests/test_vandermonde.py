@@ -82,7 +82,7 @@ def test_mp_block_matches_finite_differences():
         # only row p of the product moves
         off_rows = [q for q in range(n) if q != p - 1]
         assert np.max(np.abs(fd[off_rows])) < 1e-6
-        Mp = vm.mp_block(n, types, p)
+        Mp = vm.mp_block(types, p)
         np.testing.assert_allclose(fd[p - 1, :], Mp[:, j], atol=1e-5)
 
 
@@ -95,7 +95,7 @@ def test_mp_block_determinant_formula():
             types = vm.type_list(n, s)
             p = int(rng.integers(1, n + 1))
             alphas = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            direct, formula = vm.det_tilde(n, types, p, alphas)
+            direct, formula = vm.det_tilde(types, p, alphas)
             scale = max(abs(formula), 1e-8)
             assert abs(direct - formula) <= 1e-8 * scale
 
@@ -103,7 +103,7 @@ def test_mp_block_determinant_formula():
 def test_det_tilde_vanishes_when_alphas_sum_to_zero():
     types = vm.type_list(4, (1, 2, 3, 4))
     alphas = np.array([1.0, -1.0, 2.5, -2.5])
-    direct, formula = vm.det_tilde(4, types, 2, alphas)
+    direct, formula = vm.det_tilde(types, 2, alphas)
     assert formula == 0
     assert abs(direct) <= 1e-10
 
