@@ -14,7 +14,6 @@ not observed, 4 fit did not converge, 5 companion solve not unique.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -31,12 +30,11 @@ from .dominance import (
     estimate_image_dimension,
     lower_bound_cone,
     problem,
-    skew_dimension_row,
     surjectivity_bound,
 )
 from .errors import MatChainError, MatrixParseError, ParameterRangeError
-from .io import (SCHEMA_VERSION, chain_to_dict, complex_pairs, matrix_to_dict, read_json,
-                 read_matrix, report_to_dict)
+from .io import (SCHEMA_VERSION, chain_to_dict, complex_pairs, matrix_to_dict, read_matrix,
+                 read_options, report_to_dict)
 from .solver import FitOptions, fit_chain
 
 EXIT_OK = 0
@@ -108,8 +106,9 @@ def _cmd_table(args) -> int:
     rows = []
     all_match = True
     for n, r, expected in SKEW_TABLE:
-        computed = skew_dimension_row(n, r, trials=args.trials,
-                                      rel_tol=args.tol, seed=args.seed)
+        computed = estimate_image_dimension(problem([fam.SKEW_SYMMETRIC] * r, n),
+                                            trials=args.trials, rel_tol=args.tol,
+                                            seed=args.seed).d_estimate
         match = computed == expected
         all_match = all_match and match
         rows.append((n, r, expected, computed, match))
@@ -121,31 +120,13 @@ def _cmd_table(args) -> int:
     return EXIT_OK if all_match else EXIT_NOT_DOMINANT
 
 
-def _read_options(path) -> FitOptions:
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise MatrixParseError("options file must hold a JSON object")
-    # the annotations of FitOptions are strings (postponed evaluation)
-    types = {f.name: f.type for f in dataclasses.fields(FitOptions)}
-    unknown = set(doc) - set(types)
-    if unknown:
-        raise MatrixParseError(f"unknown option fields: {sorted(unknown)}")
-    for key, value in doc.items():
-        real = types[key] == "float"
-        # bool is a subclass of int, but true is no count and no tolerance
-        if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
-            kind = "a real number" if real else "an integer"
-            raise MatrixParseError(f"option {key!r} must be {kind}, got {json.dumps(value)}")
-    return FitOptions(**doc)
-
-
 def _cmd_decompose(args) -> int:
     T = read_matrix(args.infile)
     n = T.shape[0]
     kinds = [_parse_family(tok, n, seed=args.seed) for tok in args.chain.split(",") if tok.strip()]
     if not kinds:
         raise ParameterRangeError("--chain must list at least one family")
-    opts = _read_options(args.opts) if args.opts else FitOptions(seed=args.seed)
+    opts = read_options(args.opts) if args.opts else FitOptions(seed=args.seed)
     prob = problem(kinds, n, args.target)
     chain = fit_chain(T, prob, opts)
     _emit(chain_to_dict(chain))

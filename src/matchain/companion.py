@@ -33,9 +33,7 @@ def companion_matrix(c) -> np.ndarray:
     if c.ndim != 1 or c.size == 0:
         raise ParameterRangeError("companion coefficients must be a nonempty vector")
     n = c.size
-    C = np.zeros((n, n), dtype=complex)
-    for p in range(n - 1):
-        C[p + 1, p] = 1.0
+    C = np.eye(n, k=-1, dtype=complex)
     C[:, n - 1] = c
     return C
 

@@ -321,11 +321,3 @@ SKEW_TABLE = (
     (8, 3, 64),
     (10, 3, 100),
 )
-
-
-def skew_dimension_row(n: int, r: int, trials: int = DEFAULT_TRIALS,
-                       rel_tol: float = DEFAULT_RANK_TOL, seed: int = 0) -> int:
-    """Computed image dimension for r-fold products of skew factors,
-    measured in full matrix-space coordinates."""
-    prob = problem([fam.SKEW_SYMMETRIC] * r, n, TARGET_FULL)
-    return estimate_image_dimension(prob, trials=trials, rel_tol=rel_tol, seed=seed).d_estimate

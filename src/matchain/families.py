@@ -467,12 +467,6 @@ def random_subspace(n: int, k: int, rng_seed=0) -> FamilyKind:
     return FamilyKind(SUBSPACE, k=k, basis=np.linalg.qr(X)[0].T.reshape(k, n, n))
 
 
-def contains_identity(spec: FamilySpec) -> bool:
-    """Whether the identity matrix belongs to the family (exactly enough for
-    warm starts)."""
-    return is_member(spec, np.eye(spec.n, dtype=complex), 1e-12)
-
-
 def coordinates_of(spec: FamilySpec, M) -> np.ndarray:
     """Least-squares coordinates of a member matrix of a linear family."""
     B = linear_basis(spec).reshape(-1, spec.n * spec.n).T

@@ -3,13 +3,15 @@
 Matrices travel as JSON ({"n": ..., "entries": n x n array of [re, im]
 pairs}) or as CSV with one row per line and entries like "1.5", "2i", or
 "0.25-1.5i".  Chains and reports are JSON documents stamped with
-schema_version "1".  All floats are written by Python's shortest
+schema_version "1"; fit options are a plain JSON object of FitOptions
+fields.  All floats are written by Python's shortest
 round-trip repr, so reading back what was written reproduces the exact
 binary64 values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re as _re
@@ -19,7 +21,7 @@ import numpy as np
 from . import families as fam
 from .dominance import DecompositionProblem, DominanceReport, problem
 from .errors import MatChainError, MatrixParseError, ParameterRangeError
-from .solver import FactorChain
+from .solver import FactorChain, FitOptions
 
 SCHEMA_VERSION = "1"
 
@@ -50,6 +52,38 @@ def read_json(source):
     except json.JSONDecodeError as exc:
         raise MatrixParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+
+
+# JSON scalar field types: what a message calls them, and the Python types
+# json.loads gives them; bool is a subclass of int, but true is no count
+_SCALAR_KINDS = {"bool": ("a boolean", bool), "int": ("an integer", int),
+                 "float": ("a real number", (int, float))}
+
+
+def _scalar(value, kind: str, what: str):
+    """value as a field of type kind: "bool" takes only true and false, "int"
+    a non-bool integer, "float" a non-bool integer or float (returned as a
+    float).  Any other value raises MatrixParseError naming what."""
+    noun, types = _SCALAR_KINDS[kind]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+        raise MatrixParseError(f"{what} must be {noun}, got {json.dumps(value)}")
+    return float(value) if kind == "float" else value
+
+
+def read_options(source) -> FitOptions:
+    """Fit options from a JSON object of FitOptions fields.  An unknown field
+    or a value of the wrong type raises MatrixParseError; FitOptions checks
+    the ranges."""
+    doc = read_json(source)
+    if not isinstance(doc, dict):
+        raise MatrixParseError("options file must hold a JSON object")
+    # the annotations of FitOptions are strings (postponed evaluation)
+    types = {f.name: f.type for f in dataclasses.fields(FitOptions)}
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise MatrixParseError(f"unknown option fields: {sorted(unknown)}")
+    return FitOptions(**{key: _scalar(value, types[key], f"option {key!r}")
+                         for key, value in doc.items()})
 
 
 def _from_versioned(doc, build):
@@ -281,9 +315,9 @@ def _chain_from_dict(doc: dict) -> FactorChain:
         problem=prob,
         params=params,
         factors=factors,
-        residual=float(doc["residual"]),
-        iterations=int(doc["iterations"]),
-        converged=bool(doc["converged"]),
+        residual=_scalar(doc["residual"], "float", "field 'residual'"),
+        iterations=_scalar(doc["iterations"], "int", "field 'iterations'"),
+        converged=_scalar(doc["converged"], "bool", "field 'converged'"),
         target=_matrix_from_pairs(n, doc["target"]),
     )
 
@@ -316,13 +350,13 @@ def write_report(report: DominanceReport, target):
 def report_from_dict(doc: dict) -> DominanceReport:
     return _from_versioned(doc, lambda doc: DominanceReport(
         problem=dict(doc["problem"]),
-        trials=int(doc["trials"]),
-        ranks=[int(v) for v in doc["ranks"]],
-        d_estimate=int(doc["d_estimate"]),
-        target_dim=int(doc["target_dim"]),
-        dominant=bool(doc["dominant"]),
-        tolerance=float(doc["tolerance"]),
-        seed=int(doc["seed"]),
+        trials=_scalar(doc["trials"], "int", "field 'trials'"),
+        ranks=[_scalar(v, "int", "field 'ranks'") for v in doc["ranks"]],
+        d_estimate=_scalar(doc["d_estimate"], "int", "field 'd_estimate'"),
+        target_dim=_scalar(doc["target_dim"], "int", "field 'target_dim'"),
+        dominant=_scalar(doc["dominant"], "bool", "field 'dominant'"),
+        tolerance=_scalar(doc["tolerance"], "float", "field 'tolerance'"),
+        seed=_scalar(doc["seed"], "int", "field 'seed'"),
     ))
 
 

@@ -124,9 +124,11 @@ def _split(prob: DecompositionProblem, theta: np.ndarray):
     return out
 
 
-def _evaluate(prob: DecompositionProblem, params_list):
-    factors = [fam.parameterize(spec, u) for spec, u in zip(prob.factors, params_list)]
-    return factors, chain_product(factors)
+def _evaluate(prob: DecompositionProblem, theta: np.ndarray, tvec: np.ndarray):
+    """The factors at the stacked parameters theta, and the residual vector
+    of their product against the flattened target tvec."""
+    factors = [fam.parameterize(spec, u) for spec, u in zip(prob.factors, _split(prob, theta))]
+    return factors, chain_product(factors).reshape(-1) - tvec
 
 
 def _damped_step(J, res, lam):
@@ -172,9 +174,8 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     rejected trials multiply it by 2, 4, 8, ... within one iteration, and a
     restart is abandoned once it exceeds 1e12 without improvement.  Restart k
     draws its initial chain from seed + k, but restart 0 starts from
-    init_params when given, else from an exact chain for T (_exact_start, the
-    one start from a construction; there is no separate warm start).  The
-    best restart by residual (ties to the earlier one) is returned.
+    init_params when given, else from an exact chain for T (_exact_start).
+    The best restart by residual (ties to the earlier one) is returned.
 
     Raises InfeasibleProblemError when the parameter count cannot cover the
     target dimension and T does not lie in the chain's first family with
@@ -200,16 +201,15 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     best = None
     for restart in range(opts.restarts):
         if restart == 0 and start is not None:
-            params_list = [np.asarray(u, dtype=complex).reshape(-1).copy() for u in start]
+            params_list = [np.asarray(u, dtype=complex).reshape(-1) for u in start]
         else:
             params_list = _initial_params(prob, T, np.random.default_rng(opts.seed + restart))
         theta = np.concatenate(params_list)
 
         try:
-            factors, prod = _evaluate(prob, _split(prob, theta))
+            factors, res = _evaluate(prob, theta, tvec)
         except DegeneratePointError:
             continue
-        res = prod.reshape(-1) - tvec
         res_norm = float(np.linalg.norm(res))
         lam = opts.damping_init
         iterations = 0
@@ -222,18 +222,15 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
                                        for spec, u in zip(prob.factors, _split(prob, theta))])
             except DegeneratePointError:
                 break
-            improved = False
             grow = 2.0
             while lam <= DAMPING_CEIL:
                 delta = _damped_step(J, res, lam)
                 cand = theta + delta
                 try:
-                    cand_factors, cand_prod = _evaluate(prob, _split(prob, cand))
+                    cand_factors, cand_res = _evaluate(prob, cand, tvec)
+                    cand_norm = float(np.linalg.norm(cand_res))
                 except DegeneratePointError:
-                    lam, grow = lam * grow, 2.0 * grow
-                    continue
-                cand_res = cand_prod.reshape(-1) - tvec
-                cand_norm = float(np.linalg.norm(cand_res))
+                    cand_norm = np.inf  # rejected like a worse trial
                 if cand_norm < res_norm:
                     # gain ratio rho, actual over predicted decrease: for this
                     # step the linear model's ||res||^2 - ||res + J delta||^2
@@ -242,26 +239,23 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
                     pred = float(np.linalg.norm(J @ delta) ** 2 + 2.0 * lam * np.linalg.norm(delta) ** 2)
                     rho = min((res_norm ** 2 - cand_norm ** 2) / pred, 1.0)
                     theta, res, res_norm = cand, cand_res, cand_norm
-                    factors, prod = cand_factors, cand_prod
+                    factors = cand_factors
                     lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), DAMPING_FLOOR)
-                    improved = True
                     break
                 lam, grow = lam * grow, 2.0 * grow
-            if not improved:
-                break  # stalled
+            else:
+                break  # stalled: damping passed the ceiling with no better trial
         rel = res_norm / tscale
-        converged = rel <= opts.residual_tol
-        candidate = FactorChain(
-            problem=prob,
-            params=_split(prob, theta),
-            factors=factors,
-            residual=rel,
-            iterations=iterations,
-            converged=converged,
-            target=T.copy(),
-        )
-        if best is None or candidate.residual < best.residual:
-            best = candidate
+        if best is None or rel < best.residual:
+            best = FactorChain(
+                problem=prob,
+                params=_split(prob, theta),
+                factors=factors,
+                residual=rel,
+                iterations=iterations,
+                converged=rel <= opts.residual_tol,
+                target=T.copy(),
+            )
         if best.converged:
             break
     if best is None:
@@ -322,7 +316,7 @@ def _exact_start(prob: DecompositionProblem, T: np.ndarray):
     """Parameters of an exact chain for T, else None.  First T followed by
     identities, when T lies in the first family and every later factor is a
     linear family that contains the identity: the only start a chain too
-    short for a generic target can take (there is no separate _warm_start).
+    short for a generic target can take.
     Else a chain the paper constructs: lower times upper triangular (LU), n
     companion factors, or a >= n - 1 lower then b >= max(n - 1, 1) upper
     bidiagonal factors.  For the last, T = L D V with V unit upper
@@ -332,7 +326,7 @@ def _exact_start(prob: DecompositionProblem, T: np.ndarray):
     on a breakdown."""
     first, rest = prob.factors[0], prob.factors[1:]
     if (first.kind.linear and fam.is_member(first, T, 1e-12)
-            and all(spec.kind.linear and fam.contains_identity(spec) for spec in rest)):
+            and all(spec.kind.linear and fam.is_member(spec, np.eye(prob.n), 1e-12) for spec in rest)):
         return [fam.coordinates_of(first, T)] + [fam.identity_coordinates(spec) for spec in rest]
     n, tags = prob.n, [spec.kind.tag for spec in prob.factors]
     if tags == [fam.TRIANGULAR_LOWER, fam.TRIANGULAR_UPPER]:
@@ -389,8 +383,6 @@ def decompose_centrosymmetric(T, use_hankel: bool = False,
         raise NonMemberError("target is not centrosymmetric")
     if r is None:
         r = n // 2 + 1
-    if r < 1:
-        raise ParameterRangeError("chain length must be positive")
     chain = fit_chain(T, problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)
     if not use_hankel:
         return chain

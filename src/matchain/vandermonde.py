@@ -139,11 +139,6 @@ def det_tilde(types: VandTypeList, p: int, alphas):
     return direct, formula
 
 
-def jacobian_blocks(types: VandTypeList):
-    """All n blocks M_p, p = 1 .. n."""
-    return [mp_block(types, p) for p in range(1, types.n + 1)]
-
-
 def full_jacobian(types: VandTypeList) -> np.ndarray:
     """The n^2 x n^2 Jacobian at the unit-root base point.
 
@@ -153,7 +148,7 @@ def full_jacobian(types: VandTypeList) -> np.ndarray:
     by p turns the matrix into blockdiag(M_1, ..., M_n)."""
     n = types.n
     M = np.zeros((n, n, n, n), dtype=complex)
-    M[np.arange(n), :, :, np.arange(n)] = jacobian_blocks(types)
+    M[np.arange(n), :, :, np.arange(n)] = [mp_block(types, p) for p in range(1, n + 1)]
     return M.reshape(n * n, n * n)
 
 

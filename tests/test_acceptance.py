@@ -45,7 +45,8 @@ def test_criterion_01_skew_dimension_table():
     failures = []
     assert set(dom.SKEW_TABLE) == set(SKEW_EXPECTED)
     for n, r, want in SKEW_EXPECTED:
-        got = dom.skew_dimension_row(n, r, trials=5, rel_tol=1e-8, seed=0)
+        got = dom.estimate_image_dimension(dom.problem([fam.SKEW_SYMMETRIC] * r, n), trials=5,
+                                           rel_tol=1e-8, seed=0).d_estimate
         if got != want:
             failures.append(f"n={n} r={r}: dimension {got} != {want}")
     _finish("1 (skew-symmetric dimension table)", failures)

@@ -225,7 +225,8 @@ def test_estimate_image_dimension_dominant_case():
 
 def test_skew_dimension_row_matches_table():
     for n, r, d in dom.SKEW_TABLE[:6]:
-        assert dom.skew_dimension_row(n, r, trials=3, seed=1) == d
+        prob = dom.problem([fam.SKEW_SYMMETRIC] * r, n)
+        assert dom.estimate_image_dimension(prob, trials=3, seed=1).d_estimate == d
 
 
 def test_lower_bound_linear():

@@ -338,10 +338,10 @@ def test_contains_identity_flags():
           "anti-triangular-top", "vandermonde"]
     for tag in yes:
         s = 1 if tag.startswith("vandermonde") else None
-        assert fam.contains_identity(_spec(tag, 4, s=s)), tag
+        assert fam.is_member(_spec(tag, 4, s=s), np.eye(4), 1e-12), tag
     for tag in no:
         s = 1 if tag.startswith("vandermonde") else None
-        assert not fam.contains_identity(_spec(tag, 4, s=s)), tag
+        assert not fam.is_member(_spec(tag, 4, s=s), np.eye(4), 1e-12), tag
 
 
 def test_random_subspace_basis():

@@ -215,6 +215,22 @@ def _without(doc, key):
     pytest.param(mio.read_report, lambda: [_report_doc()], id="report-array"),
     pytest.param(mio.read_report, lambda: _without(_report_doc(), "trials"), id="report-no-trials"),
     pytest.param(mio.read_report, lambda: dict(_report_doc(), trials="x"), id="report-trials-x"),
+    # bool(), int() and float() would accept each of these scalars
+    pytest.param(mio.read_chain, lambda: dict(_chain_doc(), converged="false"),
+                 id="chain-converged-string"),
+    pytest.param(mio.read_chain, lambda: dict(_chain_doc(), converged=1), id="chain-converged-int"),
+    pytest.param(mio.read_chain, lambda: dict(_chain_doc(), iterations=2.5),
+                 id="chain-iterations-fraction"),
+    pytest.param(mio.read_chain, lambda: dict(_chain_doc(), iterations=True),
+                 id="chain-iterations-bool"),
+    pytest.param(mio.read_chain, lambda: dict(_chain_doc(), residual=True), id="chain-residual-bool"),
+    pytest.param(mio.read_report, lambda: dict(_report_doc(), dominant="no"),
+                 id="report-dominant-string"),
+    pytest.param(mio.read_report, lambda: dict(_report_doc(), ranks=[12.7, 13.2]),
+                 id="report-ranks-fractions"),
+    pytest.param(mio.read_report, lambda: dict(_report_doc(), seed="7"), id="report-seed-string"),
+    pytest.param(mio.read_report, lambda: dict(_report_doc(), tolerance=False),
+                 id="report-tolerance-bool"),
 ])
 def test_malformed_documents_raise_parse_errors(read, doc):
     with pytest.raises(MatrixParseError):

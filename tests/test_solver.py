@@ -10,6 +10,7 @@ import matchain.dominance as dom
 import matchain.solver as solver
 from matchain.companion import decompose_companion
 from matchain.errors import (
+    DegeneratePointError,
     InfeasibleProblemError,
     NonGenericMatrixError,
     NonMemberError,
@@ -266,6 +267,62 @@ def test_fit_evaluates_each_factor_once_per_point(monkeypatch, chain, n):
     linear = sum(spec.kind.linear for spec in prob.factors)
     assert counts["_damped_step"] > 0
     assert counts["parameterize"] == prob.r * (counts["_damped_step"] + 1) + linear
+
+
+def _fail_parameterize_call(monkeypatch, k):
+    """Make the k-th call of families.parameterize raise DegeneratePointError."""
+    calls = 0
+    fn = fam.parameterize
+
+    def flaky(*args):
+        nonlocal calls
+        calls += 1
+        if calls == k:
+            raise DegeneratePointError("injected")
+        return fn(*args)
+    monkeypatch.setattr(fam, "parameterize", flaky)
+
+
+# skew x3 at n=4 has no exact start: a restart makes 3 balancing calls of
+# parameterize, then 3 for its start, then 3 per damping trial
+_SKEW3 = dom.problem(["skew-symmetric"] * 3, 4)
+
+
+def test_fit_skips_a_restart_whose_start_is_degenerate(monkeypatch):
+    T = _random_target(4, 11)
+    expect = fit_chain(T, _SKEW3, FitOptions(restarts=1, seed=6))
+    _fail_parameterize_call(monkeypatch, 4)
+    chain = fit_chain(T, _SKEW3, FitOptions(restarts=2, seed=5))
+    assert (chain.residual, chain.iterations, chain.converged) == (
+        expect.residual, expect.iterations, expect.converged)
+    for got, want in zip(chain.params + chain.factors, expect.params + expect.factors):
+        assert np.array_equal(got, want)
+
+
+def test_fit_ends_a_restart_at_a_degenerate_frame(monkeypatch):
+    def degenerate(spec, point):
+        raise DegeneratePointError("injected")
+
+    monkeypatch.setattr(fam, "tangent_basis", degenerate)
+    chain = fit_chain(_random_target(4, 12), _SKEW3, FitOptions(restarts=1))
+    assert chain.iterations == 1
+    assert not chain.converged
+
+
+def test_fit_rejects_a_degenerate_trial_and_doubles_the_damping(monkeypatch):
+    lams = []
+    step = solver._damped_step
+
+    def recorded(J, res, lam):
+        lams.append(lam)
+        return step(J, res, lam)
+
+    monkeypatch.setattr(solver, "_damped_step", recorded)
+    _fail_parameterize_call(monkeypatch, 7)
+    opts = FitOptions(restarts=1)
+    chain = fit_chain(_random_target(4, 13), _SKEW3, opts)
+    assert lams[:2] == [opts.damping_init, 2.0 * opts.damping_init]
+    assert chain.iterations > 1
 
 
 @pytest.mark.parametrize("fit", [
