@@ -171,7 +171,10 @@ def _bounds_doc(kind: fam.FamilyKind, n: int) -> dict:
         "lower_bound_rule": rule,
     }
     doc["generic_r"] = known_generic
-    doc["surjective_r"] = surjectivity_bound(known_generic) if known_generic else None
+    # every-matrix counts are quoted for full targets only: the centrosymmetric
+    # classes are claimed for generic targets
+    doc["surjective_r"] = (surjectivity_bound(known_generic)
+                           if known_generic and tgt.tag == TARGET_FULL else None)
     return doc
 
 

@@ -102,37 +102,3 @@ def decompose_companion(A, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CompanionRes
         columns.append(c)
 
     return CompanionResult(status=STATUS_UNIQUE, coefficients=columns)
-
-
-def reconstruct_prefix(columns, k: int) -> np.ndarray:
-    """Partial product C_1 * ... * C_k of the companion factors with last
-    columns c_1 .. c_n, built by recurrence instead of multiplication.
-
-    Columns q < n-k+1 carry the shift pattern (entry 1 where p - q = k),
-    and columns q >= n-k+1 satisfy
-
-        X_{p,q} = sum_{j=1}^{q+k-n-1} X_{p,q-j} c_{q+k-n, n-j+1}
-                  + c_{q+k-n, n+1+p-q-k}
-
-    with coefficients of nonpositive index read as zero.  For k = n this is
-    exactly the equation system the decomposition solves, so the recurrence
-    doubles as an independent check on the factorization.
-    """
-    n = len(columns)
-    if not 1 <= k <= n:
-        raise ParameterRangeError(f"prefix length k={k} out of range 1..{n}")
-    X = np.zeros((n, n), dtype=complex)
-    # base pattern: 1 where p - q = k (1-based), for q < n-k+1
-    for q0 in range(n - k):
-        X[q0 + k, q0] = 1.0
-    for q0 in range(n - k, n):
-        ci = np.asarray(columns[q0 + k - n], dtype=complex)
-        jmax = q0 + k - n  # q + k - n - 1 in 1-based terms
-        col = np.zeros(n, dtype=complex)
-        if jmax > 0:
-            # sum_j X[:, q-j] c_{i, n-j+1}, j = 1 .. jmax
-            col += X[:, q0 - jmax:q0] @ ci[n - jmax:n]
-        offset = q0 + k - n  # direct term exists for p0 >= offset
-        col[offset:] += ci[: n - offset]
-        X[:, q0] = col
-    return X

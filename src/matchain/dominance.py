@@ -15,7 +15,7 @@ certifies that generic matrices of the target space admit the decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,21 +145,6 @@ def _prefixes_suffixes(base):
         suffix.append(A @ suffix[-1])
     suffix.reverse()  # suffix[i] multiplies on the right of slot i+1
     return prefix, suffix
-
-
-def differential_apply(base, tangents) -> np.ndarray:
-    """Differential of the product map at base, applied to one tangent per
-    slot.  Uses cached prefix and suffix products, so the whole evaluation
-    costs 2r - 2 multiplications for the caches plus two per term."""
-    if len(base) != len(tangents) or len(base) == 0:
-        raise ParameterRangeError("base and tangent lists must be nonempty and equal length")
-    base = [np.asarray(A, dtype=complex) for A in base]
-    prefix, suffix = _prefixes_suffixes(base)
-    n = base[0].shape[0]
-    out = np.zeros((n, base[-1].shape[1]), dtype=complex)
-    for i, X in enumerate(tangents):
-        out += prefix[i] @ np.asarray(X, dtype=complex) @ suffix[i]
-    return out
 
 
 def jacobian(factors, frames) -> np.ndarray:

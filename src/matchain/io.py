@@ -1,12 +1,12 @@
 """File formats for matrices, fitted chains, and dominance reports.
 
-Matrices travel as JSON ({"n": ..., "entries": n x n array of [re, im]
-pairs}) or as CSV with one row per line and entries like "1.5", "2i", or
-"0.25-1.5i".  Chains and reports are JSON documents stamped with
-schema_version "1"; fit options are a plain JSON object of FitOptions
-fields.  All floats are written by Python's shortest
-round-trip repr, so reading back what was written reproduces the exact
-binary64 values.
+Matrices are read and written as JSON ({"n": ..., "entries": n x n array of
+[re, im] pairs}) or as CSV with one row per line and entries like "1.5",
+"2i", or "0.25-1.5i".  Fitted chains and dominance reports are only
+written, as JSON documents stamped with schema_version "1"; fit options are
+read from a plain JSON object of FitOptions fields.  All floats are written
+by Python's shortest round-trip repr, so reading back a written matrix
+reproduces the exact binary64 values.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import re as _re
 import numpy as np
 
 from . import families as fam
-from .dominance import DecompositionProblem, DominanceReport, problem
-from .errors import MatChainError, MatrixParseError, ParameterRangeError
+from .dominance import DecompositionProblem, DominanceReport
+from .errors import MatrixParseError, ParameterRangeError
 from .solver import FactorChain, FitOptions
 
 SCHEMA_VERSION = "1"
@@ -56,16 +56,15 @@ def read_json(source):
 
 # JSON scalar field types: what a message calls them, and the Python types
 # json.loads gives them; bool is a subclass of int, but true is no count
-_SCALAR_KINDS = {"bool": ("a boolean", bool), "int": ("an integer", int),
-                 "float": ("a real number", (int, float))}
+_SCALAR_KINDS = {"int": ("an integer", int), "float": ("a real number", (int, float))}
 
 
 def _scalar(value, kind: str, what: str):
-    """value as a field of type kind: "bool" takes only true and false, "int"
-    a non-bool integer, "float" a non-bool integer or float (returned as a
-    float).  Any other value raises MatrixParseError naming what."""
+    """value as a field of type kind: "int" takes a non-bool integer, "float"
+    a non-bool integer or float (returned as a float).  Any other value
+    raises MatrixParseError naming what."""
     noun, types = _SCALAR_KINDS[kind]
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):
         raise MatrixParseError(f"{what} must be {noun}, got {json.dumps(value)}")
     return float(value) if kind == "float" else value
 
@@ -84,23 +83,6 @@ def read_options(source) -> FitOptions:
         raise MatrixParseError(f"unknown option fields: {sorted(unknown)}")
     return FitOptions(**{key: _scalar(value, types[key], f"option {key!r}")
                          for key, value in doc.items()})
-
-
-def _from_versioned(doc, build):
-    """build(doc) for a JSON object stamped with SCHEMA_VERSION.  A document
-    of another version, or one whose fields are missing, of the wrong type
-    or out of range, raises MatrixParseError."""
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != SCHEMA_VERSION:
-        raise MatrixParseError(f"unsupported schema_version {version!r}")
-    try:
-        return build(doc)
-    except ParameterRangeError as exc:
-        raise MatrixParseError(str(exc)) from None
-    except MatChainError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise MatrixParseError(f"malformed document: {type(exc).__name__}: {exc}") from None
 
 
 def _guess_format(source, fmt):
@@ -244,22 +226,6 @@ def kind_to_dict(kind: fam.FamilyKind) -> dict:
     return out
 
 
-def kind_from_dict(doc: dict) -> fam.FamilyKind:
-    if not isinstance(doc, dict) or "tag" not in doc:
-        raise MatrixParseError("family kind must be an object with a 'tag' field")
-    basis = None
-    if "basis" in doc:
-        mats = doc["basis"]
-        if not isinstance(mats, list) or not mats:
-            raise MatrixParseError("'basis' must be a nonempty list of matrices")
-        n = len(mats[0]) if isinstance(mats[0], list) else 0
-        basis = np.stack([_matrix_from_pairs(n, B) for B in mats])
-    try:
-        return fam.FamilyKind(doc["tag"], k=doc.get("k"), s=doc.get("s"), basis=basis)
-    except ParameterRangeError as exc:
-        raise MatrixParseError(str(exc)) from None
-
-
 def _problem_to_dict(prob: DecompositionProblem) -> dict:
     return {
         "n": prob.n,
@@ -267,10 +233,6 @@ def _problem_to_dict(prob: DecompositionProblem) -> dict:
         "target": prob.target.tag,
         "factors": [kind_to_dict(spec.kind) for spec in prob.factors],
     }
-
-
-def _problem_from_dict(doc: dict) -> DecompositionProblem:
-    return problem([kind_from_dict(d) for d in doc["factors"]], doc["n"], doc["target"])
 
 
 # ---------------------------------------------------------------------------
@@ -291,41 +253,6 @@ def chain_to_dict(chain: FactorChain) -> dict:
     }
 
 
-def write_chain(chain: FactorChain, target):
-    """Serialize a fitted chain as JSON.  Numbers keep full binary64
-    precision, so a read-back compares equal to the original."""
-    _write_text(target, json.dumps(chain_to_dict(chain), indent=2) + "\n")
-
-
-def chain_from_dict(doc: dict) -> FactorChain:
-    return _from_versioned(doc, _chain_from_dict)
-
-
-def _chain_from_dict(doc: dict) -> FactorChain:
-    prob = _problem_from_dict(doc["problem"])
-    n = prob.n
-    params = [np.array([_pair_to_complex(p) for p in u], dtype=complex)
-              for u in doc["params"]]
-    sizes = [spec.param_dim for spec in prob.factors]
-    if [u.size for u in params] != sizes or len(doc["factors"]) != prob.r:
-        raise MatrixParseError(f"a chain of {prob.r} factors needs {prob.r} matrices and "
-                               f"parameter vectors of sizes {sizes}")
-    factors = [_matrix_from_pairs(n, F) for F in doc["factors"]]
-    return FactorChain(
-        problem=prob,
-        params=params,
-        factors=factors,
-        residual=_scalar(doc["residual"], "float", "field 'residual'"),
-        iterations=_scalar(doc["iterations"], "int", "field 'iterations'"),
-        converged=_scalar(doc["converged"], "bool", "field 'converged'"),
-        target=_matrix_from_pairs(n, doc["target"]),
-    )
-
-
-def read_chain(source) -> FactorChain:
-    return chain_from_dict(read_json(source))
-
-
 # ---------------------------------------------------------------------------
 # dominance reports
 
@@ -341,24 +268,3 @@ def report_to_dict(report: DominanceReport) -> dict:
         "tolerance": float(report.tolerance),
         "seed": int(report.seed),
     }
-
-
-def write_report(report: DominanceReport, target):
-    _write_text(target, json.dumps(report_to_dict(report), indent=2) + "\n")
-
-
-def report_from_dict(doc: dict) -> DominanceReport:
-    return _from_versioned(doc, lambda doc: DominanceReport(
-        problem=dict(doc["problem"]),
-        trials=_scalar(doc["trials"], "int", "field 'trials'"),
-        ranks=[_scalar(v, "int", "field 'ranks'") for v in doc["ranks"]],
-        d_estimate=_scalar(doc["d_estimate"], "int", "field 'd_estimate'"),
-        target_dim=_scalar(doc["target_dim"], "int", "field 'target_dim'"),
-        dominant=_scalar(doc["dominant"], "bool", "field 'dominant'"),
-        tolerance=_scalar(doc["tolerance"], "float", "field 'tolerance'"),
-        seed=_scalar(doc["seed"], "int", "field 'seed'"),
-    ))
-
-
-def read_report(source) -> DominanceReport:
-    return report_from_dict(read_json(source))

@@ -30,12 +30,18 @@ def test_chain_product():
     np.testing.assert_allclose(dom.chain_product(mats), expect, rtol=1e-14)
 
 
+def differential_apply(base, tangents):
+    """The product map's differential at base applied to one tangent per
+    slot, term by term: sum_i A_1 .. A_{i-1} X_i A_{i+1} .. A_r."""
+    return sum(dom.chain_product([*base[:i], X, *base[i + 1:]]) for i, X in enumerate(tangents))
+
+
 def test_differential_is_derivative_of_product():
     """Product rule: the differential matches finite differences of the chain."""
     rng = np.random.default_rng(1)
     base = [fam.complex_gaussian(rng, 16).reshape(4, 4) for _ in range(3)]
     tangents = [fam.complex_gaussian(rng, 16).reshape(4, 4) for _ in range(3)]
-    D = dom.differential_apply(base, tangents)
+    D = differential_apply(base, tangents)
     h = 1e-7
     plus = dom.chain_product([B + h * X for B, X in zip(base, tangents)])
     minus = dom.chain_product([B - h * X for B, X in zip(base, tangents)])
@@ -45,7 +51,7 @@ def test_differential_is_derivative_of_product():
 
 def test_differential_single_factor_is_identity_map():
     X = np.arange(9.0).reshape(3, 3) + 0j
-    np.testing.assert_array_equal(dom.differential_apply([np.eye(3, dtype=complex)], [X]), X)
+    np.testing.assert_array_equal(differential_apply([np.eye(3, dtype=complex)], [X]), X)
 
 
 def test_problem_summary_and_param_dim():
@@ -90,9 +96,23 @@ def test_jacobian_shape_and_column_content(kinds, n, target):
         for X in frame:
             tangents = [np.zeros((n, n), dtype=complex)] * prob.r
             tangents[i] = X
-            expect = dom.differential_apply(base, tangents).reshape(-1)[:rows]
+            expect = differential_apply(base, tangents).reshape(-1)[:rows]
             np.testing.assert_allclose(J[:, col], expect, rtol=1e-13)
             col += 1
+
+
+def test_jacobian_slot_without_parameters():
+    """A fixed factor takes an empty frame: it adds no columns, and the
+    Jacobian equals that of the chain with it multiplied into its neighbour."""
+    rng = np.random.default_rng(3)
+    lower, upper = (fam.family_spec(fam.FamilyKind(tag), 4)
+                    for tag in ("bidiagonal-lower", "bidiagonal-upper"))
+    A, B = (fam.sample_point(spec, rng)[1] for spec in (lower, upper))
+    F = fam.complex_gaussian(rng, 16).reshape(4, 4)
+    fa, fb = fam.tangent_basis(lower, A), fam.tangent_basis(upper, B)
+    J = dom.jacobian([A, F, B], [fa, np.empty((0, 4, 4), dtype=complex), fb])
+    assert J.shape == (16, len(fa) + len(fb))
+    np.testing.assert_allclose(J, dom.jacobian([A, F @ B], [fa, F @ fb]), rtol=1e-13)
 
 
 @pytest.mark.parametrize("kinds, n, target, shape", [

@@ -183,8 +183,15 @@ def test_kind_from_tag_rejects_unknown_and_subspace():
 @pytest.mark.parametrize("tag, kw", [
     ("toeplitz", {"k": 3}), ("k-diagonal", {"k": True}), ("k-diagonal", {"k": 2.5}),
     ("vandermonde", {"s": 1.5}), ("k-diagonal", {}), ("bogus", {}),
+    ("skew-symmetric", {"basis": np.eye(2)[None] / np.sqrt(2)}),
+    ("subspace", {"basis": np.ones((1, 2, 3)) / np.sqrt(6)}),
+    # the Gram matrix of [I, I] / 2 is all 1/2
+    ("subspace", {"basis": np.stack([np.eye(2) / 2, np.eye(2) / 2])}),
+    ("subspace", {"basis": np.zeros((0, 2, 2))}),
+    ("subspace", {"k": 2, "basis": np.eye(2)[None] / np.sqrt(2)}),
 ], ids=["argument-not-taken", "bool-k", "fractional-k", "fractional-s", "missing-k",
-        "unknown-tag"])
+        "unknown-tag", "basis-outside-subspace", "non-square-basis", "non-orthonormal-basis",
+        "empty-basis", "k-against-basis"])
 def test_family_kind_checks_itself_on_construction(tag, kw):
     with pytest.raises(ParameterRangeError):
         fam.FamilyKind(tag, **kw)

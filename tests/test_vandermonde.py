@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import matchain.dominance as dom
+import matchain.families as fam
 import matchain.vandermonde as vm
 from matchain.errors import ParameterRangeError
 
@@ -116,12 +118,6 @@ def _random_valid_types(rng, n):
             return s
 
 
-def test_full_jacobian_shape():
-    types = vm.type_list(3, (1, 2, 3))
-    J = vm.full_jacobian(types)
-    assert J.shape == (9, 9)
-
-
 def test_dominance_with_consecutive_types():
     for n in (2, 3, 4):
         rep = vm.vandermonde_dominance(n, tuple(range(1, n + 1)))
@@ -155,16 +151,27 @@ def test_dominance_degenerates_at_the_true_singular_sum():
 def test_dominance_rejects_bad_types():
     with pytest.raises(ParameterRangeError):
         vm.vandermonde_dominance(3, (1, 2))
+    # at n = 1, vandermonde-t(0) has the one member [[1]] and no parameters
+    with pytest.raises(ParameterRangeError):
+        vm.vandermonde_dominance(1, (0,))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_full_jacobian_is_block_diagonal_by_node_index(n):
-    """Grouping the columns by node index p turns the Jacobian into
-    blockdiag(M_1, ..., M_n) exactly."""
+def test_jacobian_is_block_diagonal_by_node_index(n):
+    """dominance.jacobian of B_1 (A_1/n) ... B_n (A_n/n), each B_i in its
+    vandermonde-t(s_i) frame and each A_i fixed, times n: grouping the
+    columns by node index p gives the closed form blockdiag(M_1, ..., M_n)."""
     rng = np.random.default_rng(n)
     types = vm.type_list(n, _random_valid_types(rng, n))
+    factors, frames = [], []
+    for s in types.s:
+        B = vm.unit_root_inverse_pair(n, s)
+        factors += [B, vm.unit_root_factor(n, s) / n]
+        frames += [fam.tangent_basis(fam.family_spec(fam.FamilyKind("vandermonde-t", s=s), n), B),
+                   np.empty((0, n, n), dtype=complex)]
     by_node = np.arange(n * n).reshape(n, n).T.reshape(-1)  # column (j, p) -> (p, j)
     expect = np.zeros((n * n, n * n), dtype=complex)
     for p, Mp in enumerate([vm.mp_block(types, p) for p in range(1, n + 1)]):
         expect[p * n:(p + 1) * n, p * n:(p + 1) * n] = Mp
-    assert np.array_equal(vm.full_jacobian(types)[:, by_node], expect)
+    np.testing.assert_allclose(n * dom.jacobian(factors, frames)[:, by_node], expect,
+                               rtol=0, atol=1e-13 * np.abs(expect).max())
