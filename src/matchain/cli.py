@@ -73,8 +73,8 @@ def _seed(text: str) -> int:
     return value
 
 
-def _parse_family(text: str, n: int, seed: int = 0) -> fam.FamilyKind:
-    """One family token: a tag, an alias, or tag:arg for parameterized
+def _parse_family(text: str, n: int, seed: int = 0) -> fam.FamilySpec:
+    """One family token at size n: a tag, an alias, or tag:arg for parameterized
     families (k-diagonal bandwidths, vandermonde types, subspace size)."""
     token = text.strip().lower()
     base, _, arg = token.partition(":")
@@ -83,7 +83,7 @@ def _parse_family(text: str, n: int, seed: int = 0) -> fam.FamilyKind:
         value = int(arg) if arg else None
     except ValueError as exc:
         raise ParameterRangeError(f"bad family token {text!r}: {exc}") from None
-    return fam.kind_from_argument(base, value, n, rng_seed=seed)
+    return fam.spec_from_argument(base, value, n, rng_seed=seed)
 
 
 def _emit(doc: dict):
@@ -94,8 +94,8 @@ def _emit(doc: dict):
 # subcommands
 
 def _cmd_verify(args) -> int:
-    kind = _parse_family(args.family, args.n, seed=args.seed)
-    prob = problem([kind] * args.r, args.n, args.target)
+    spec = _parse_family(args.family, args.n, seed=args.seed)
+    prob = problem([spec] * args.r, args.n, args.target)
     report = estimate_image_dimension(
         prob, trials=args.trials, rel_tol=args.tol, seed=args.seed)
     _emit(report_to_dict(report))
@@ -123,11 +123,11 @@ def _cmd_table(args) -> int:
 def _cmd_decompose(args) -> int:
     T = read_matrix(args.infile)
     n = T.shape[0]
-    kinds = [_parse_family(tok, n, seed=args.seed) for tok in args.chain.split(",") if tok.strip()]
-    if not kinds:
+    specs = [_parse_family(tok, n, seed=args.seed) for tok in args.chain.split(",") if tok.strip()]
+    if not specs:
         raise ParameterRangeError("--chain must list at least one family")
-    opts = read_options(args.opts) if args.opts else FitOptions(seed=args.seed)
-    prob = problem(kinds, n, args.target)
+    opts = read_options(args.opts, seed=args.seed) if args.opts else FitOptions(seed=args.seed)
+    prob = problem(specs, n, args.target)
     chain = fit_chain(T, prob, opts)
     _emit(chain_to_dict(chain))
     if not chain.converged:
@@ -149,12 +149,11 @@ def _cmd_companion(args) -> int:
     return EXIT_OK if result.status == STATUS_UNIQUE else EXIT_NOT_UNIQUE
 
 
-def _bounds_doc(kind: fam.FamilyKind, n: int) -> dict:
-    spec = fam.family_spec(kind, n)
+def _bounds_doc(spec: fam.FamilySpec) -> dict:
     m = spec.param_dim
-    target_tag, known_generic = fam.bounds_facts(kind, n)
-    tgt = TargetSpace(target_tag, n)
-    is_cone = kind.linear
+    target_tag, known_generic = fam.bounds_facts(spec)
+    tgt = TargetSpace(target_tag, spec.n)
+    is_cone = spec.linear
     if is_cone and m >= 2:
         lower = lower_bound_cone(m, tgt.dim)
         rule = f"ceil(({tgt.dim} - 1) / ({m} - 1))"
@@ -162,8 +161,8 @@ def _bounds_doc(kind: fam.FamilyKind, n: int) -> dict:
         lower = -(-tgt.dim // m)
         rule = f"ceil({tgt.dim} / {m})"
     doc = {
-        "family": kind.label(),
-        "n": n,
+        "family": spec.label(),
+        "n": spec.n,
         "family_dim": m,
         "target": {"tag": tgt.tag, "dim": tgt.dim},
         "cone": bool(is_cone),
@@ -179,14 +178,13 @@ def _bounds_doc(kind: fam.FamilyKind, n: int) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    kind = _parse_family(args.family, args.n, seed=0)
-    _emit(_bounds_doc(kind, args.n))
+    spec = _parse_family(args.family, args.n, seed=0)
+    _emit(_bounds_doc(spec))
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
-    kind = _parse_family(args.family, args.n, seed=args.seed)
-    spec = fam.family_spec(kind, args.n)
+    spec = _parse_family(args.family, args.n, seed=args.seed)
     _params, M = fam.sample_point(spec, rng_seed=args.seed)
     _emit(matrix_to_dict(M))
     return EXIT_OK

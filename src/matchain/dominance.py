@@ -91,14 +91,14 @@ class DecompositionProblem:
         return {
             "n": self.n,
             "r": self.r,
-            "families": [spec.kind.label() for spec in self.factors],
+            "families": [spec.label() for spec in self.factors],
             "target": self.target.tag,
         }
 
 
-def problem(kinds, n: int, target: str = TARGET_FULL) -> DecompositionProblem:
-    """Convenience constructor: a chain of family kinds at size n."""
-    specs = tuple(fam.family_spec(k, n) for k in kinds)
+def problem(families, n: int, target: str = TARGET_FULL) -> DecompositionProblem:
+    """Convenience constructor: a chain of family tags or FamilySpecs at size n."""
+    specs = tuple(fam.FamilySpec(f, n) if isinstance(f, str) else f for f in families)
     return DecompositionProblem(n=n, factors=specs, target=TargetSpace(target, n))
 
 

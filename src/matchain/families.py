@@ -4,9 +4,9 @@ Each family is either a linear subspace given by a basis (band patterns,
 triangles, Toeplitz variants, centrosymmetric matrices, random subspaces),
 or the image of a smooth parameterization (complex orthogonal group,
 companion matrices, generalized Vandermonde matrices).  The module
-provides, uniformly over a FamilySpec:
+provides, uniformly over a FamilySpec (one family at one size n):
 
-    family_dimension   dimension of the parameter space
+    param_dim          dimension of the parameter space, set on construction
     parameterize       params -> matrix
     tangent_basis      frame spanning the tangent space at a point
     sample_point       a reproducible random point (one Gaussian draw)
@@ -67,11 +67,11 @@ SUBSPACE = "subspace"
 
 
 @dataclass(frozen=True)
-class FamilyKind:
-    """Tag plus the structural parameters some kinds need, checked on
-    construction.
+class FamilySpec:
+    """A family of n x n matrices, checked on construction, which then sets
+    param_dim and refuses a family without parameters at this n.
 
-    k is the bandwidth for the k-diagonal kinds and the dimension for
+    k is the bandwidth for the k-diagonal families and the dimension for
     SUBSPACE; s is the type of a generalized Vandermonde family.  basis
     carries the Frobenius-orthonormal matrices of a random subspace (which
     projection membership relies on), copied to a read-only (k, n, n) array,
@@ -80,12 +80,15 @@ class FamilyKind:
     """
 
     tag: str
+    n: int
     k: int | None = None
     s: int | None = None
     basis: np.ndarray | None = field(default=None, compare=False, repr=False)
+    param_dim: int = field(init=False)
 
     def __post_init__(self):
-        arg = _family(self.tag).arg
+        entry = _family(self.tag)
+        arg = entry.arg
         for name, value in (("k", self.k), ("s", self.s)):
             if value is not None and arg is None:
                 raise ParameterRangeError(f"family {self.tag!r} takes no argument")
@@ -104,12 +107,21 @@ class FamilyKind:
             rows = basis.reshape(len(basis), -1)
             if float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows))))) > 1e-10:
                 raise ParameterRangeError("subspace basis is not orthonormal")
+            if basis.shape[1] != self.n:
+                raise ParameterRangeError(f"subspace basis holds no {self.n} x {self.n} matrices")
             object.__setattr__(self, "k", len(basis))
             object.__setattr__(self, "basis", _frozen(basis))
         elif self.basis is not None:
             raise ParameterRangeError(f"family {self.tag!r} takes no basis")
         elif arg is not None and getattr(self, arg) is None:
             raise ParameterRangeError(f"family {self.tag!r} needs an argument {arg}")
+        if self.n < 1:
+            raise ParameterRangeError(f"matrix size n={self.n} must be positive")
+        object.__setattr__(self, "n", int(self.n))
+        d = entry.dimension(self) if entry.grid is None else int(np.abs(_grid(self.tag, self.n, self.k)).max())
+        if d == 0:
+            raise ParameterRangeError(f"family {self.label()} has no parameters at n={self.n}")
+        object.__setattr__(self, "param_dim", d)
 
     def label(self) -> str:
         arg = _family(self.tag).arg
@@ -122,51 +134,19 @@ class FamilyKind:
         return _family(self.tag).parameterize is None
 
 
-def kind_from_argument(tag: str, arg: int | None, n: int, rng_seed=0) -> FamilyKind:
-    """The kind a family token tag[:arg] names: arg is the bandwidth of a
-    banded family, the type of a Vandermonde family (0 when omitted), or the
-    dimension of a random subspace of the n x n matrices drawn from
+def spec_from_argument(tag: str, arg: int | None, n: int, rng_seed=0) -> FamilySpec:
+    """The family a token tag[:arg] names at size n: arg is the bandwidth of
+    a banded family, the type of a Vandermonde family (0 when omitted), or
+    the dimension of a random subspace of the n x n matrices drawn from
     rng_seed."""
     if tag == SUBSPACE and arg is not None:
         return random_subspace(n, arg, rng_seed=rng_seed)
-    name = _family(tag).arg or "k"  # FamilyKind rejects a k the tag does not take
-    return FamilyKind(tag, **{name: 0 if arg is None and name == "s" else arg})
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family kind pinned to a matrix size, with its parameter count."""
-
-    kind: FamilyKind
-    n: int
-    param_dim: int
-
-
-def family_spec(kind, n: int) -> FamilySpec:
-    """Validate (kind, n) and attach the parameter dimension, which must be
-    positive."""
-    if isinstance(kind, str):
-        kind = FamilyKind(kind)
-    d = family_dimension(kind, n)
-    if d == 0:
-        raise ParameterRangeError(f"family {kind.label()} has no parameters at n={n}")
-    return FamilySpec(kind=kind, n=int(n), param_dim=d)
+    name = _family(tag).arg or "k"  # FamilySpec rejects a k the tag does not take
+    return FamilySpec(tag, n, **{name: 0 if arg is None and name == "s" else arg})
 
 
 # ---------------------------------------------------------------------------
-# dimensions and bases
-
-def family_dimension(kind, n: int) -> int:
-    """Dimension of the family inside the n x n matrices: the number of
-    basis matrices of a linear family, n(n-1)/2 for the complex orthogonal
-    group, and n for companion and generalized Vandermonde families."""
-    if n < 1:
-        raise ParameterRangeError(f"matrix size n={n} must be positive")
-    entry = _family(kind.tag)
-    if entry.grid is None:
-        return entry.dimension(kind, n)
-    return int(np.abs(_grid(kind.tag, int(n), kind.k)).max())
-
+# bases
 
 def exchange_matrix(n: int) -> np.ndarray:
     """The anti-identity J (ones on the anti-diagonal)."""
@@ -222,8 +202,7 @@ def _cached_basis(tag: str, n: int, k):
 
 
 def _basis(spec: FamilySpec) -> np.ndarray:
-    kind = spec.kind
-    return kind.basis if kind.basis is not None else _cached_basis(kind.tag, spec.n, kind.k)
+    return spec.basis if spec.basis is not None else _cached_basis(spec.tag, spec.n, spec.k)
 
 
 def _combine(params: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -237,8 +216,8 @@ def _combine(params: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def linear_basis(spec: FamilySpec) -> np.ndarray:
     """Basis matrices of a linear family, in parameter order, as a (d, n, n)
     array."""
-    if not spec.kind.linear:
-        raise ParameterRangeError(f"family {spec.kind.tag!r} is not linear")
+    if not spec.linear:
+        raise ParameterRangeError(f"family {spec.tag!r} is not linear")
     return _basis(spec)
 
 
@@ -305,13 +284,13 @@ def _nodes_from_matrix(n: int, s: int, V: np.ndarray) -> np.ndarray:
 # family members and back: the identity, or the transpose for vandermonde-t
 
 def _vand_frame(orient, spec: FamilySpec, point, is_params: bool):
-    n, s = spec.n, spec.kind.s
+    n, s = spec.n, spec.s
     nodes = point if is_params else _nodes_from_matrix(n, s, orient(point))
     return orient(_vand_tangent(n, s, nodes))
 
 
 def _vand_member(orient, spec: FamilySpec, M, tol: float) -> bool:
-    n, s = spec.n, spec.kind.s
+    n, s = spec.n, spec.s
     V = orient(M)
     if n == 1:  # type 0 has no parameters at n = 1; a negative power is never 0
         return s > 0 or abs(V[0, 0]) > 0.0
@@ -379,14 +358,14 @@ def _parameter_vector(spec: FamilySpec, params) -> np.ndarray:
     params = np.asarray(params, dtype=complex).reshape(-1)
     if params.size != spec.param_dim:
         raise ParameterRangeError(
-            f"expected {spec.param_dim} parameters for {spec.kind.label()} (n={spec.n}), got {params.size}")
+            f"expected {spec.param_dim} parameters for {spec.label()} (n={spec.n}), got {params.size}")
     return params
 
 
 def parameterize(spec: FamilySpec, params) -> np.ndarray:
     """Map a parameter vector to a matrix of the family."""
     params = _parameter_vector(spec, params)
-    own = _FAMILIES[spec.kind.tag].parameterize
+    own = _FAMILIES[spec.tag].parameterize
     if own is not None:
         return own(spec, params)
     return _combine(params, _basis(spec))
@@ -409,8 +388,8 @@ def tangent_basis(spec: FamilySpec, point) -> np.ndarray:
     elif point.shape != (n, n):
         raise ParameterRangeError(f"point must be a parameter vector or an {n} x {n} matrix")
     elif not is_member(spec, point, 1e-8):
-        raise NonMemberError(f"matrix is not in {spec.kind.label()}")
-    own = _FAMILIES[spec.kind.tag].tangent
+        raise NonMemberError(f"matrix is not in {spec.label()}")
+    own = _FAMILIES[spec.tag].tangent
     return _basis(spec) if own is None else _frozen(own(spec, point, is_params))
 
 
@@ -442,7 +421,7 @@ def is_member(spec: FamilySpec, M, tol: float) -> bool:
     M = np.asarray(M, dtype=complex)
     if M.shape != (spec.n, spec.n) or not np.isfinite(M).all():
         return False
-    own = _FAMILIES[spec.kind.tag].member
+    own = _FAMILIES[spec.tag].member
     if own is not None:
         return own(spec, M, tol)
     # the basis rows are orthogonal (disjoint supports, or an orthonormal
@@ -455,7 +434,7 @@ def is_member(spec: FamilySpec, M, tol: float) -> bool:
     return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(M)))
 
 
-def random_subspace(n: int, k: int, rng_seed=0) -> FamilyKind:
+def random_subspace(n: int, k: int, rng_seed=0) -> FamilySpec:
     """A uniformly random k-dimensional linear family of n x n matrices.
 
     The basis is the Householder Q of k vectorized complex Gaussian
@@ -464,7 +443,7 @@ def random_subspace(n: int, k: int, rng_seed=0) -> FamilyKind:
     if not 1 <= k <= n * n:
         raise ParameterRangeError(f"subspace dimension k={k} out of range 1..{n * n}")
     X = complex_gaussian(np.random.default_rng(rng_seed), n * n * k).reshape(n * n, k)
-    return FamilyKind(SUBSPACE, k=k, basis=np.linalg.qr(X)[0].T.reshape(k, n, n))
+    return FamilySpec(SUBSPACE, n, k=k, basis=np.linalg.qr(X)[0].T.reshape(k, n, n))
 
 
 def coordinates_of(spec: FamilySpec, M) -> np.ndarray:
@@ -479,15 +458,15 @@ def _center_coordinates(tag: str, n: int, k, exchange: bool) -> np.ndarray:
     """Read-only coordinates of I, or of J when exchange, in a structured
     linear family: one least-squares solve per (tag, n, k)."""
     M = exchange_matrix(n) if exchange else np.eye(n, dtype=complex)
-    return _frozen(coordinates_of(family_spec(FamilyKind(tag, k=k), n), M))
+    return _frozen(coordinates_of(FamilySpec(tag, n, k=k), M))
 
 
 def identity_coordinates(spec: FamilySpec) -> np.ndarray:
     """Coordinates of the identity in a linear family that contains it, as
     a read-only array."""
-    if spec.kind.basis is not None:
+    if spec.basis is not None:
         return _frozen(coordinates_of(spec, np.eye(spec.n, dtype=complex)))
-    return _center_coordinates(spec.kind.tag, spec.n, spec.kind.k, False)
+    return _center_coordinates(spec.tag, spec.n, spec.k, False)
 
 
 def fit_center(spec: FamilySpec, rng: np.random.Generator, slot: int) -> np.ndarray:
@@ -495,15 +474,15 @@ def fit_center(spec: FamilySpec, rng: np.random.Generator, slot: int) -> np.ndar
     center, perturbed by a complex Gaussian of param_dim entries drawn from
     rng (symmetric Toeplitz at n >= 2 and Vandermonde centers draw more)."""
     g = complex_gaussian(rng, spec.param_dim)
-    return _FAMILIES[spec.kind.tag].center(spec, g, rng, slot)
+    return _FAMILIES[spec.tag].center(spec, g, rng, slot)
 
 
-def bounds_facts(kind: FamilyKind, n: int):
+def bounds_facts(spec: FamilySpec):
     """(target tag, generic count) for dimension-count reports: the target
     space chains of this family are measured against, and the least chain
     length known to reach a generic target (None when none is known)."""
-    entry = _family(kind.tag)
-    return entry.target(n), entry.generic_r(n)
+    entry = _family(spec.tag)
+    return entry.target(spec.n), entry.generic_r(spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +493,7 @@ def _identity_center(spec, g, rng, slot):
 
 
 def _exchange_center(spec, g, rng, slot):
-    return _center_coordinates(spec.kind.tag, spec.n, spec.kind.k, True) + 0.1 * g
+    return _center_coordinates(spec.tag, spec.n, spec.k, True) + 0.1 * g
 
 
 def _first_parameter_center(spec, g, rng, slot):
@@ -548,9 +527,9 @@ def _vandermonde_center(spec, g, rng, slot):
 class _Family(NamedTuple):
     """Everything specific to one family tag.  A structured linear family
     gives grid: (i, j, n, k) -> the array of _grid, for i, j = np.indices((n, n)).
-    A nonlinear family gives dimension, parameterize, tangent ((spec, point,
-    is_params) -> the (d, n, n) frame alone, at a point tangent_basis has
-    checked) and member.  target (a dominance target tag) and generic_r are
+    A nonlinear family gives dimension (spec -> parameter count),
+    parameterize, tangent ((spec, point, is_params) -> the (d, n, n) frame
+    alone, at a point tangent_basis has checked) and member.  target (a dominance target tag) and generic_r are
     functions of n."""
 
     arg: str | None = None  # "k" or "s": the argument the tag takes
@@ -567,16 +546,10 @@ class _Family(NamedTuple):
 def _vandermonde_family(orient) -> _Family:
     # at n = 1 type 0 has one member, [[1]], and no parameters
     return _Family(
-        arg="s", dimension=lambda kind, n: 0 if n == 1 and kind.s == 0 else n,
-        parameterize=lambda spec, params: orient(vand(spec.n, spec.kind.s, params)),
+        arg="s", dimension=lambda spec: 0 if spec.n == 1 and spec.s == 0 else spec.n,
+        parameterize=lambda spec, params: orient(vand(spec.n, spec.s, params)),
         tangent=partial(_vand_frame, orient), member=partial(_vand_member, orient),
         center=_vandermonde_center, generic_r=lambda n: 2 * n)
-
-
-def _subspace_dimension(kind, n):
-    if kind.basis.shape[1:] != (n, n):
-        raise ParameterRangeError(f"subspace kind carries no basis of {n} x {n} matrices")
-    return len(kind.basis)
 
 
 _FAMILIES = {
@@ -617,11 +590,11 @@ _FAMILIES = {
     # centrosymmetric coordinate convention
     CENTROSYMMETRIC: _Family(
         grid=lambda i, j, n, k: np.minimum(i * n + j, n * n - 1 - (i * n + j)) + 1),
-    SUBSPACE: _Family(arg="k", dimension=_subspace_dimension, center=lambda spec, g, rng, slot: g),
-    ORTHOGONAL: _Family(dimension=lambda kind, n: n * (n - 1) // 2,
+    SUBSPACE: _Family(arg="k", dimension=lambda spec: len(spec.basis), center=lambda spec, g, rng, slot: g),
+    ORTHOGONAL: _Family(dimension=lambda spec: spec.n * (spec.n - 1) // 2,
                         parameterize=_orthogonal_matrix, tangent=_orthogonal_frame,
                         member=_orthogonal_member, center=lambda spec, g, rng, slot: 0.1 * g),
-    COMPANION: _Family(dimension=lambda kind, n: n,
+    COMPANION: _Family(dimension=lambda spec: spec.n,
                        parameterize=lambda spec, params: companion_matrix(params),
                        tangent=_companion_frame, member=_companion_member,
                        center=_first_parameter_center, generic_r=lambda n: n),

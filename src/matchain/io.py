@@ -30,10 +30,13 @@ FORMAT_CSV = "csv"
 
 
 def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    with open(source, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if hasattr(source, "read"):
+            return source.read()
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _write_text(target, text: str):
@@ -47,11 +50,14 @@ def _write_text(target, text: str):
 def read_json(source):
     """Parse the JSON text of a path or open stream.  Invalid JSON raises
     MatrixParseError with the line and column of the fault."""
+    text = _read_text(source)
     try:
-        return json.loads(_read_text(source))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    except (RecursionError, ValueError) as exc:  # nesting or integer digits past Python's limits
+        raise MatrixParseError(f"invalid JSON: {exc}") from None
 
 
 # JSON scalar field types: what a message calls them, and the Python types
@@ -66,13 +72,21 @@ def _scalar(value, kind: str, what: str):
     noun, types = _SCALAR_KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise MatrixParseError(f"{what} must be {noun}, got {json.dumps(value)}")
-    return float(value) if kind == "float" else value
+    return _float(value) if kind == "float" else value
 
 
-def read_options(source) -> FitOptions:
-    """Fit options from a JSON object of FitOptions fields.  An unknown field
-    or a value of the wrong type raises MatrixParseError; FitOptions checks
-    the ranges."""
+def _float(x) -> float:
+    """x as a float; an integer beyond the float range reads as +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def read_options(source, seed: int = 0) -> FitOptions:
+    """Fit options from a JSON object of FitOptions fields, with seed where
+    the object sets none.  An unknown field or a value of the wrong type
+    raises MatrixParseError; FitOptions checks the ranges."""
     doc = read_json(source)
     if not isinstance(doc, dict):
         raise MatrixParseError("options file must hold a JSON object")
@@ -81,8 +95,8 @@ def read_options(source) -> FitOptions:
     unknown = set(doc) - set(types)
     if unknown:
         raise MatrixParseError(f"unknown option fields: {sorted(unknown)}")
-    return FitOptions(**{key: _scalar(value, types[key], f"option {key!r}")
-                         for key, value in doc.items()})
+    return FitOptions(**{"seed": seed, **{key: _scalar(value, types[key], f"option {key!r}")
+                                          for key, value in doc.items()}})
 
 
 def _guess_format(source, fmt):
@@ -126,7 +140,7 @@ def _pair_to_complex(pair, line=None) -> complex:
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
         raise MatrixParseError(f"entry {pair!r} is not an [re, im] pair", line=line)
-    z = complex(float(pair[0]), float(pair[1]))
+    z = complex(_float(pair[0]), _float(pair[1]))
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise MatrixParseError(f"non-finite entry {pair!r}", line=line)
     return z
@@ -213,16 +227,16 @@ def write_matrix(M, target, format: str | None = None):
 
 
 # ---------------------------------------------------------------------------
-# family kinds
+# families
 
-def kind_to_dict(kind: fam.FamilyKind) -> dict:
-    out = {"tag": kind.tag}
-    if kind.k is not None:
-        out["k"] = int(kind.k)
-    if kind.s is not None:
-        out["s"] = int(kind.s)
-    if kind.basis is not None:
-        out["basis"] = complex_pairs(kind.basis)
+def kind_to_dict(spec: fam.FamilySpec) -> dict:
+    out = {"tag": spec.tag}
+    if spec.k is not None:
+        out["k"] = int(spec.k)
+    if spec.s is not None:
+        out["s"] = int(spec.s)
+    if spec.basis is not None:
+        out["basis"] = complex_pairs(spec.basis)
     return out
 
 
@@ -231,7 +245,7 @@ def _problem_to_dict(prob: DecompositionProblem) -> dict:
         "n": prob.n,
         "r": prob.r,
         "target": prob.target.tag,
-        "factors": [kind_to_dict(spec.kind) for spec in prob.factors],
+        "factors": [kind_to_dict(spec) for spec in prob.factors],
     }
 
 

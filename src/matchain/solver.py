@@ -104,7 +104,7 @@ def _initial_params(prob: DecompositionProblem, T: np.ndarray, rng: np.random.Ge
     out = []
     for i, spec in enumerate(prob.factors, start=1):
         u = fam.fit_center(spec, rng, i)
-        if spec.kind.linear:
+        if spec.linear:
             # balance the factor norms; only linear families scale with
             # their coefficients, so leave the others at their centers
             A = fam.parameterize(spec, u)
@@ -325,10 +325,10 @@ def _exact_start(prob: DecompositionProblem, T: np.ndarray):
     vectors; D joins the first upper factor.  Raises NonGenericMatrixError
     on a breakdown."""
     first, rest = prob.factors[0], prob.factors[1:]
-    if (first.kind.linear and fam.is_member(first, T, 1e-12)
-            and all(spec.kind.linear and fam.is_member(spec, np.eye(prob.n), 1e-12) for spec in rest)):
+    if (first.linear and fam.is_member(first, T, 1e-12)
+            and all(spec.linear and fam.is_member(spec, np.eye(prob.n), 1e-12) for spec in rest)):
         return [fam.coordinates_of(first, T)] + [fam.identity_coordinates(spec) for spec in rest]
-    n, tags = prob.n, [spec.kind.tag for spec in prob.factors]
+    n, tags = prob.n, [spec.tag for spec in prob.factors]
     if tags == [fam.TRIANGULAR_LOWER, fam.TRIANGULAR_UPPER]:
         L, U = lu_nopivot(T)
         return [L[np.tril_indices(n)], U[np.triu_indices(n)]]

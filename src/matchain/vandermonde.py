@@ -22,8 +22,7 @@ import numpy as np
 
 from .dominance import DEFAULT_RANK_TOL, DominanceReport, jacobian, numerical_rank
 from .errors import ParameterRangeError
-from .families import (VANDERMONDE_T, FamilyKind, family_spec, require_distinct_nodes,
-                       tangent_basis, vand)
+from .families import VANDERMONDE_T, FamilySpec, require_distinct_nodes, tangent_basis, vand
 
 
 @dataclass(frozen=True)
@@ -74,19 +73,13 @@ def unit_root_factor(n: int, s_i: int) -> np.ndarray:
 
     Column q is the node w^{-q} raised to the powers s_i .. s_i+n-1, so the
     factor is itself a generalized Vandermonde matrix of type s_i."""
-    w = unit_root(n)
-    p = np.arange(1, n + 1)[:, None]
-    q = np.arange(1, n + 1)[None, :]
-    return w ** (-q * (p - 1 + s_i))
+    return vand(n, s_i, unit_root(n) ** -np.arange(1, n + 1))
 
 
 def unit_root_inverse_pair(n: int, s_i: int) -> np.ndarray:
     """The transposed-Vandermonde partner B_i with entries w^{p(q-1+s_i)};
     B_i @ unit_root_factor(n, s_i) equals n * I."""
-    w = unit_root(n)
-    p = np.arange(1, n + 1)[:, None]
-    q = np.arange(1, n + 1)[None, :]
-    return w ** (p * (q - 1 + s_i))
+    return vand(n, s_i, unit_root(n) ** np.arange(1, n + 1)).T
 
 
 def mp_block(types: VandTypeList, p: int) -> np.ndarray:
@@ -156,7 +149,7 @@ def vandermonde_dominance(n: int, s, rel_tol: float = DEFAULT_RANK_TOL) -> Domin
     for si in types.s:
         B = unit_root_inverse_pair(n, si)
         factors += [B, unit_root_factor(n, si)]
-        frames += [tangent_basis(family_spec(FamilyKind(VANDERMONDE_T, s=si), n), B),
+        frames += [tangent_basis(FamilySpec(VANDERMONDE_T, n, s=si), B),
                    np.empty((0, n, n), dtype=complex)]
     rank = numerical_rank(jacobian(factors, frames), rel_tol)
     summary = {

@@ -85,7 +85,7 @@ def test_criterion_02_companion_round_trip():
 def test_criterion_03_companion_dominance_at_the_shift():
     failures = []
     for n in range(2, 9):
-        spec = fam.family_spec("companion", n)
+        spec = fam.FamilySpec("companion", n)
         e1 = np.zeros(n, dtype=complex)
         e1[0] = 1.0  # the cyclic shift is the companion matrix of e1
         J = dom.jacobian([fam.parameterize(spec, e1)] * n, [fam.tangent_basis(spec, e1)] * n)
@@ -107,7 +107,7 @@ def _toeplitz_proof_params(n, r, rng):
 
 
 def _toeplitz_rank(n, r, seed, draws=3):
-    spec = fam.family_spec("toeplitz-sym", n)
+    spec = fam.FamilySpec("toeplitz-sym", n)
     rng = np.random.default_rng(seed)
     best = 0
     for _ in range(draws):
@@ -144,7 +144,7 @@ def test_criterion_05_two_factor_tangent_toys():
     J = fam.exchange_matrix(3).astype(complex)
 
     def spec(tag):
-        return fam.family_spec(fam.FamilyKind(tag), 3)
+        return fam.FamilySpec(tag, 3)
 
     cases = [
         ("triangular-lower", "triangular-upper", (I, I), True),
@@ -165,7 +165,7 @@ def test_criterion_06_bidiagonal_products_and_pipeline():
     failures = []
     # products of k-1 upper bidiagonal factors are upper k-diagonal, exactly
     for n in range(2, 9):
-        spec = fam.family_spec(fam.FamilyKind("bidiagonal-upper"), n)
+        spec = fam.FamilySpec("bidiagonal-upper", n)
         for k in range(2, n + 1):
             rng = np.random.default_rng(60 * n + k)
             P = np.eye(n, dtype=complex)
@@ -257,7 +257,7 @@ def test_criterion_09_solver_convergence():
         chain = fit_chain(T, dom.problem(["skew-symmetric"] * 3, 8), FitOptions())
         if not chain.converged or chain.residual > 1e-8:
             failures.append(f"skew n=8 trial={trial}: residual {chain.residual:.3e}")
-    centro4 = fam.family_spec(fam.FamilyKind("centrosymmetric"), 4)
+    centro4 = fam.FamilySpec("centrosymmetric", 4)
     prob4 = dom.problem(["toeplitz-sym"] * 3, 4, target="centro")
     for trial in range(20):
         _, T = fam.sample_point(centro4, rng_seed=5000 + trial)
@@ -265,7 +265,7 @@ def test_criterion_09_solver_convergence():
         if not chain.converged or chain.residual > 1e-8:
             failures.append(f"toeplitz-sym n=4 r=3 trial={trial}:"
                             f" residual {chain.residual:.3e}")
-    centro5 = fam.family_spec(fam.FamilyKind("centrosymmetric"), 5)
+    centro5 = fam.FamilySpec("centrosymmetric", 5)
     prob5 = dom.problem(["toeplitz-sym"] * 3, 5, target="centro")
     for trial in range(20):
         _, T = fam.sample_point(centro5, rng_seed=5000 + trial)

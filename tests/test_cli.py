@@ -162,6 +162,53 @@ def test_decompose_rejects_unknown_option(tmp_path, text, code, field):
     assert "Traceback" not in res.stderr
 
 
+def test_decompose_opts_file_takes_the_seed_flag_unless_it_sets_a_seed(tmp_path):
+    path = tmp_path / "t.json"
+    mio.write_matrix(fam.complex_gaussian(np.random.default_rng(5), 16).reshape(4, 4), str(path))
+    results = []
+    for fields, flags in [('"restarts": 2', ["--seed", "7"]),
+                          ('"restarts": 2, "seed": 7', ["--seed", "3"]),
+                          ('"restarts": 2', [])]:
+        opts = tmp_path / "opts.json"
+        opts.write_text("{" + fields + "}")
+        res = run_cli("decompose", "--in", str(path), "--chain", "skew,skew,skew,skew",
+                      "--opts", str(opts), *flags)
+        assert "Traceback" not in res.stderr
+        results.append((res.returncode, res.stdout))
+    seed7_by_flag, seed7_by_file, seed0 = results
+    assert seed7_by_flag == seed7_by_file
+    assert seed7_by_flag != seed0
+
+
+_HUGE = "1" + "0" * 400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize("name,data,opts,code,message", [
+    pytest.param("t.json", '{"n": 1, "entries": [[[%s, 0]]]}' % _HUGE, None, 2,
+                 "non-finite entry", id="huge-integer-entry"),
+    pytest.param("t.json", '{"n": 1, "entries": [[[1, 0]]]}', '{"damping_init": %s}' % _HUGE, 1,
+                 "damping", id="huge-integer-damping"),
+    pytest.param("t.json", "[" * 200_000, None, 2, "invalid JSON", id="deep-nesting"),
+    pytest.param("t.json", '{"n": 1, "entries": [[[1%s, 0]]]}' % ("0" * 5000), None, 2,
+                 "invalid JSON", id="integer-past-the-digit-limit"),
+    pytest.param("t.json", b'\xff\xfe{"n": 1, "entries": [[[1, 0]]]}', None, 2,
+                 "UTF-8", id="not-utf8-json"),
+    pytest.param("t.csv", b"\xff\xfe1,2\n3,4\n", None, 2, "UTF-8", id="not-utf8-csv"),
+])
+def test_malformed_input_files_give_an_error_not_a_traceback(tmp_path, name, data, opts, code,
+                                                              message):
+    path = tmp_path / name
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    extra = []
+    if opts is not None:
+        (tmp_path / "opts.json").write_text(opts)
+        extra = ["--opts", str(tmp_path / "opts.json")]
+    res = run_cli("decompose", "--in", str(path), "--chain", "diagonal", *extra)
+    assert res.returncode == code
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("command", ["verify", "sample", "decompose"])
 def test_negative_seed_is_a_usage_error(tmp_path, command):
     path = tmp_path / "t.json"
@@ -265,7 +312,7 @@ def test_bounds_bidiagonal_generic_count_is_certified():
     """The tridiagonal family's quoted count: a chain of generic_r factors
     has full Jacobian rank, one factor fewer does not (from n = 3)."""
     for n in range(2, 8):
-        _, r = fam.bounds_facts(fam.FamilyKind("bidiagonal"), n)
+        _, r = fam.bounds_facts(fam.FamilySpec("bidiagonal", n))
         assert dom.estimate_image_dimension(dom.problem(["bidiagonal"] * r, n), trials=5).dominant
         if n >= 3:
             fewer = dom.problem(["bidiagonal"] * (r - 1), n)
@@ -290,7 +337,7 @@ def test_sample_is_seeded_and_member():
     assert a.stdout == b.stdout
     M = np.array([[complex(x, y) for x, y in row]
                   for row in json.loads(a.stdout)["entries"]])
-    spec = fam.family_spec(fam.FamilyKind("toeplitz-sym"), 5)
+    spec = fam.FamilySpec("toeplitz-sym", 5)
     assert fam.is_member(spec, M, 1e-12)
 
 

@@ -67,6 +67,11 @@ def test_problem_summary_and_param_dim():
     }
 
 
+
+def test_problem_refuses_a_spec_of_another_size():
+    with pytest.raises(ParameterRangeError, match="problem size"):
+        dom.problem([fam.FamilySpec("diagonal", 3)], 4)
+
 def _frames(prob, points):
     """The tangent frame of each factor family at its point."""
     return [fam.tangent_basis(spec, pt) for spec, pt in zip(prob.factors, points)]
@@ -78,7 +83,7 @@ def _frames(prob, points):
     pytest.param(["toeplitz-sym"] * 3, 5, "centro", id="toeplitz-sym-centro"),
     pytest.param(["companion"] * 3, 3, "full", id="companion"),
     pytest.param(["orthogonal"] * 2, 3, "full", id="orthogonal"),
-    pytest.param([fam.FamilyKind("vandermonde", s=1)] * 2, 3, "full", id="vandermonde:1"),
+    pytest.param([fam.FamilySpec("vandermonde", 3, s=1)] * 2, 3, "full", id="vandermonde:1"),
 ])
 def test_jacobian_shape_and_column_content(kinds, n, target):
     """Each column is the differential applied to one frame direction, with
@@ -105,7 +110,7 @@ def test_jacobian_slot_without_parameters():
     """A fixed factor takes an empty frame: it adds no columns, and the
     Jacobian equals that of the chain with it multiplied into its neighbour."""
     rng = np.random.default_rng(3)
-    lower, upper = (fam.family_spec(fam.FamilyKind(tag), 4)
+    lower, upper = (fam.FamilySpec(tag, 4)
                     for tag in ("bidiagonal-lower", "bidiagonal-upper"))
     A, B = (fam.sample_point(spec, rng)[1] for spec in (lower, upper))
     F = fam.complex_gaussian(rng, 16).reshape(4, 4)
@@ -131,7 +136,7 @@ def test_verdict_ranks_the_target_rows(monkeypatch, kinds, n, target, shape):
 
 
 def test_jacobian_needs_a_nonempty_chain_and_one_frame_per_factor():
-    spec = fam.family_spec("diagonal", 3)
+    spec = fam.FamilySpec("diagonal", 3)
     A, B = np.eye(3, dtype=complex), np.diag([1.0, 2.0, 3.0]).astype(complex)
     frame = fam.tangent_basis(spec, A)
     with pytest.raises(ParameterRangeError):
@@ -149,14 +154,14 @@ def test_jacobian_at_sampled_matrices_matches_parameters(tag):
     dimension n."""
     for n in (2, 4, 6):
         arg = n if tag == "subspace" else 2 if tag.startswith("k-diagonal") else None
-        prob = dom.problem([fam.kind_from_argument(tag, arg, n, rng_seed=n)] * 2, n)
+        prob = dom.problem([fam.spec_from_argument(tag, arg, n, rng_seed=n)] * 2, n)
         for seed in range(3):
             rng = np.random.default_rng(seed)
             params, mats = zip(*(fam.sample_point(spec, rng) for spec in prob.factors))
             J_params = dom.jacobian(mats, _frames(prob, params))
             J_mats = dom.jacobian(mats, _frames(prob, mats))
             assert dom.numerical_rank(J_mats) == dom.numerical_rank(J_params)
-            if prob.factors[0].kind.linear or tag == "companion":
+            if prob.factors[0].linear or tag == "companion":
                 assert np.array_equal(J_mats, J_params)
 
 
@@ -166,7 +171,7 @@ def test_sampled_vandermonde_matrices_are_members(tag):
     is not caught by estimate_image_dimension."""
     for s in range(-3, 4):
         for n in range(2, 9):
-            spec = fam.family_spec(fam.FamilyKind(tag, s=s), n)
+            spec = fam.FamilySpec(tag, n, s=s)
             for seed in range(5):
                 _, V = fam.sample_point(spec, seed)
                 assert fam.tangent_basis(spec, V).shape == (n, n, n)
@@ -178,12 +183,12 @@ def test_high_type_vandermonde_verdicts_at_sampled_matrices(tag, s):
     """At a high type s a Gaussian node x can have |x|^s far below 1e-14; it
     is still a nonzero node, so the frame at the sampled matrix is the frame
     at the sampled nodes, and a verdict needs no redraw."""
-    spec = fam.family_spec(fam.FamilyKind(tag, s=s), 8)
+    spec = fam.FamilySpec(tag, 8, s=s)
     for seed in range(40):
         x, V = fam.sample_point(spec, seed)
         np.testing.assert_allclose(fam.tangent_basis(spec, V),
                                    fam.tangent_basis(spec, x), rtol=1e-10, atol=0)
-    prob = dom.problem([spec.kind] * 16, 8)
+    prob = dom.problem([spec] * 16, 8)
     for seed in range(0, 20, 5):
         assert len(dom.estimate_image_dimension(prob, trials=5, seed=seed).ranks) == 5
 
@@ -192,7 +197,7 @@ def test_orthogonal_span_frame_spans_the_expm_derivative():
     """Q E over the skew basis E spans the same tangent space at Q = expm(S)
     as the derivative of expm: the joint rank is n(n-1)/2."""
     for n in (3, 5, 8):
-        spec = fam.family_spec(fam.FamilyKind("orthogonal"), n)
+        spec = fam.FamilySpec("orthogonal", n)
         params, Q = fam.sample_point(spec, n)
         span = fam.tangent_basis(spec, Q)
         deriv = fam.tangent_basis(spec, params)
@@ -284,17 +289,17 @@ def test_surjectivity_bound():
 
 def test_two_factor_tangent_test_qr_like_pairs():
     I = np.eye(3, dtype=complex)
-    up = fam.family_spec(fam.FamilyKind("triangular-upper"), 3)
-    lo = fam.family_spec(fam.FamilyKind("triangular-lower"), 3)
-    orth = fam.family_spec(fam.FamilyKind("orthogonal"), 3)
+    up = fam.FamilySpec("triangular-upper", 3)
+    lo = fam.FamilySpec("triangular-lower", 3)
+    orth = fam.FamilySpec("orthogonal", 3)
     assert dom.two_factor_tangent_test(lo, up, (I, I))
     assert dom.two_factor_tangent_test(orth, up, (I, I))
     assert not dom.two_factor_tangent_test(up, up, (I, I))
 
 
 def test_two_factor_tangent_test_rejects_bad_base():
-    up = fam.family_spec(fam.FamilyKind("triangular-upper"), 3)
-    lo = fam.family_spec(fam.FamilyKind("triangular-lower"), 3)
+    up = fam.FamilySpec("triangular-upper", 3)
+    lo = fam.FamilySpec("triangular-lower", 3)
     bad = np.ones((3, 3), dtype=complex)  # not lower triangular
     from matchain.errors import NonMemberError
     with pytest.raises(NonMemberError):

@@ -9,7 +9,7 @@ from matchain.errors import DegeneratePointError, NonMemberError, ParameterRange
 
 
 def _spec(tag, n, k=None, s=None):
-    return fam.family_spec(fam.FamilyKind(tag, k=k, s=s), n)
+    return fam.FamilySpec(tag, n, k=k, s=s)
 
 
 # tag, k, expected dimension at n=4, and at n=6
@@ -80,7 +80,12 @@ def test_closed_forms_agree_with_dimensions_table():
 
 def test_linear_dimensions_match_closed_forms():
     for tag, n, k in _linear_cases(range(1, 9)):
-        assert fam.family_dimension(fam.FamilyKind(tag, k=k), n) == CLOSED_FORMS[tag](n, k)
+        d = CLOSED_FORMS[tag](n, k)
+        if d == 0:  # skew-symmetric at n = 1: no spec exists
+            with pytest.raises(ParameterRangeError, match="has no parameters"):
+                fam.FamilySpec(tag, n, k=k)
+        else:
+            assert fam.FamilySpec(tag, n, k=k).param_dim == d
 
 
 def _closed_form_matrix(tag, n, k, p):
@@ -129,7 +134,7 @@ def _closed_form_matrix(tag, n, k, p):
 
 @pytest.mark.parametrize("tag,n,k", _linear_cases([4]))
 def test_parameter_order_matches_closed_form(tag, n, k):
-    spec = fam.family_spec(fam.FamilyKind(tag, k=k), n)
+    spec = fam.FamilySpec(tag, n, k=k)
     p = np.arange(1, spec.param_dim + 1).astype(complex)
     np.testing.assert_array_equal(fam.parameterize(spec, p), _closed_form_matrix(tag, n, k, p))
 
@@ -138,7 +143,7 @@ def test_structured_bases_are_orthogonal():
     """The Gram matrix of every structured basis is diagonal, which is what
     membership by projection onto the span relies on."""
     for tag, n, k in _linear_cases(range(2, 8)):
-        B = fam.linear_basis(fam.family_spec(fam.FamilyKind(tag, k=k), n)).reshape(-1, n * n)
+        B = fam.linear_basis(fam.FamilySpec(tag, n, k=k)).reshape(-1, n * n)
         G = B.conj() @ B.T
         assert np.array_equal(G, np.diag(np.diag(G))), (tag, n, k)
 
@@ -159,8 +164,8 @@ def test_kind_from_tag_rejects_arguments_the_family_does_not_take():
                     ("k-diagonal", {"s": 1}), ("skew-symmetric", {"s": 0}),
                     ("k-diagonal", {"k": "2"}), ("vandermonde", {"s": 1.0})]:
         with pytest.raises(ParameterRangeError):
-            fam.FamilyKind(tag, **kw)
-    assert fam.FamilyKind("k-diagonal", k=2) == fam.kind_from_argument("k-diagonal", 2, 4)
+            fam.FamilySpec(tag, 4, **kw)
+    assert fam.FamilySpec("k-diagonal", 4, k=2) == fam.spec_from_argument("k-diagonal", 2, 4)
 
 
 def test_k_diagonal_edge_dimensions():
@@ -175,9 +180,9 @@ def test_k_diagonal_edge_dimensions():
 
 def test_kind_from_tag_rejects_unknown_and_subspace():
     with pytest.raises(ParameterRangeError):
-        fam.FamilyKind("hessenberg")
+        fam.FamilySpec("hessenberg", 4)
     with pytest.raises(ParameterRangeError):
-        fam.FamilyKind("subspace")
+        fam.FamilySpec("subspace", 4)
 
 
 @pytest.mark.parametrize("tag, kw", [
@@ -189,27 +194,28 @@ def test_kind_from_tag_rejects_unknown_and_subspace():
     ("subspace", {"basis": np.stack([np.eye(2) / 2, np.eye(2) / 2])}),
     ("subspace", {"basis": np.zeros((0, 2, 2))}),
     ("subspace", {"k": 2, "basis": np.eye(2)[None] / np.sqrt(2)}),
+    ("subspace", {"basis": np.eye(3)[None] / np.sqrt(3)}),
 ], ids=["argument-not-taken", "bool-k", "fractional-k", "fractional-s", "missing-k",
         "unknown-tag", "basis-outside-subspace", "non-square-basis", "non-orthonormal-basis",
-        "empty-basis", "k-against-basis"])
+        "empty-basis", "k-against-basis", "wrong-size-basis"])
 def test_family_kind_checks_itself_on_construction(tag, kw):
     with pytest.raises(ParameterRangeError):
-        fam.FamilyKind(tag, **kw)
+        fam.FamilySpec(tag, 2, **kw)
 
 
 def test_subspace_kind_copies_its_basis_read_only():
     B = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    kind = fam.FamilyKind("subspace", basis=B)
-    assert kind.k == 4 and kind.basis.flags.c_contiguous and not kind.basis.flags.writeable
+    spec = fam.FamilySpec("subspace", 2, basis=B)
+    assert spec.k == 4 and spec.basis.flags.c_contiguous and not spec.basis.flags.writeable
     assert B.flags.writeable  # the caller's array is left as it was
     Bt = np.asfortranarray(B)
-    assert fam.FamilyKind("subspace", k=4, basis=Bt).basis.flags.c_contiguous
+    assert fam.FamilySpec("subspace", 2, k=4, basis=Bt).basis.flags.c_contiguous
 
 
 def test_labels():
-    assert fam.FamilyKind("toeplitz-sym").label() == "toeplitz-sym"
-    assert fam.FamilyKind("k-diagonal", k=3).label() == "k-diagonal(3)"
-    assert fam.FamilyKind("vandermonde", s=2).label() == "vandermonde(2)"
+    assert fam.FamilySpec("toeplitz-sym", 4).label() == "toeplitz-sym"
+    assert fam.FamilySpec("k-diagonal", 4, k=3).label() == "k-diagonal(3)"
+    assert fam.FamilySpec("vandermonde", 4, s=2).label() == "vandermonde(2)"
     assert fam.random_subspace(4, 7).label() == "subspace(7)"
 
 
@@ -352,22 +358,21 @@ def test_contains_identity_flags():
 
 
 def test_random_subspace_basis():
-    kind = fam.random_subspace(4, 7, rng_seed=11)
-    assert len(kind.basis) == 7
-    assert all(B.shape == (4, 4) for B in kind.basis)
+    spec = fam.random_subspace(4, 7, rng_seed=11)
+    assert len(spec.basis) == 7
+    assert all(B.shape == (4, 4) for B in spec.basis)
     # orthonormal in the trace inner product
-    G = np.array([[np.vdot(a, b) for b in kind.basis] for a in kind.basis])
+    G = np.array([[np.vdot(a, b) for b in spec.basis] for a in spec.basis])
     np.testing.assert_allclose(G, np.eye(7), atol=1e-12)
     again = fam.random_subspace(4, 7, rng_seed=11)
-    for a, b in zip(kind.basis, again.basis):
+    for a, b in zip(spec.basis, again.basis):
         np.testing.assert_array_equal(a, b)
     other = fam.random_subspace(4, 7, rng_seed=12)
-    assert not all(np.allclose(a, b) for a, b in zip(kind.basis, other.basis))
+    assert not all(np.allclose(a, b) for a, b in zip(spec.basis, other.basis))
 
 
 def test_subspace_membership_and_coordinates():
-    kind = fam.random_subspace(5, 9, rng_seed=1)
-    spec = fam.family_spec(kind, 5)
+    spec = fam.random_subspace(5, 9, rng_seed=1)
     assert spec.param_dim == 9
     p = fam.complex_gaussian(np.random.default_rng(0), 9)
     M = fam.parameterize(spec, p)
@@ -381,7 +386,7 @@ def test_sample_point_is_one_gaussian_draw(tag):
     once, and returns their parameterization: nothing is redrawn."""
     arg = {"k-diagonal": 2, "k-diagonal-upper": 2, "k-diagonal-lower": 2, "subspace": 5,
            "vandermonde": -1, "vandermonde-t": 2}.get(tag)
-    spec = fam.family_spec(fam.kind_from_argument(tag, arg, 4), 4)
+    spec = fam.spec_from_argument(tag, arg, 4)
     for seed in range(3):
         params, M = fam.sample_point(spec, rng_seed=seed)
         expect = fam.complex_gaussian(np.random.default_rng(seed), spec.param_dim)
@@ -433,15 +438,15 @@ def test_tangent_basis_linear_family_is_constant():
 def test_parameterize_is_the_basis_contraction():
     """Every linear family evaluates to the same bytes as the contraction of
     its parameters with its basis, strided parameter views included."""
-    kinds = [(fam.FamilyKind(tag, k=k), n) for tag, n, k in _linear_cases(range(1, 9))
+    specs = [fam.FamilySpec(tag, n, k=k) for tag, n, k in _linear_cases(range(1, 9))
              if CLOSED_FORMS[tag](n, k) > 0]
-    kinds += [(fam.random_subspace(n, k, rng_seed=n), n) for n, k in [(1, 1), (3, 4), (5, 25)]]
-    for kind, n in kinds:
-        spec = fam.family_spec(kind, n)
+    specs += [fam.random_subspace(n, k, rng_seed=n) for n, k in [(1, 1), (3, 4), (5, 25)]]
+    for spec in specs:
+        n = spec.n
         theta = fam.complex_gaussian(np.random.default_rng(n), 2 * spec.param_dim)
         for p in (theta[:spec.param_dim], theta[::2]):
             expect = np.tensordot(p, fam.linear_basis(spec), axes=1)
-            assert fam.parameterize(spec, p).tobytes() == expect.tobytes(), (kind, n)
+            assert fam.parameterize(spec, p).tobytes() == expect.tobytes(), spec
 
 
 def _expm_frechet_stack(S, directions):
@@ -495,7 +500,7 @@ def test_fit_center_is_the_center_plus_a_small_draw(tag, k, center):
 
 
 def test_identity_coordinates_are_read_only():
-    for spec in (_spec("triangular-lower", 4), fam.family_spec(fam.random_subspace(2, 4), 2)):
+    for spec in (_spec("triangular-lower", 4), fam.random_subspace(2, 4)):
         u = fam.identity_coordinates(spec)
         np.testing.assert_allclose(fam.parameterize(spec, u), np.eye(spec.n), atol=1e-12)
         with pytest.raises(ValueError):
@@ -583,10 +588,8 @@ def test_vandermonde_type_zero_has_no_parameters_at_n1():
     """The only 1 x 1 matrix of type 0 is [[x^0]] = [[1]]: dimension 0, so
     no spec exists, as for skew-symmetric and orthogonal at n = 1."""
     for tag in ("vandermonde", "vandermonde-t"):
-        kind = fam.FamilyKind(tag, s=0)
-        assert fam.family_dimension(kind, 1) == 0
         with pytest.raises(ParameterRangeError, match="has no parameters at n=1"):
-            fam.family_spec(kind, 1)
+            fam.FamilySpec(tag, 1, s=0)
 
 
 def test_vandermonde_membership_edge_cases():

@@ -1,10 +1,12 @@
-"""Every name a matchain module imports is used in that module, so code
-that a change deletes leaves no import behind."""
+"""Every name a matchain module imports is used in that module, and every
+name a module defines is used somewhere, so code that a change deletes
+leaves no import or helper behind."""
 
 import ast
 import pathlib
 
-_SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matchain"
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "matchain"
 
 
 def _unused_imports(tree):
@@ -22,3 +24,37 @@ def test_every_imported_name_is_used():
     unused = [f"{path.name}: {name}" for path in sorted(_SRC.glob("*.py"))
               for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert not unused
+
+
+def _defined(tree):
+    """Names a module defines at its top level: functions, classes and
+    assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _references(tree):
+    """Every name a module reads, attribute names and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (a.name.split(".")[-1] for a in node.names)
+
+
+def test_every_defined_name_is_used():
+    """A top-level def, class or assignment of src/matchain that no module
+    of src, tests, benchmarks or tools refers to is dead (dunders aside)."""
+    files = [path for top in ("src", "tests", "benchmarks", "tools")
+             for path in sorted((_ROOT / top).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    dead = [f"{path.name}: {name}" for path, tree in trees.items() if path.parent == _SRC
+            for name in _defined(tree) if name not in used and not name.startswith("__")]
+    assert not dead

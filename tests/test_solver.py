@@ -77,7 +77,7 @@ def test_diagonal_target_in_one_bidiagonal_factor_is_exact():
 
 
 def test_member_target_with_identity_padding_is_exact():
-    spec = fam.family_spec(fam.FamilyKind("toeplitz"), 4)
+    spec = fam.FamilySpec("toeplitz", 4)
     T = fam.parameterize(spec, fam.complex_gaussian(np.random.default_rng(5), 7))
     prob = dom.problem(["toeplitz", "bidiagonal", "bidiagonal"], 4)
     chain = fit_chain(T, prob)
@@ -264,7 +264,7 @@ def test_fit_evaluates_each_factor_once_per_point(monkeypatch, chain, n):
     count(fam, "parameterize")
     count(solver, "_damped_step")
     fit_chain(T, prob, FitOptions(restarts=1, seed=0))
-    linear = sum(spec.kind.linear for spec in prob.factors)
+    linear = sum(spec.linear for spec in prob.factors)
     assert counts["_damped_step"] > 0
     assert counts["parameterize"] == prob.r * (counts["_damped_step"] + 1) + linear
 
@@ -391,7 +391,7 @@ def test_decompose_bidiagonal_structure():
 def test_decompose_bidiagonal_upper_triangular_input():
     """An upper bidiagonal target leaves the lower half at the identity."""
     n = 4
-    spec = fam.family_spec(fam.FamilyKind("bidiagonal-upper"), n)
+    spec = fam.FamilySpec("bidiagonal-upper", n)
     T = fam.parameterize(spec, fam.complex_gaussian(np.random.default_rng(8), 2 * n - 1))
     chain = decompose_bidiagonal(T)
     assert chain.converged
@@ -413,8 +413,8 @@ def test_decompose_bidiagonal_is_constructed_not_fitted(n, seed):
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12])
 def test_decompose_bidiagonal_residual_and_membership(n):
-    lower = fam.family_spec(fam.BIDIAGONAL_LOWER, n)
-    upper = fam.family_spec(fam.BIDIAGONAL_UPPER, n)
+    lower = fam.FamilySpec(fam.BIDIAGONAL_LOWER, n)
+    upper = fam.FamilySpec(fam.BIDIAGONAL_UPPER, n)
     for trial in range(20):
         T = _random_target(n, 1000 * n + trial)
         chain = decompose_bidiagonal(T)
@@ -472,7 +472,7 @@ def test_fit_chain_falls_back_to_random_restarts_on_breakdown():
     pytest.param(lambda T: fit_chain(
         T, dom.problem(["triangular-lower", "triangular-upper"], 4)).params, id="fit_chain"),
     pytest.param(lambda T: decompose_bidiagonal(T).params, id="decompose_bidiagonal"),
-    pytest.param(lambda T: fam.is_member(fam.family_spec("toeplitz", 4), T, 1e-12),
+    pytest.param(lambda T: fam.is_member(fam.FamilySpec("toeplitz", 4), T, 1e-12),
                  id="is_member"),
     pytest.param(lambda T: decompose_companion(T).coefficients, id="decompose_companion"),
 ])
@@ -493,7 +493,7 @@ def test_non_finite_entries_are_rejected(bad):
             lu_nopivot(M)
         with pytest.raises(ParameterRangeError):
             decompose_companion(M)
-        assert not fam.is_member(fam.family_spec("toeplitz", 3), M, 1e-12)
+        assert not fam.is_member(fam.FamilySpec("toeplitz", 3), M, 1e-12)
 
 
 def test_decompose_bidiagonal_refuses_pivot_free_targets():
@@ -504,7 +504,7 @@ def test_decompose_bidiagonal_refuses_pivot_free_targets():
 
 
 def _centro_target(n, seed):
-    spec = fam.family_spec(fam.FamilyKind("centrosymmetric"), n)
+    spec = fam.FamilySpec("centrosymmetric", n)
     _, M = fam.sample_point(spec, rng_seed=seed)
     return M
 
@@ -514,7 +514,7 @@ def test_decompose_centrosymmetric_default_depth():
     chain = decompose_centrosymmetric(T)
     assert chain.converged
     assert len(chain.factors) == 3  # n // 2 + 1
-    st = fam.family_spec(fam.FamilyKind("toeplitz-sym"), 5)
+    st = fam.FamilySpec("toeplitz-sym", 5)
     for F in chain.factors:
         assert fam.is_member(st, F, 1e-8)
     np.testing.assert_allclose(chain.product(), T, atol=1e-7)
@@ -538,7 +538,7 @@ def test_decompose_centrosymmetric_hankel_mode_odd_depth():
     chain = decompose_centrosymmetric(T, use_hankel=True)
     assert chain.converged
     assert len(chain.factors) == 3
-    ph = fam.family_spec(fam.FamilyKind("hankel-persym"), 5)
+    ph = fam.FamilySpec("hankel-persym", 5)
     for F in chain.factors:
         assert fam.is_member(ph, F, 1e-8)
     np.testing.assert_allclose(chain.product(), J @ T, atol=1e-7)
@@ -600,9 +600,9 @@ def test_decompose_bidiagonal_factors_its_target_once(monkeypatch):
 def test_vandermonde_chain_fit_converges_from_root_of_unity_centers():
     """A Vandermonde chain has no exact start, so every restart starts from
     fit_center: the n-th roots of unity, each scaled by 1 + 0.1 g."""
-    kinds = [fam.FamilyKind("vandermonde-t", s=1), fam.FamilyKind("vandermonde", s=1),
-             fam.FamilyKind("vandermonde-t", s=2), fam.FamilyKind("vandermonde", s=2)]
-    prob = dom.problem(kinds, 3)
+    specs = [fam.FamilySpec("vandermonde-t", 3, s=1), fam.FamilySpec("vandermonde", 3, s=1),
+             fam.FamilySpec("vandermonde-t", 3, s=2), fam.FamilySpec("vandermonde", 3, s=2)]
+    prob = dom.problem(specs, 3)
     u = fam.fit_center(prob.factors[0], np.random.default_rng(0), 1)
     w = np.exp(-2j * np.pi * np.arange(1, 4) / 3)
     assert np.all(np.abs(u / w - 1.0) < 0.5)

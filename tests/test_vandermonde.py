@@ -167,7 +167,7 @@ def test_jacobian_is_block_diagonal_by_node_index(n):
     for s in types.s:
         B = vm.unit_root_inverse_pair(n, s)
         factors += [B, vm.unit_root_factor(n, s) / n]
-        frames += [fam.tangent_basis(fam.family_spec(fam.FamilyKind("vandermonde-t", s=s), n), B),
+        frames += [fam.tangent_basis(fam.FamilySpec("vandermonde-t", n, s=s), B),
                    np.empty((0, n, n), dtype=complex)]
     by_node = np.arange(n * n).reshape(n, n).T.reshape(-1)  # column (j, p) -> (p, j)
     expect = np.zeros((n * n, n * n), dtype=complex)
