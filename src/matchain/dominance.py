@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families as fam
-from .errors import ParameterRangeError
+from .errors import DegeneratePointError, ParameterRangeError
 
 TARGET_FULL = "full"
 TARGET_DET = "det"
@@ -28,6 +28,7 @@ TARGET_CENTRO = "centro"
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_TRIALS = 5
+_EPS = float(np.finfo(float).eps)
 
 
 # target tag -> dimension at size n
@@ -175,17 +176,58 @@ def jacobian(factors, frames) -> np.ndarray:
 
 
 def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above rel_tol times the largest, taken
-    from the tall orientation (M or M^T share them; the tall SVD is faster)."""
+    """Number of singular values above rel_tol times the largest.
+
+    M is taken tall, p x m with p >= m (M and M^T share singular values),
+    and full rank is tried first without an SVD.  A = 2^-e M, with max |A|
+    in [1/2, 1), is M scaled exactly, and A^H A cannot overflow.  With
+    G = fl(A^H A) and u = eps / 2, the Cholesky factorization of
+
+        G - s I,   s = (rel_tol^2 + 16 (p + m + 1) eps) trace(G),
+
+    is tried.  The shift covers the rounding of both steps (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, chs. 3
+    and 10), each bounded in the 2-norm by Cauchy-Schwarz over the columns:
+    - the product: |G - A^H A| <= gamma_(p+2) |A|^H |A|, at most about
+      (p + 2) u ||A||_F^2;
+    - the factorization: one that completes gives R^H R = G - s I + E with
+      |E| <= gamma_(m+1) |R^H| |R|, at most about (m + 1) u ||A||_F^2
+      (subtracting s adds u per diagonal entry).
+    R^H R is positive semidefinite, so sigma_min(A)^2 is at least s less
+    those terms, which 32 (p + m + 1) u covers with room:
+    sigma_min^2 > rel_tol^2 ||A||_F^2 >= (rel_tol sigma_1)^2, with more
+    than 4 (p + m + 1) eps sigma_1 to spare, far above the SVD's own
+    rounding.  Every singular value clears the cut, and the rank is m.
+
+    When the Cholesky fails (a deficient or ill-conditioned M, or a rel_tol
+    too near 1 for the Frobenius bound), the rank is the count of the
+    singular-values-only SVD of M.  A matrix with a non-finite entry has no
+    rank (DegeneratePointError).
+    """
     if not 0 < rel_tol < 1:
         raise ParameterRangeError(f"rank tolerance must lie in (0, 1), got {rel_tol}")
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0
-    sv = np.linalg.svd(M.T if M.shape[0] < M.shape[1] else M, compute_uv=False)
-    if sv[0] == 0.0:
+    top = float(np.max(np.abs(M)))
+    if not math.isfinite(top):
+        raise DegeneratePointError("matrix has a non-finite entry; its rank is undefined")
+    if top == 0.0:
         return 0
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))
+    if M.shape[0] < M.shape[1]:
+        M = M.T
+    p, m = M.shape
+    # 2^1021 is the largest scale a float holds with room; a subnormal top
+    # then scales to below 1/2, still far from underflow
+    A = M * math.ldexp(1.0, -max(math.frexp(top)[1], -1021))
+    G = A.conj().T @ A
+    G.flat[::m + 1] -= (rel_tol ** 2 + 16 * (p + m + 1) * _EPS) * G.trace().real
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        sv = np.linalg.svd(M, compute_uv=False)
+        return int(np.count_nonzero(sv > rel_tol * sv[0]))
+    return m
 
 
 def estimate_image_dimension(
@@ -212,7 +254,8 @@ def estimate_image_dimension(
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         factors = [fam.sample_point(spec, rng)[1] for spec in prob.factors]
-        J = jacobian(factors, [fam.tangent_basis(spec, A) for spec, A in zip(prob.factors, factors)])
+        # sample_point's matrices are members by construction: no re-check
+        J = jacobian(factors, [fam._frame(spec, A, False) for spec, A in zip(prob.factors, factors)])
         if prob.target.tag == TARGET_CENTRO:
             J = J[:prob.target.dim]
         ranks.append(numerical_rank(J, rel_tol))

@@ -389,6 +389,12 @@ def tangent_basis(spec: FamilySpec, point) -> np.ndarray:
         raise ParameterRangeError(f"point must be a parameter vector or an {n} x {n} matrix")
     elif not is_member(spec, point, 1e-8):
         raise NonMemberError(f"matrix is not in {spec.label()}")
+    return _frame(spec, point, is_params)
+
+
+def _frame(spec: FamilySpec, point: np.ndarray, is_params: bool) -> np.ndarray:
+    """tangent_basis without its checks, for a point already known to be a
+    complex parameter vector or a member matrix (one sample_point built)."""
     own = _FAMILIES[spec.tag].tangent
     return _basis(spec) if own is None else _frozen(own(spec, point, is_params))
 

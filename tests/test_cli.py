@@ -77,6 +77,17 @@ def test_verify_is_reproducible():
     assert a.returncode == 0
 
 
+def test_verify_with_an_overflowing_product_is_an_error_not_a_traceback():
+    """At type 200 the product of the sampled factors overflows, and a
+    matrix with a non-finite entry has no rank."""
+    res = run_cli("verify", "--family", "vandermonde:200", "--n", "4", "--r", "8")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert [line for line in res.stderr.splitlines() if line.startswith("error:")] == [
+        "error: matrix has a non-finite entry; its rank is undefined"]
+
+
 def test_table_reproduces_all_rows():
     res = run_cli("table")
     assert res.returncode == 0

@@ -1,11 +1,14 @@
 """Jacobians of multiplication maps and dimension arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import matchain.families as fam
 import matchain.dominance as dom
-from matchain.errors import ParameterRangeError
+import matchain.vandermonde as vand
+from matchain.errors import DegeneratePointError, NonMemberError, ParameterRangeError
 
 
 def test_target_space_dimensions():
@@ -167,8 +170,8 @@ def test_jacobian_at_sampled_matrices_matches_parameters(tag):
 
 @pytest.mark.parametrize("tag", ["vandermonde", "vandermonde-t"])
 def test_sampled_vandermonde_matrices_are_members(tag):
-    """tangent_basis checks a matrix point's membership, and a NonMemberError
-    is not caught by estimate_image_dimension."""
+    """Sampled matrices pass tangent_basis's membership check, which
+    estimate_image_dimension skips for the matrices sample_point builds."""
     for s in range(-3, 4):
         for n in range(2, 9):
             spec = fam.FamilySpec(tag, n, s=s)
@@ -224,6 +227,100 @@ def test_numerical_rank_thresholds():
     for bad in (-1.0, 0.0, np.nan, np.inf, 1.0):
         with pytest.raises(ParameterRangeError):
             dom.numerical_rank(M, rel_tol=bad)
+
+
+def test_numerical_rank_refuses_a_non_finite_matrix():
+    M = np.eye(4, dtype=complex)
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        M[2, 1] = bad
+        with pytest.raises(DegeneratePointError, match="non-finite"):
+            dom.numerical_rank(M)
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200, 1e-310])
+def test_numerical_rank_does_not_depend_on_scale(c):
+    """The Gram certificate scales M first, so c M neither overflows nor
+    underflows in the product, and its rank is that of M (at c = 1e-310
+    every entry is subnormal)."""
+    rng = np.random.default_rng(11)
+    full = fam.complex_gaussian(rng, 30 * 20).reshape(30, 20)
+    deficient = full[:, :12] @ fam.complex_gaussian(rng, 12 * 20).reshape(12, 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M, rank in [(full, 20), (deficient, 12)]:
+            assert dom.numerical_rank(M) == rank
+            assert dom.numerical_rank(c * M) == rank
+            assert dom.numerical_rank((c * M).T) == rank
+
+
+def _certify_matrices(monkeypatch, verdict):
+    """The matrices a verdict hands to numerical_rank."""
+    seen = []
+
+    def record(M, rel_tol=dom.DEFAULT_RANK_TOL):
+        seen.append(np.array(M))
+        return 0
+    with monkeypatch.context() as patch:
+        patch.setattr(dom, "numerical_rank", record)
+        patch.setattr(vand, "numerical_rank", record)
+        verdict()
+    return seen
+
+
+def _chain_verdict(kinds, n, target="full"):
+    return lambda: dom.estimate_image_dimension(dom.problem(kinds, n, target), trials=2)
+
+
+_SKEW, _ORTH, _COMPANION = "skew-symmetric", "orthogonal", "companion"
+_LOWER, _UPPER = "bidiagonal-lower", "bidiagonal-upper"
+
+
+@pytest.mark.parametrize("verdict", [
+    pytest.param(_chain_verdict([_SKEW] * 3, 8), id="skew-n8"),
+    pytest.param(_chain_verdict([_SKEW] * 3, 10), id="skew-n10"),
+    pytest.param(_chain_verdict([_SKEW] * 3, 12), id="skew-n12"),
+    pytest.param(_chain_verdict([_SKEW] * 3, 16), id="skew-n16"),
+    pytest.param(_chain_verdict([_ORTH] * 3, 8), id="orthogonal-n8"),
+    pytest.param(_chain_verdict([_COMPANION] * 12, 12), id="companion-n12"),
+    pytest.param(_chain_verdict(["toeplitz-sym"] * 5, 9, "centro"), id="toeplitz-sym-n9-centro"),
+    pytest.param(_chain_verdict([_LOWER, _UPPER] * 4, 4), id="alternating-bidiagonal-n4"),
+    pytest.param(lambda: vand.vandermonde_dominance(6, (1, 2, 3, 4, 5, 6)), id="vandermonde-n6"),
+    pytest.param(_chain_verdict([_LOWER] * 8 + [_UPPER] * 8, 8), id="bidiagonal-2n-n8"),
+])
+def test_numerical_rank_is_the_svd_count_on_verdict_matrices(monkeypatch, verdict):
+    """Whether or not the Gram certificate decides, the rank is the number
+    of singular values above rel_tol times the largest, at every tolerance."""
+    for M in _certify_matrices(monkeypatch, verdict):
+        tall = M.T if M.shape[0] < M.shape[1] else M
+        sv = np.linalg.svd(tall, compute_uv=False)
+        for rel_tol in (1e-13, 1e-8, 1e-4, 0.5):
+            assert dom.numerical_rank(M, rel_tol) == np.count_nonzero(sv > rel_tol * sv[0])
+
+
+@pytest.mark.parametrize("kinds, ranks, svd_calls", [
+    pytest.param([_SKEW] * 3, [64, 64], 0, id="dominant-skew"),
+    pytest.param([_ORTH] * 3, [28, 28], 2, id="deficient-orthogonal"),
+])
+def test_full_rank_verdicts_take_no_svd(monkeypatch, kinds, ranks, svd_calls):
+    """A full-rank Jacobian is certified by the Gram matrix's Cholesky alone;
+    a deficient one (the orthogonal group is closed under products) still
+    takes the SVD count."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    assert dom.estimate_image_dimension(dom.problem(kinds, 8), trials=2).ranks == ranks
+    assert len(calls) == svd_calls
+
+
+def test_verdicts_read_frames_without_a_membership_re_check(monkeypatch):
+    """sample_point builds members, so a verdict takes their frames without
+    is_member; tangent_basis still checks a matrix handed in from outside."""
+    monkeypatch.setattr(fam, "is_member", lambda *a: pytest.fail("is_member was called"))
+    for kinds in ([_SKEW] * 3, [_ORTH] * 2, [_COMPANION] * 3,
+                  [fam.FamilySpec("vandermonde-t", 4, s=1)] * 6):
+        dom.estimate_image_dimension(dom.problem(kinds, 4), trials=1)
+    monkeypatch.undo()
+    with pytest.raises(NonMemberError):
+        fam.tangent_basis(fam.FamilySpec(_SKEW, 4), np.eye(4))
 
 
 def test_estimate_image_dimension_report():
