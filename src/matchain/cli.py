@@ -17,6 +17,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import families as fam
 from .companion import STATUS_UNIQUE, decompose_companion
 from .dominance import (
@@ -26,15 +28,15 @@ from .dominance import (
     TARGET_CENTRO,
     TARGET_DET,
     TARGET_FULL,
-    TargetSpace,
     estimate_image_dimension,
     lower_bound_cone,
     problem,
     surjectivity_bound,
+    target_dim,
 )
 from .errors import MatChainError, MatrixParseError, ParameterRangeError
-from .io import (SCHEMA_VERSION, chain_to_dict, complex_pairs, matrix_to_dict, read_matrix,
-                 read_options, report_to_dict)
+from .io import (chain_to_dict, companion_to_dict, matrix_to_dict, read_matrix, read_options,
+                 report_to_dict)
 from .solver import FitOptions, fit_chain
 
 EXIT_OK = 0
@@ -139,32 +141,26 @@ def _cmd_decompose(args) -> int:
 def _cmd_companion(args) -> int:
     A = read_matrix(args.infile)
     result = decompose_companion(A, pivot_tol=args.tol)
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "n": int(A.shape[0]),
-        "status": result.status,
-        "failed_column": result.failed_column,
-        "coefficients": None if result.coefficients is None else complex_pairs(result.coefficients),
-    })
+    _emit(companion_to_dict(result, A.shape[0]))
     return EXIT_OK if result.status == STATUS_UNIQUE else EXIT_NOT_UNIQUE
 
 
 def _bounds_doc(spec: fam.FamilySpec) -> dict:
     m = spec.param_dim
     target_tag, known_generic = fam.bounds_facts(spec)
-    tgt = TargetSpace(target_tag, spec.n)
+    dim = target_dim(target_tag, spec.n)
     is_cone = spec.linear
     if is_cone and m >= 2:
-        lower = lower_bound_cone(m, tgt.dim)
-        rule = f"ceil(({tgt.dim} - 1) / ({m} - 1))"
+        lower = lower_bound_cone(m, dim)
+        rule = f"ceil(({dim} - 1) / ({m} - 1))"
     else:
-        lower = -(-tgt.dim // m)
-        rule = f"ceil({tgt.dim} / {m})"
+        lower = -(-dim // m)
+        rule = f"ceil({dim} / {m})"
     doc = {
         "family": spec.label(),
         "n": spec.n,
         "family_dim": m,
-        "target": {"tag": tgt.tag, "dim": tgt.dim},
+        "target": {"tag": target_tag, "dim": dim},
         "cone": bool(is_cone),
         "lower_bound": int(lower),
         "lower_bound_rule": rule,
@@ -173,7 +169,7 @@ def _bounds_doc(spec: fam.FamilySpec) -> dict:
     # every-matrix counts are quoted for full targets only: the centrosymmetric
     # classes are claimed for generic targets
     doc["surjective_r"] = (surjectivity_bound(known_generic)
-                           if known_generic and tgt.tag == TARGET_FULL else None)
+                           if known_generic and target_tag == TARGET_FULL else None)
     return doc
 
 
@@ -246,7 +242,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result is reported by the command itself, as an
+        # error or an unconverged fit, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (MatrixParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -36,10 +36,9 @@ _TARGET_DIMS = {TARGET_FULL: lambda n: n * n, TARGET_DET: lambda n: n * n - 1,
                 TARGET_CENTRO: lambda n: (n * n + 1) // 2}
 
 
-@dataclass(frozen=True)
-class TargetSpace:
-    """The ambient space a product is measured against, checked on
-    construction (a known tag, n >= 1).
+def target_dim(tag: str, n: int) -> int:
+    """Dimension of the ambient space a product is measured against, for a
+    known tag and n >= 1.
 
     full: all n x n matrices (dimension n^2)
     det: the determinant hypersurface (dimension n^2 - 1); used for chains
@@ -48,37 +47,29 @@ class TargetSpace:
     centro: the centrosymmetric matrices (dimension ceil(n^2/2)), with
         coordinates the first ceil(n^2/2) row-major entries
     """
-
-    tag: str
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.tag, str) or self.tag not in _TARGET_DIMS:
-            raise ParameterRangeError(f"unknown target tag {self.tag!r}")
-        if self.n < 1:
-            raise ParameterRangeError(f"matrix size n={self.n} must be positive")
-
-    @property
-    def dim(self) -> int:
-        return _TARGET_DIMS[self.tag](self.n)
+    if not isinstance(tag, str) or tag not in _TARGET_DIMS:
+        raise ParameterRangeError(f"unknown target tag {tag!r}")
+    if n < 1:
+        raise ParameterRangeError(f"matrix size n={n} must be positive")
+    return _TARGET_DIMS[tag](n)
 
 
 @dataclass(frozen=True)
 class DecompositionProblem:
-    """r structured families whose product should cover a target space."""
+    """r structured families whose product should cover the target space
+    tagged target (see target_dim)."""
 
     n: int
     factors: tuple
-    target: TargetSpace
+    target: str
 
     def __post_init__(self):
+        target_dim(self.target, self.n)
         if len(self.factors) == 0:
             raise ParameterRangeError("a problem needs at least one factor family")
         for spec in self.factors:
             if spec.n != self.n:
                 raise ParameterRangeError("all families must share the problem size n")
-        if self.target.n != self.n:
-            raise ParameterRangeError("target size must match the problem size")
 
     @property
     def r(self) -> int:
@@ -88,19 +79,23 @@ class DecompositionProblem:
     def param_dim(self) -> int:
         return sum(spec.param_dim for spec in self.factors)
 
+    @property
+    def target_dim(self) -> int:
+        return target_dim(self.target, self.n)
+
     def summary(self) -> dict:
         return {
             "n": self.n,
             "r": self.r,
             "families": [spec.label() for spec in self.factors],
-            "target": self.target.tag,
+            "target": self.target,
         }
 
 
 def problem(families, n: int, target: str = TARGET_FULL) -> DecompositionProblem:
     """Convenience constructor: a chain of family tags or FamilySpecs at size n."""
     specs = tuple(fam.FamilySpec(f, n) if isinstance(f, str) else f for f in families)
-    return DecompositionProblem(n=n, factors=specs, target=TargetSpace(target, n))
+    return DecompositionProblem(n=n, factors=specs, target=target)
 
 
 @dataclass
@@ -110,11 +105,18 @@ class DominanceReport:
     problem: dict
     trials: int
     ranks: list
-    d_estimate: int
     target_dim: int
-    dominant: bool
     tolerance: float
     seed: int
+
+    @property
+    def d_estimate(self) -> int:
+        """The dimension estimate: the largest rank seen."""
+        return max(self.ranks)
+
+    @property
+    def dominant(self) -> bool:
+        return self.d_estimate == self.target_dim
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +258,14 @@ def estimate_image_dimension(
         factors = [fam.sample_point(spec, rng)[1] for spec in prob.factors]
         # sample_point's matrices are members by construction: no re-check
         J = jacobian(factors, [fam._frame(spec, A, False) for spec, A in zip(prob.factors, factors)])
-        if prob.target.tag == TARGET_CENTRO:
-            J = J[:prob.target.dim]
+        if prob.target == TARGET_CENTRO:
+            J = J[:prob.target_dim]
         ranks.append(numerical_rank(J, rel_tol))
-    d_estimate = max(ranks)
     return DominanceReport(
         problem=prob.summary(),
         trials=trials,
         ranks=ranks,
-        d_estimate=d_estimate,
-        target_dim=prob.target.dim,
-        dominant=d_estimate == prob.target.dim,
+        target_dim=prob.target_dim,
         tolerance=rel_tol,
         seed=seed,
     )

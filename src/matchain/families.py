@@ -408,9 +408,14 @@ def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
 def sample_point(spec: FamilySpec, rng_seed=0):
     """Draw (params, matrix): one vector of i.i.d. standard complex Gaussian
     parameters from default_rng(rng_seed), and its parameterization.  Such a
-    point is generic with probability one, so nothing is redrawn."""
+    point is generic with probability one, so nothing is redrawn; a member
+    whose entries overflow (a Vandermonde type far from 0) raises
+    DegeneratePointError."""
     params = complex_gaussian(np.random.default_rng(rng_seed), spec.param_dim)
-    return params, parameterize(spec, params)
+    M = parameterize(spec, params)
+    if not np.isfinite(M).all():
+        raise DegeneratePointError("sampled member has a non-finite entry")
+    return params, M
 
 
 def is_member(spec: FamilySpec, M, tol: float) -> bool:

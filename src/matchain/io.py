@@ -1,12 +1,13 @@
-"""File formats for matrices, fitted chains, and dominance reports.
+"""What commands read and the documents they print.
 
-Matrices are read and written as JSON ({"n": ..., "entries": n x n array of
-[re, im] pairs}) or as CSV with one row per line and entries like "1.5",
-"2i", or "0.25-1.5i".  Fitted chains and dominance reports are only
-written, as JSON documents stamped with schema_version "1"; fit options are
-read from a plain JSON object of FitOptions fields.  All floats are written
-by Python's shortest round-trip repr, so reading back a written matrix
-reproduces the exact binary64 values.
+Matrices are only read: JSON ({"n": ..., "entries": n x n array of
+[re, im] pairs}), or CSV with one row per line and entries like "1.5",
+"2i", or "0.25-1.5i" when the path, or a stream's name, ends in .csv (any
+case).  Fit options are read from a plain JSON object of FitOptions fields.
+The printed documents are built here: a matrix, a fitted chain, a dominance
+report and a companion solve, the last three stamped with schema_version
+"1".  Floats print by Python's shortest round-trip repr, so a matrix as
+`sample` prints it reads back to the exact binary64 values.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ import re as _re
 import numpy as np
 
 from . import families as fam
+from .companion import CompanionResult
 from .dominance import DecompositionProblem, DominanceReport
 from .errors import MatrixParseError, ParameterRangeError
 from .solver import FactorChain, FitOptions
 
 SCHEMA_VERSION = "1"
-
-FORMAT_JSON = "json"
-FORMAT_CSV = "csv"
 
 
 def _read_text(source) -> str:
@@ -37,14 +36,6 @@ def _read_text(source) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise MatrixParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-
-
-def _write_text(target, text: str):
-    if hasattr(target, "write"):
-        target.write(text)
-        return
-    with open(target, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def read_json(source):
@@ -99,18 +90,6 @@ def read_options(source, seed: int = 0) -> FitOptions:
                                           for key, value in doc.items()}})
 
 
-def _guess_format(source, fmt):
-    if fmt is not None:
-        f = fmt.lower()
-        if f not in (FORMAT_JSON, FORMAT_CSV):
-            raise ParameterRangeError(f"unknown matrix format {fmt!r}")
-        return f
-    name = getattr(source, "name", source if isinstance(source, str) else "")
-    if isinstance(name, str) and name.lower().endswith(".csv"):
-        return FORMAT_CSV
-    return FORMAT_JSON
-
-
 _TOKEN_RE = _re.compile(
     r"""^\s*(?P<body>
         [+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?:[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?[iI]
@@ -160,14 +139,15 @@ def _matrix_from_pairs(n, entries) -> np.ndarray:
     return M
 
 
-def read_matrix(source, format: str | None = None) -> np.ndarray:
+def read_matrix(source) -> np.ndarray:
     """Read a square complex matrix from a path or open stream.
 
-    format is "json" or "csv"; when omitted it is guessed from the file
-    name (csv only for a .csv suffix).  CSV rows are lines, entries are
-    comma-separated, and each entry is a real or an a+bi token.
+    A path, or a stream's name, ending in .csv (any case) is read as CSV:
+    rows are lines, entries are comma-separated, and each entry is a real
+    or an a+bi token.  Anything else is read as JSON.
     """
-    if _guess_format(source, format) == FORMAT_JSON:
+    name = getattr(source, "name", source)
+    if not (isinstance(name, str) and name.lower().endswith(".csv")):
         doc = read_json(source)
         if not isinstance(doc, dict) or "entries" not in doc:
             raise MatrixParseError("matrix JSON must be an object with an 'entries' field")
@@ -204,28 +184,6 @@ def matrix_to_dict(M) -> dict:
     return {"n": int(M.shape[0]), "entries": complex_pairs(M)}
 
 
-def write_matrix(M, target, format: str | None = None):
-    """Write a matrix as JSON (default) or CSV to a path or stream."""
-    fmt = _guess_format(target, format)
-    M = np.asarray(M, dtype=complex)
-    if fmt == FORMAT_JSON:
-        _write_text(target, json.dumps(matrix_to_dict(M), indent=2) + "\n")
-        return
-    lines = []
-    for row in M:
-        toks = []
-        for z in row:
-            re_, im_ = float(z.real), float(z.imag)
-            if im_ == 0.0:
-                toks.append(repr(re_))
-            elif re_ == 0.0:
-                toks.append(f"{im_!r}i")
-            else:
-                toks.append(f"{re_!r}{'+' if im_ >= 0 else '-'}{abs(im_)!r}i")
-        lines.append(",".join(toks))
-    _write_text(target, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # families
 
@@ -244,7 +202,7 @@ def _problem_to_dict(prob: DecompositionProblem) -> dict:
     return {
         "n": prob.n,
         "r": prob.r,
-        "target": prob.target.tag,
+        "target": prob.target,
         "factors": [kind_to_dict(spec) for spec in prob.factors],
     }
 
@@ -281,4 +239,17 @@ def report_to_dict(report: DominanceReport) -> dict:
         "dominant": bool(report.dominant),
         "tolerance": float(report.tolerance),
         "seed": int(report.seed),
+    }
+
+
+# ---------------------------------------------------------------------------
+# companion solves
+
+def companion_to_dict(result: CompanionResult, n: int) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "n": int(n),
+        "status": result.status,
+        "failed_column": result.failed_column,
+        "coefficients": None if result.coefficients is None else complex_pairs(result.coefficients),
     }

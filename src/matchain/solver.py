@@ -183,7 +183,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     """
     opts = opts or FitOptions()
     T = _as_target(T, prob.n)
-    feasible = lower_bound_linear([s.param_dim for s in prob.factors], prob.target.dim)
+    feasible = lower_bound_linear([s.param_dim for s in prob.factors], prob.target_dim)
     exact = None
     if init_params is None or not feasible:
         try:
@@ -194,7 +194,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
         # too few parameters to reach a generic target, and no structural
         # shortcut puts this particular target inside the chain
         raise InfeasibleProblemError(
-            f"{prob.param_dim} parameters cannot cover a {prob.target.dim}-dimensional target")
+            f"{prob.param_dim} parameters cannot cover a {prob.target_dim}-dimensional target")
     start = exact if init_params is None else init_params
     tscale = max(1.0, float(np.linalg.norm(T)))
     tvec = T.reshape(-1)
@@ -368,12 +368,11 @@ def decompose_centrosymmetric(T, use_hankel: bool = False,
     The default chain length is floor(n/2) + 1, the least r with
     r n - (r - 1) >= ceil(n^2/2), below which r factors from the
     scaling-invariant n-dimensional family cannot reach a generic target
-    (for odd n it equals floor((n+1)/2)).  In Hankel mode each fitted
-    Toeplitz factor A is replaced by J A (a persymmetric Hankel matrix);
-    since J commutes with all the factors and squares to the identity, the
-    twisted chain multiplies to J * target for odd chain length and to the
-    target itself for even length, and the returned chain records that
-    effective target."""
+    (for odd n it equals floor((n+1)/2)).  In Hankel mode the Toeplitz chain
+    is fitted to J^r T, which is centrosymmetric, and each fitted factor A is
+    replaced by J A (a persymmetric Hankel matrix); J commutes with all the
+    factors and squares to the identity, so the twisted chain multiplies to
+    T itself for every r."""
     opts = opts or FitOptions()
     T = _as_target(T)
     n = T.shape[0]
@@ -383,14 +382,13 @@ def decompose_centrosymmetric(T, use_hankel: bool = False,
         raise NonMemberError("target is not centrosymmetric")
     if r is None:
         r = n // 2 + 1
-    chain = fit_chain(T, problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)
+    J = fam.exchange_matrix(n)
+    chain = fit_chain(J @ T if use_hankel and r % 2 else T,
+                      problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)
     if not use_hankel:
         return chain
-    J = fam.exchange_matrix(n)
     factors = [J @ A for A in chain.factors]
-    effective_target = (J @ T) if r % 2 == 1 else T
-    resid = float(np.linalg.norm(chain_product(factors) - effective_target))
-    resid /= max(1.0, float(np.linalg.norm(effective_target)))
+    resid = float(np.linalg.norm(chain_product(factors) - T)) / max(1.0, float(np.linalg.norm(T)))
     return FactorChain(
         problem=problem([fam.PERSYMMETRIC_HANKEL] * r, n, TARGET_CENTRO),
         params=[u.copy() for u in chain.params],  # same coefficients in the J S_k basis
@@ -398,5 +396,5 @@ def decompose_centrosymmetric(T, use_hankel: bool = False,
         residual=resid,
         iterations=chain.iterations,
         converged=chain.converged and resid <= opts.residual_tol,
-        target=effective_target,
+        target=T,
     )

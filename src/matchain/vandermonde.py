@@ -164,9 +164,7 @@ def vandermonde_dominance(n: int, s, rel_tol: float = DEFAULT_RANK_TOL) -> Domin
         problem=summary,
         trials=1,
         ranks=[rank],
-        d_estimate=rank,
         target_dim=n * n,
-        dominant=rank == n * n,
         tolerance=rel_tol,
         seed=0,
     )

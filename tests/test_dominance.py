@@ -12,18 +12,20 @@ from matchain.errors import DegeneratePointError, NonMemberError, ParameterRange
 
 
 def test_target_space_dimensions():
-    assert dom.TargetSpace("full", 5).dim == 25
-    assert dom.TargetSpace("det", 5).dim == 24
-    assert dom.TargetSpace("centro", 5).dim == 13
-    assert dom.TargetSpace("centro", 4).dim == 8
+    assert dom.target_dim("full", 5) == 25
+    assert dom.target_dim("det", 5) == 24
+    assert dom.target_dim("centro", 5) == 13
+    assert dom.target_dim("centro", 4) == 8
     with pytest.raises(ParameterRangeError):
-        dom.TargetSpace("banana", 4)
+        dom.target_dim("banana", 4)
 
 
 @pytest.mark.parametrize("tag, n", [("bogus", 3), ("full", 0)])
 def test_target_space_checks_itself_on_construction(tag, n):
+    """A target is checked where its dimension is taken: target_dim, which
+    a problem calls on construction."""
     with pytest.raises(ParameterRangeError):
-        dom.TargetSpace(tag, n)
+        dom.target_dim(tag, n)
 
 
 def test_chain_product():

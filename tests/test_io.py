@@ -1,4 +1,4 @@
-"""Matrix round trips and the plain JSON of written documents."""
+"""Matrix round trips and the plain JSON of printed documents."""
 
 import io
 import json
@@ -13,10 +13,32 @@ import matchain.io as mio
 from matchain.errors import MatrixParseError
 
 
+def _named(text, name):
+    """A text stream whose name, like an open file's, selects the reader."""
+    stream = io.StringIO(text)
+    stream.name = name
+    return stream
+
+
+def _csv_token(z):
+    """One CSV entry, each part by Python's shortest round-trip repr."""
+    re_, im_ = float(z.real), float(z.imag)
+    if im_ == 0.0:
+        return repr(re_)
+    if re_ == 0.0:
+        return f"{im_!r}i"
+    return f"{re_!r}{'+' if im_ >= 0 else '-'}{abs(im_)!r}i"
+
+
+def _csv_text(M):
+    return "".join(",".join(_csv_token(z) for z in row) + "\n" for row in M)
+
+
 def _roundtrip_matrix(M, format):
-    buf = io.StringIO()
-    mio.write_matrix(M, buf, format=format)
-    return mio.read_matrix(io.StringIO(buf.getvalue()), format=format)
+    """M read back from the JSON that matrix_to_dict prints, or from CSV."""
+    if format == "csv":
+        return mio.read_matrix(_named(_csv_text(M), "m.csv"))
+    return mio.read_matrix(io.StringIO(json.dumps(mio.matrix_to_dict(M), indent=2)))
 
 
 def test_json_matrix_round_trip_is_exact():
@@ -45,30 +67,30 @@ def test_matrix_round_trip_any_finite_entries(n, re, im):
 
 def test_csv_token_forms():
     text = "1.5, -2i\n-0.25-1.5e-1i, 3"
-    M = mio.read_matrix(io.StringIO(text), format="csv")
+    M = mio.read_matrix(_named(text, "m.csv"))
     np.testing.assert_array_equal(M, [[1.5, -2j], [-0.25 - 0.15j, 3.0]])
     # capital I and bare i both mean the imaginary unit
-    M = mio.read_matrix(io.StringIO("1+2I"), format="csv")
+    M = mio.read_matrix(_named("1+2I", "m.CSV"))
     assert M[0, 0] == 1 + 2j
-    M = mio.read_matrix(io.StringIO("i"), format="csv")
+    M = mio.read_matrix(_named("i", "m.csv"))
     assert M[0, 0] == 1j
 
 
 def test_csv_skips_blank_lines():
-    M = mio.read_matrix(io.StringIO("1,0\n\n0,1\n"), format="csv")
+    M = mio.read_matrix(_named("1,0\n\n0,1\n", "m.csv"))
     np.testing.assert_array_equal(M, np.eye(2))
 
 
 def test_csv_parse_error_reports_position():
     with pytest.raises(MatrixParseError) as exc:
-        mio.read_matrix(io.StringIO("1,2\n3,x"), format="csv")
+        mio.read_matrix(_named("1,2\n3,x", "m.csv"))
     assert exc.value.line == 2
     assert exc.value.column == 2
 
 
 def test_csv_rejects_ragged_rows():
     with pytest.raises(MatrixParseError):
-        mio.read_matrix(io.StringIO("1,2\n3"), format="csv")
+        mio.read_matrix(_named("1,2\n3", "m.csv"))
 
 
 def test_json_requires_entries_field():
@@ -88,15 +110,18 @@ def test_json_rejects_non_finite():
 
 
 def test_format_guessed_from_suffix(tmp_path):
+    """A .csv suffix, in any case, reads CSV; any other name reads JSON."""
     M = np.array([[1.0 + 2.0j]])
     jpath = tmp_path / "m.json"
-    cpath = tmp_path / "m.csv"
-    mio.write_matrix(M, str(jpath))
-    mio.write_matrix(M, str(cpath))
-    assert json.loads(jpath.read_text())["n"] == 1
-    assert "," not in cpath.read_text().strip()  # single entry, no separator
+    cpath = tmp_path / "m.CSV"
+    jpath.write_text(json.dumps(mio.matrix_to_dict(M)))
+    cpath.write_text(_csv_text(M))
     np.testing.assert_array_equal(mio.read_matrix(str(jpath)), M)
     np.testing.assert_array_equal(mio.read_matrix(str(cpath)), M)
+    with open(cpath, encoding="utf-8") as fh:
+        np.testing.assert_array_equal(mio.read_matrix(fh), M)
+    with pytest.raises(MatrixParseError):
+        mio.read_matrix(_named(_csv_text(M), "m.txt"))
 
 
 def test_written_json_is_plain_data():

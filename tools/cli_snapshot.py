@@ -1,15 +1,16 @@
-"""Fingerprint the stdout of a fixed list of seeded matchain commands.
+"""Fingerprint the stdout and stderr of a fixed list of seeded matchain commands.
 
     python tools/cli_snapshot.py [--src PATH] > snapshot.txt
 
 Each command runs in a fresh `python -m matchain` process that imports
 matchain from PATH (default: this checkout's src), with BLAS pinned to one
 thread.  For each command one line is printed: the command, its exit code
-and the sha256 of its stdout.  A `decompose` line also prints the fit's
+and the sha256 of its stdout and of its stderr (so a warning that numpy
+writes shows too).  A `decompose` line also prints the fit's
 iterations, converged flag and residual (3 significant digits), read from
 its JSON stdout, so that a fit that differs only in its last bits shows as
 the same fit.  Run it against two checkouts and diff the two outputs:
-identical lines mean byte-identical output and equal exit codes.  Input
+identical lines mean byte-identical stdout and stderr and equal exit codes.  Input
 matrices are drawn from fixed seeds and written to a temporary directory,
 which is the working directory of every command, so the printed commands
 name the same files on every run.  Only the standard library is used, so
@@ -147,6 +148,14 @@ for family in ["vandermonde", "vandermonde-t:0"]:
         ["verify", "--family", family, "--n", "1", "--r", "2", "--seed", "41"],
     ]
 
+# overflow: a chain product of type-200 factors, and type -2000 members whose
+# powers overflow; each is one error line on stderr
+COMMANDS += [
+    ["verify", "--family", "vandermonde:200", "--n", "4", "--r", "8"],
+    ["sample", "--family", "vandermonde:-2000", "--n", "3"],
+    ["verify", "--family", "vandermonde:-2000", "--n", "3", "--r", "2"],
+]
+
 
 def fit_summary(stdout):
     """The fit certificate of a `decompose` stdout, or '' when there is none."""
@@ -175,9 +184,10 @@ def main(argv=None):
             res = subprocess.run([sys.executable, "-m", "matchain", *cmd], cwd=work, env=env,
                                  capture_output=True, check=False)
             digest = hashlib.sha256(res.stdout).hexdigest()
+            err_digest = hashlib.sha256(res.stderr).hexdigest()
             fit = fit_summary(res.stdout) if cmd[0] == "decompose" else ""
-            print(f"matchain {' '.join(cmd)}  exit={res.returncode}{fit}  sha256={digest}",
-                  flush=True)
+            print(f"matchain {' '.join(cmd)}  exit={res.returncode}{fit}  sha256={digest}"
+                  f"  stderr_sha256={err_digest}", flush=True)
 
 
 if __name__ == "__main__":
