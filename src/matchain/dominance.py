@@ -103,11 +103,15 @@ class DominanceReport:
     """Jacobian ranks over several random base points, merged by trial order."""
 
     problem: dict
-    trials: int
     ranks: list
     target_dim: int
     tolerance: float
     seed: int
+
+    @property
+    def trials(self) -> int:
+        """The number of base points, one rank each."""
+        return len(self.ranks)
 
     @property
     def d_estimate(self) -> int:
@@ -263,7 +267,6 @@ def estimate_image_dimension(
         ranks.append(numerical_rank(J, rel_tol))
     return DominanceReport(
         problem=prob.summary(),
-        trials=trials,
         ranks=ranks,
         target_dim=prob.target_dim,
         tolerance=rel_tol,
@@ -275,17 +278,17 @@ def two_factor_tangent_test(
     spec1: fam.FamilySpec,
     spec2: fam.FamilySpec,
     base,
-    rel_tol: float = DEFAULT_RANK_TOL,
 ) -> bool:
     """Do the tangent spaces of two families at given base points jointly
     span the full matrix space?
 
-    The test stacks both tangent frames as columns and checks for rank n^2.
-    At base points (I, I) this is exactly the rank of the two-factor product
-    map's differential, the classical certificate that generic matrices
-    factor through the pair; at other common base points (such as the
-    anti-identity) it is the tangent-sum criterion itself.  Base points must
-    be members of their families (tangent_basis raises NonMemberError).
+    The test stacks both tangent frames as columns and checks for rank n^2
+    at DEFAULT_RANK_TOL.  At base points (I, I) this is exactly the rank of
+    the two-factor product map's differential, the classical certificate
+    that generic matrices factor through the pair; at other common base
+    points (such as the anti-identity) it is the tangent-sum criterion
+    itself.  Base points must be members of their families (tangent_basis
+    raises NonMemberError).
     """
     if spec1.n != spec2.n:
         raise ParameterRangeError("families must share the matrix size")
@@ -296,7 +299,7 @@ def two_factor_tangent_test(
         raise ParameterRangeError("base points must be n x n matrices")
     B = np.concatenate([fam.tangent_basis(spec, pt).reshape(-1, n * n)
                         for spec, pt in zip((spec1, spec2), base)])
-    return numerical_rank(B.T, rel_tol) == n * n
+    return numerical_rank(B.T) == n * n
 
 
 # ---------------------------------------------------------------------------

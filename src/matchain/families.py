@@ -427,10 +427,15 @@ def is_member(spec: FamilySpec, M, tol: float) -> bool:
     max |M^T M - I| <= tol * (1 + ||M||_F)^2, and the template families
     (companion, generalized Vandermonde) are checked entrywise against a
     template rebuilt from M.  Returns False rather than raising on ill-posed
-    fits.
+    fits, and for an M whose Frobenius norm is not finite (a non-finite
+    entry, or an overflow that would pass every tolerance).
     """
     M = np.asarray(M, dtype=complex)
-    if M.shape != (spec.n, spec.n) or not np.isfinite(M).all():
+    if M.shape != (spec.n, spec.n):
+        return False
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+    if not np.isfinite(norm):
         return False
     own = _FAMILIES[spec.tag].member
     if own is not None:
@@ -442,7 +447,7 @@ def is_member(spec: FamilySpec, M, tol: float) -> bool:
     re_im = B.view(float)
     v = M.reshape(-1)
     resid = v - B.T @ ((B @ v.conj()).conj() / np.einsum("ij,ij->i", re_im, re_im))
-    return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(M)))
+    return float(np.linalg.norm(resid)) <= tol * (1.0 + norm)
 
 
 def random_subspace(n: int, k: int, rng_seed=0) -> FamilySpec:

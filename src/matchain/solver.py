@@ -12,9 +12,8 @@ chains from per-restart seeds and the best residual wins.
 decompose_bidiagonal builds its factors by LU without pivoting and Neville
 elimination of each triangle, with no fitting; these constructions and the
 companion one also start fit_chain.  decompose_centrosymmetric fits a chain
-of symmetric Toeplitz factors (optionally twisted into persymmetric Hankel
-form by the anti-identity, whose parity rule decides whether the twisted
-chain multiplies to the target or to its row-reversal).
+of symmetric Toeplitz factors; a chain of persymmetric Hankel factors, like
+every other chain, is fitted by fit_chain itself.
 """
 
 from __future__ import annotations
@@ -92,8 +91,11 @@ def _as_target(T, n=None) -> np.ndarray:
         raise ParameterRangeError("target must be a square matrix")
     if n is not None and T.shape[0] != n:
         raise ParameterRangeError("target size does not match the problem")
-    if not np.isfinite(T).all():
-        raise ParameterRangeError("target must have finite entries")
+    # a non-finite entry makes the norm non-finite too; so does an overflow,
+    # which would pass every tol * (1 + ||T||_F) test
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.linalg.norm(T)):
+            raise ParameterRangeError("target must have a finite Frobenius norm")
     return T
 
 
@@ -359,21 +361,17 @@ def decompose_bidiagonal(T, opts: FitOptions | None = None) -> FactorChain:
     return fit_chain(T, prob, opts, init_params=_exact_start(prob, T))
 
 
-def decompose_centrosymmetric(T, use_hankel: bool = False,
-                              opts: FitOptions | None = None,
+def decompose_centrosymmetric(T, opts: FitOptions | None = None,
                               r: int | None = None) -> FactorChain:
-    """Fit a centrosymmetric matrix with a chain of symmetric Toeplitz
-    factors, optionally re-expressed as persymmetric Hankel factors.
+    """Fit a centrosymmetric matrix with a chain of r symmetric Toeplitz
+    factors.
 
     The default chain length is floor(n/2) + 1, the least r with
     r n - (r - 1) >= ceil(n^2/2), below which r factors from the
     scaling-invariant n-dimensional family cannot reach a generic target
-    (for odd n it equals floor((n+1)/2)).  In Hankel mode the Toeplitz chain
-    is fitted to J^r T, which is centrosymmetric, and each fitted factor A is
-    replaced by J A (a persymmetric Hankel matrix); J commutes with all the
-    factors and squares to the identity, so the twisted chain multiplies to
-    T itself for every r."""
-    opts = opts or FitOptions()
+    (for odd n it equals floor((n+1)/2)).  A persymmetric Hankel chain is
+    fitted as a chain: fit_chain(T, problem(["hankel-persym"] * r, n,
+    "centro"), opts)."""
     T = _as_target(T)
     n = T.shape[0]
     if n < 3:
@@ -382,19 +380,4 @@ def decompose_centrosymmetric(T, use_hankel: bool = False,
         raise NonMemberError("target is not centrosymmetric")
     if r is None:
         r = n // 2 + 1
-    J = fam.exchange_matrix(n)
-    chain = fit_chain(J @ T if use_hankel and r % 2 else T,
-                      problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)
-    if not use_hankel:
-        return chain
-    factors = [J @ A for A in chain.factors]
-    resid = float(np.linalg.norm(chain_product(factors) - T)) / max(1.0, float(np.linalg.norm(T)))
-    return FactorChain(
-        problem=problem([fam.PERSYMMETRIC_HANKEL] * r, n, TARGET_CENTRO),
-        params=[u.copy() for u in chain.params],  # same coefficients in the J S_k basis
-        factors=factors,
-        residual=resid,
-        iterations=chain.iterations,
-        converged=chain.converged and resid <= opts.residual_tol,
-        target=T,
-    )
+    return fit_chain(T, problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)

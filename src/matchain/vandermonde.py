@@ -130,11 +130,11 @@ def det_tilde(types: VandTypeList, p: int, alphas):
     return direct, formula
 
 
-def vandermonde_dominance(n: int, s, rel_tol: float = DEFAULT_RANK_TOL) -> DominanceReport:
+def vandermonde_dominance(n: int, s) -> DominanceReport:
     """Jacobian rank of the chain B_1 A_1 ... B_n A_n at the unit-root point
     for the type list s: B_i = unit_root_inverse_pair(n, s_i) moves in the
     vandermonde-t(s_i) family, and A_i = unit_root_factor(n, s_i) is fixed
-    (a slot with an empty frame).
+    (a slot with an empty frame).  The rank is taken at DEFAULT_RANK_TOL.
 
     Validity flags travel in the report rather than being raised, and the
     rank is whatever the Jacobian gives.  The two can disagree: repeated
@@ -151,7 +151,7 @@ def vandermonde_dominance(n: int, s, rel_tol: float = DEFAULT_RANK_TOL) -> Domin
         factors += [B, unit_root_factor(n, si)]
         frames += [tangent_basis(FamilySpec(VANDERMONDE_T, n, s=si), B),
                    np.empty((0, n, n), dtype=complex)]
-    rank = numerical_rank(jacobian(factors, frames), rel_tol)
+    rank = numerical_rank(jacobian(factors, frames))
     summary = {
         "n": n,
         "r": 2 * n,
@@ -162,9 +162,8 @@ def vandermonde_dominance(n: int, s, rel_tol: float = DEFAULT_RANK_TOL) -> Domin
     }
     return DominanceReport(
         problem=summary,
-        trials=1,
         ranks=[rank],
         target_dim=n * n,
-        tolerance=rel_tol,
+        tolerance=DEFAULT_RANK_TOL,
         seed=0,
     )

@@ -169,6 +169,8 @@ def test_decompose_member_target_with_a_nonlinear_later_factor(tmp_path):
     # well-typed but out of range
     pytest.param('{"seed": -1}', 1, "seed", id="negative-seed"),
     pytest.param('{"damping_init": NaN}', 1, "damping", id="nan-damping"),
+    # options that are not a JSON object
+    pytest.param('[1]', 2, "JSON object", id="not-an-object"),
 ])
 def test_decompose_rejects_unknown_option(tmp_path, text, code, field):
     path = tmp_path / "t.json"
@@ -202,29 +204,50 @@ def test_decompose_opts_file_takes_the_seed_flag_unless_it_sets_a_seed(tmp_path)
 
 
 _HUGE = "1" + "0" * 400  # an integer beyond the float range
+_ONE = '{"n": 1, "entries": [[[1, 0]]]}'
+_DIAGONAL = ("--chain", "diagonal")
 
 
-@pytest.mark.parametrize("name,data,opts,code,message", [
-    pytest.param("t.json", '{"n": 1, "entries": [[[%s, 0]]]}' % _HUGE, None, 2,
+@pytest.mark.parametrize("name,data,opts,args,code,message", [
+    pytest.param("t.json", '{"n": 1, "entries": [[[%s, 0]]]}' % _HUGE, None, _DIAGONAL, 2,
                  "non-finite entry", id="huge-integer-entry"),
-    pytest.param("t.json", '{"n": 1, "entries": [[[1, 0]]]}', '{"damping_init": %s}' % _HUGE, 1,
+    pytest.param("t.json", _ONE, '{"damping_init": %s}' % _HUGE, _DIAGONAL, 1,
                  "damping", id="huge-integer-damping"),
-    pytest.param("t.json", "[" * 200_000, None, 2, "invalid JSON", id="deep-nesting"),
-    pytest.param("t.json", '{"n": 1, "entries": [[[1%s, 0]]]}' % ("0" * 5000), None, 2,
-                 "invalid JSON", id="integer-past-the-digit-limit"),
-    pytest.param("t.json", b'\xff\xfe{"n": 1, "entries": [[[1, 0]]]}', None, 2,
+    pytest.param("t.json", "[" * 200_000, None, _DIAGONAL, 2, "invalid JSON", id="deep-nesting"),
+    pytest.param("t.json", '{"n": 1, "entries": [[[1%s, 0]]]}' % ("0" * 5000), None, _DIAGONAL,
+                 2, "invalid JSON", id="integer-past-the-digit-limit"),
+    pytest.param("t.json", b'\xff\xfe{"n": 1, "entries": [[[1, 0]]]}', None, _DIAGONAL, 2,
                  "UTF-8", id="not-utf8-json"),
-    pytest.param("t.csv", b"\xff\xfe1,2\n3,4\n", None, 2, "UTF-8", id="not-utf8-csv"),
+    pytest.param("t.csv", b"\xff\xfe1,2\n3,4\n", None, _DIAGONAL, 2, "UTF-8", id="not-utf8-csv"),
+    # finite entries whose Frobenius norm overflows
+    pytest.param("t.json", '{"n": 2, "entries": [[[1e200, 0], [1e200, 0]], [[1e200, 0], '
+                 '[1e200, 0]]]}', None, _DIAGONAL, 1, "Frobenius norm", id="norm-overflows"),
+    pytest.param("t.json", '{"n": 1, "entries": [[1]]}', None, _DIAGONAL, 2,
+                 "is not an [re, im] pair", id="entry-not-a-pair"),
+    pytest.param("t.json", '{"n": 0, "entries": []}', None, _DIAGONAL, 2,
+                 "is not a positive integer", id="size-not-positive"),
+    pytest.param("t.json", '{"n": 2, "entries": [[[1, 0], [0, 0]]]}', None, _DIAGONAL, 2,
+                 "expected 2 rows", id="wrong-row-count"),
+    pytest.param("t.json", '{"n": 2, "entries": [[[1, 0]], [[0, 0], [1, 0]]]}', None, _DIAGONAL,
+                 2, "row 1 does not have 2 entries", id="short-row"),
+    pytest.param("t.csv", "", None, _DIAGONAL, 2, "no matrix rows found", id="empty-csv"),
+    pytest.param("t.csv", "1e999", None, _DIAGONAL, 2, "non-finite entry", id="csv-overflow"),
+    pytest.param("t.json", _ONE, None, ("--chain", "diagonal", "--seed", "abc"), 1,
+                 "invalid int value", id="seed-not-an-integer"),
+    pytest.param("t.json", _ONE, None, ("--chain", "k-diagonal:x"), 1, "bad family token",
+                 id="family-argument-not-an-integer"),
+    pytest.param("t.json", _ONE, None, ("--chain", ","), 1, "at least one family",
+                 id="chain-without-families"),
 ])
-def test_malformed_input_files_give_an_error_not_a_traceback(tmp_path, name, data, opts, code,
-                                                              message):
+def test_malformed_input_files_give_an_error_not_a_traceback(tmp_path, name, data, opts, args,
+                                                              code, message):
     path = tmp_path / name
     path.write_bytes(data if isinstance(data, bytes) else data.encode())
     extra = []
     if opts is not None:
         (tmp_path / "opts.json").write_text(opts)
         extra = ["--opts", str(tmp_path / "opts.json")]
-    res = run_cli("decompose", "--in", str(path), "--chain", "diagonal", *extra)
+    res = run_cli("decompose", "--in", str(path), *args, *extra)
     assert res.returncode == code
     assert message in res.stderr
     assert "Traceback" not in res.stderr

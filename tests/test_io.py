@@ -74,6 +74,11 @@ def test_csv_token_forms():
     assert M[0, 0] == 1 + 2j
     M = mio.read_matrix(_named("i", "m.csv"))
     assert M[0, 0] == 1j
+    # a bare fraction or trailing point, a signed bare unit, and exponents
+    # in both parts
+    for token, z in [(".5i", 0.5j), ("5.i", 5j), ("+i", 1j), ("-I", -1j),
+                     ("1e5+2E-3i", 1e5 + 2e-3j)]:
+        assert mio.read_matrix(_named(token, "m.csv"))[0, 0] == z
 
 
 def test_csv_skips_blank_lines():
@@ -122,6 +127,20 @@ def test_format_guessed_from_suffix(tmp_path):
         np.testing.assert_array_equal(mio.read_matrix(fh), M)
     with pytest.raises(MatrixParseError):
         mio.read_matrix(_named(_csv_text(M), "m.txt"))
+
+
+def test_kind_to_dict_writes_each_family_argument():
+    """A bandwidth prints as k, a Vandermonde type as s, and a random
+    subspace's basis as [re, im] pairs."""
+    n, seed = 4, 11
+    assert mio.kind_to_dict(fam.spec_from_argument("k-diagonal", 2, n)) == {
+        "tag": "k-diagonal", "k": 2}
+    assert mio.kind_to_dict(fam.spec_from_argument("vandermonde", -1, n)) == {
+        "tag": "vandermonde", "s": -1}
+    doc = mio.kind_to_dict(fam.spec_from_argument("subspace", 3, n, rng_seed=seed))
+    assert doc == {"tag": "subspace", "k": 3,
+                   "basis": mio.complex_pairs(fam.random_subspace(n, 3, seed).basis)}
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_written_json_is_plain_data():

@@ -496,6 +496,23 @@ def test_non_finite_entries_are_rejected(bad):
         assert not fam.is_member(fam.FamilySpec("toeplitz", 3), M, 1e-12)
 
 
+def test_a_target_whose_norm_overflows_is_rejected():
+    """Finite entries whose Frobenius norm overflows would pass every
+    tol * (1 + ||T||_F) test, so such a target is refused like a non-finite
+    one, and such a matrix belongs to no family."""
+    T = _random_target(3, 33) * 1e160
+    assert np.isfinite(T).all()
+    for call in (lu_nopivot,
+                 lambda M: fit_chain(M, dom.problem(["triangular-lower", "triangular-upper"], 3)),
+                 lambda M: fit_chain(M, dom.problem(["companion"] * 3, 3)),
+                 decompose_centrosymmetric):
+        with pytest.raises(ParameterRangeError, match="Frobenius norm"):
+            call(T)
+    huge = 1e200 * np.ones((2, 2))
+    for tag in ("diagonal", "skew-symmetric", "companion", "orthogonal"):
+        assert not fam.is_member(fam.FamilySpec(tag, 2), huge, 1e-8)
+
+
 def test_decompose_bidiagonal_refuses_pivot_free_targets():
     T = _random_target(3, 9)
     T[0, 0] = 0.0
@@ -531,28 +548,18 @@ def test_decompose_centrosymmetric_default_depth_even_n():
     np.testing.assert_allclose(chain.product(), T, atol=1e-7)
 
 
-def test_decompose_centrosymmetric_hankel_mode_odd_depth():
-    """Odd r: the Toeplitz chain is fitted to J T, so the Hankel factors
-    multiply to the target itself."""
-    T = _centro_target(5, 51)
-    chain = decompose_centrosymmetric(T, use_hankel=True)
+@pytest.mark.parametrize("r,seed", [(3, 51), (4, 52)])
+def test_persymmetric_hankel_chain_fits_a_centrosymmetric_target(r, seed):
+    """The persymmetric Hankel decomposition is a chain fit like any other,
+    at odd and even depth."""
+    T = _centro_target(5, seed)
+    chain = fit_chain(T, dom.problem(["hankel-persym"] * r, 5, "centro"))
     assert chain.converged
-    assert len(chain.factors) == 3
+    assert len(chain.factors) == r
     ph = fam.FamilySpec("hankel-persym", 5)
     for F in chain.factors:
         assert fam.is_member(ph, F, 1e-8)
     np.testing.assert_allclose(chain.product(), T, atol=1e-7)
-    np.testing.assert_allclose(chain.target, T, atol=1e-14)
-
-
-def test_decompose_centrosymmetric_hankel_mode_even_depth():
-    """Even r: the flips cancel and the product hits the target itself."""
-    T = _centro_target(5, 52)
-    chain = decompose_centrosymmetric(T, use_hankel=True, r=4)
-    assert chain.converged
-    assert len(chain.factors) == 4
-    np.testing.assert_allclose(chain.product(), T, atol=1e-7)
-    np.testing.assert_allclose(chain.target, T, atol=1e-14)
 
 
 def test_decompose_centrosymmetric_rejects_plain_matrices():

@@ -61,6 +61,8 @@ INPUTS = {
     "gauss48.json": gaussian(6, 48),
     "gauss6.json": gaussian(16, 6),
     "lower4.json": lower_triangular(17, 4),
+    # finite entries whose Frobenius norm overflows
+    "huge3.json": [[(re * 1e160, im * 1e160) for re, im in row] for row in gaussian(18, 3)],
 }
 
 COMMANDS = [
@@ -76,6 +78,9 @@ COMMANDS = [
     ["decompose", "--in", "centro5.json", "--chain", "toeplitz-sym,toeplitz-sym,toeplitz-sym",
      "--target", "centro", "--seed", "2"],
     ["decompose", "--in", "gauss3.json", "--chain", "orthogonal,upper,lower", "--seed", "3"],
+    # the persymmetric Hankel decomposition of a centrosymmetric target, at odd r
+    ["decompose", "--in", "centro5.json", "--chain", "hankel-persym,hankel-persym,hankel-persym",
+     "--target", "centro"],
     # the shapes of the benchmark's cli workload
     ["verify", "--family", "skew", "--n", "8", "--r", "3", "--seed", "5"],
     # the orthogonal and companion shapes of the benchmark's certify workload
@@ -148,12 +153,15 @@ for family in ["vandermonde", "vandermonde-t:0"]:
         ["verify", "--family", family, "--n", "1", "--r", "2", "--seed", "41"],
     ]
 
-# overflow: a chain product of type-200 factors, and type -2000 members whose
-# powers overflow; each is one error line on stderr
+# overflow: a chain product of type-200 factors, type -2000 members whose
+# powers overflow, and a target whose Frobenius norm overflows; each is one
+# error line on stderr
 COMMANDS += [
     ["verify", "--family", "vandermonde:200", "--n", "4", "--r", "8"],
     ["sample", "--family", "vandermonde:-2000", "--n", "3"],
     ["verify", "--family", "vandermonde:-2000", "--n", "3", "--r", "2"],
+    ["decompose", "--in", "huge3.json", "--chain", "lower,upper"],
+    ["decompose", "--in", "huge3.json", "--chain", "companion,companion,companion"],
 ]
 
 
