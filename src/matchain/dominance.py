@@ -249,7 +249,7 @@ def estimate_image_dimension(
     merged in trial order).  The Jacobian is taken at those matrices: a rank
     needs only the span of each tangent frame, which a matrix point gives
     without the parameterization's derivative (for the orthogonal group,
-    Q E over the skew basis E instead of a derivative of expm).  Its rows
+    Q E over the skew basis E instead of the Cayley map's derivative).  Its rows
     are the target's coordinates (the first ceil(n^2/2) for centro).  The
     dimension estimate is the maximum rank seen, and the chain is reported
     dominant when it reaches the target dimension.

@@ -19,7 +19,7 @@ functions.
 Tangent frames are what the dominance machinery consumes: the rank of the
 product map's differential is computed against these frames.  At a
 parameter vector a nonlinear family's frame is the derivative of the
-parameterization (the matrix exponential's Frechet derivative for the
+parameterization (the derivative of the Cayley map for the
 orthogonal group, per-node derivatives for Vandermonde families), which a
 fit needs; at a member matrix it is a frame with the same span (Q E over
 the skew basis E for the orthogonal group), which is all a rank needs.
@@ -301,36 +301,33 @@ def _vand_member(orient, spec: FamilySpec, M, tol: float) -> bool:
     return float(np.max(np.abs(V - rebuilt))) <= tol * (1.0 + float(np.linalg.norm(M)))
 
 
-def _expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scipy.linalg.expm).
-
-    scipy.linalg is imported here, on first use, not at module level: the
-    orthogonal family is its only user, and loading it about doubles the
-    time of a CLI call that never evaluates an orthogonal factor.
-    """
-    import scipy.linalg
-
-    return scipy.linalg.expm(A)
+def _cayley_inverse(spec: FamilySpec, params) -> np.ndarray:
+    """W = (I - S)^-1 for the skew-symmetric S with these parameters."""
+    S = _combine(params, _cached_basis(SKEW_SYMMETRIC, spec.n, None))
+    try:
+        return np.linalg.inv(np.eye(spec.n) - S)
+    except np.linalg.LinAlgError:
+        raise DegeneratePointError("I - S is singular: the Cayley map has no value here") from None
 
 
 def _orthogonal_matrix(spec: FamilySpec, params) -> np.ndarray:
-    """exp of the skew-symmetric matrix with the same parameters."""
-    return _expm(_combine(params, _cached_basis(SKEW_SYMMETRIC, spec.n, None)))
+    """Cayley map Q = (I - S)^-1 (I + S) = 2W - I of the skew-symmetric S
+    with the same parameters; u = 0 gives Q = I exactly.
+
+    Its image is the orthogonal matrices of determinant 1 with no
+    eigenvalue -1, an open dense subset of SO(n, C), so every generic
+    statement about the group holds.  A lone orthogonal factor reaches a
+    target with eigenvalue -1, such as -I, only as a limit."""
+    return 2 * _cayley_inverse(spec, params) - np.eye(spec.n)
 
 
 def _orthogonal_frame(spec: FamilySpec, point, is_params: bool):
     skew = _cached_basis(SKEW_SYMMETRIC, spec.n, None)
     if not is_params:
         return point @ skew
-    n = spec.n
-    S = _combine(point, skew)
-    # the Frechet derivative of expm at S in direction E is the upper right
-    # block of expm([[S, E], [0, S]]); one batched expm takes every direction
-    blk = np.zeros((len(skew), 2 * n, 2 * n), dtype=complex)
-    blk[:, :n, :n] = S
-    blk[:, n:, n:] = S
-    blk[:, :n, n:] = skew
-    return np.ascontiguousarray(_expm(blk)[:, :n, n:])
+    # dQ/du_j = 2 W E_j W for the skew basis E
+    W = _cayley_inverse(spec, point)
+    return 2 * (W @ skew @ W)
 
 
 def _orthogonal_member(spec: FamilySpec, M, tol: float) -> bool:

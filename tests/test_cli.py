@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -425,34 +424,7 @@ def test_family_argument_syntax():
     assert json.loads(res.stdout)["family_dim"] == 7
 
 
-def test_commands_without_orthogonal_factors_do_not_load_scipy_linalg(tmp_path):
-    # a fresh interpreter: in this one, other tests may have loaded SciPy
-    path = tmp_path / "t.json"
-    rng = np.random.default_rng(3)
-    path.write_text(json.dumps(mio.matrix_to_dict(fam.complex_gaussian(rng, 9).reshape(3, 3))))
-    script = textwrap.dedent(f"""
-        import contextlib, io, json, sys
-        from matchain.cli import main
-        runs = [
-            ["bounds", "--family", "toeplitz-sym", "--n", "7"],
-            ["verify", "--family", "skew", "--n", "8", "--r", "3", "--trials", "2"],
-            ["sample", "--family", "toeplitz-sym", "--n", "5"],
-            ["decompose", "--in", {str(path)!r}, "--chain", "lower,upper"],
-        ]
-        codes = []
-        for argv in runs:
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(main(argv))
-        print(json.dumps([codes, "scipy.linalg" in sys.modules]))
-    """)
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=_child_env())
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == [[0, 0, 0, 0], False]
-
-
 def test_sample_orthogonal_in_a_fresh_process():
-    # the deferred scipy.linalg import, taken on the first orthogonal factor
     res = run_cli("sample", "--family", "orthogonal", "--n", "3", "--seed", "0")
     assert res.returncode == 0
     M = np.array([[complex(x, y) for x, y in row]

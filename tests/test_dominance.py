@@ -199,8 +199,8 @@ def test_high_type_vandermonde_verdicts_at_sampled_matrices(tag, s):
 
 
 def test_orthogonal_span_frame_spans_the_expm_derivative():
-    """Q E over the skew basis E spans the same tangent space at Q = expm(S)
-    as the derivative of expm: the joint rank is n(n-1)/2."""
+    """Q E over the skew basis E spans the same tangent space at the Cayley
+    map Q = (I - S)^-1 (I + S) as its derivative: the joint rank is n(n-1)/2."""
     for n in (3, 5, 8):
         spec = fam.FamilySpec("orthogonal", n)
         params, Q = fam.sample_point(spec, n)

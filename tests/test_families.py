@@ -449,32 +449,41 @@ def test_parameterize_is_the_basis_contraction():
             assert fam.parameterize(spec, p).tobytes() == expect.tobytes(), spec
 
 
-def _expm_frechet_stack(S, directions):
-    """Frechet derivatives of expm at S, one 2n x 2n block exponential per
-    direction: the reference for the batched orthogonal frame."""
-    import scipy.linalg
-
-    n = S.shape[0]
-    out = []
-    for E in directions:
-        blk = np.zeros((2 * n, 2 * n), dtype=complex)
-        blk[:n, :n] = blk[n:, n:] = S
-        blk[:n, n:] = E
-        out.append(scipy.linalg.expm(blk)[:n, n:])
-    return np.stack(out)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_orthogonal_frame_matches_per_direction_derivatives(n):
-    import scipy.linalg
-
+    """The Cayley map Q = (I - S)^-1 (I + S) and its frame
+    dQ/du_j = 2 (I - S)^-1 E_j (I - S)^-1, against references built here."""
     spec = _spec("orthogonal", n)
     skew = fam.linear_basis(_spec("skew-symmetric", n))
-    for scale in (1e-3, 1.0, 1e2):  # 1e2 needs scaling and squaring
+    I = np.eye(n)
+    assert np.array_equal(fam.parameterize(spec, np.zeros(spec.param_dim)), I)
+    for scale in (1e-3, 1.0, 1e2):
         p = scale * fam.complex_gaussian(np.random.default_rng(n), spec.param_dim)
         S = np.tensordot(p, skew, axes=1)
-        assert fam.parameterize(spec, p).tobytes() == scipy.linalg.expm(S).tobytes()
-        assert fam.tangent_basis(spec, p).tobytes() == _expm_frechet_stack(S, skew).tobytes()
+        Q = fam.parameterize(spec, p)
+        ref = np.linalg.solve(I - S, I + S)
+        assert np.linalg.norm(Q - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.max(np.abs(Q.T @ Q - I)) <= 1e-10
+        frame = fam.tangent_basis(spec, p)
+        W = np.linalg.inv(I - S)
+        for F, E in zip(frame, skew):
+            expect = 2 * W @ E @ W
+            assert np.linalg.norm(F - expect) <= 1e-12 * np.linalg.norm(expect)
+        h = 1e-6 * max(1.0, scale)
+        central = np.stack([(fam.parameterize(spec, p + h * e) - fam.parameterize(spec, p - h * e))
+                            / (2 * h) for e in np.eye(spec.param_dim)])
+        assert np.linalg.norm(frame - central) <= 1e-6 * np.linalg.norm(frame)
+
+
+@pytest.mark.parametrize("u", [1j, -1j])
+def test_orthogonal_family_is_degenerate_where_i_minus_s_is_singular(u):
+    """At n = 2, S = [[0, u], [-u, 0]] and det(I - S) = 1 + u^2 vanishes at
+    u = +-i: the Cayley map has no value there."""
+    spec = _spec("orthogonal", 2)
+    with pytest.raises(DegeneratePointError):
+        fam.parameterize(spec, [u])
+    with pytest.raises(DegeneratePointError):
+        fam.tangent_basis(spec, np.array([u]))
 
 
 CENTERS = [("diagonal", None, np.eye), ("bidiagonal", None, np.eye),

@@ -1,6 +1,6 @@
-"""Every name a matchain module imports is used in that module, and every
+"""Every name a matchain module imports is used in that module, every
 name a module defines is used somewhere, so code that a change deletes
-leaves no import or helper behind."""
+leaves no import or helper behind, and matchain depends on NumPy alone."""
 
 import ast
 import pathlib
@@ -18,6 +18,24 @@ def _unused_imports(tree):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_nothing_imports_scipy():
+    """No module of src/matchain imports SciPy, at top level or inside a
+    function, and the package does not declare it."""
+    found = [f"{path.name}: {name}" for path in sorted(_SRC.glob("*.py"))
+             for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+             if name.split(".")[0] == "scipy"]
+    assert not found
+    assert "scipy" not in (_ROOT / "pyproject.toml").read_text(encoding="utf-8").lower()
 
 
 def test_every_imported_name_is_used():
