@@ -27,13 +27,15 @@ def companion_matrix(c) -> np.ndarray:
     """Build the n x n companion matrix with last column c.
 
     Entry (p+1, p) is 1 for p = 1 .. n-1, column n equals c, and every other
-    entry is zero.  For n = 1 the matrix is just [[c_1]].
+    entry is zero.  For n = 1 the matrix is just [[c_1]].  A float64 c gives
+    a float64 matrix, any other a complex one.
     """
-    c = np.asarray(c, dtype=complex)
+    c = np.asarray(c)
+    c = np.asarray(c, dtype=float if c.dtype == np.float64 else complex)
     if c.ndim != 1 or c.size == 0:
         raise ParameterRangeError("companion coefficients must be a nonempty vector")
     n = c.size
-    C = np.eye(n, k=-1, dtype=complex)
+    C = np.eye(n, k=-1, dtype=c.dtype)
     C[:, n - 1] = c
     return C
 

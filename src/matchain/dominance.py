@@ -127,23 +127,24 @@ class DominanceReport:
 # products and differentials
 
 def chain_product(factors) -> np.ndarray:
-    """Left-to-right product of a nonempty list of conformable matrices."""
+    """Left-to-right product of a nonempty list of conformable matrices,
+    float64 when every factor is float64, else complex."""
     if len(factors) == 0:
         raise ParameterRangeError("empty factor chain")
-    out = np.asarray(factors[0], dtype=complex)
+    out = np.asarray(factors[0])
     for A in factors[1:]:
-        A = np.asarray(A, dtype=complex)
+        A = np.asarray(A)
         if out.shape[1] != A.shape[0]:
             raise ParameterRangeError("factor shapes are not conformable")
         out = out @ A
-    return out
+    return np.asarray(out, dtype=fam._field(out))
 
 
 def _prefixes_suffixes(base):
-    """prefix[i] = A_1..A_i (prefix[0] = I), suffix[i] = A_{i+1}..A_r."""
-    r = len(base)
+    """prefix[i] = A_1..A_i (prefix[0] = I), suffix[i] = A_{i+1}..A_r, in
+    the base's number field."""
     n = base[0].shape[0]
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n, dtype=fam._field(*base))
     prefix = [eye]
     for A in base[:-1]:
         prefix.append(prefix[-1] @ A)
@@ -166,13 +167,14 @@ def jacobian(factors, frames) -> np.ndarray:
     vec(P X_j S) = (P kron S^T) vec(X_j) of one (d, n^2) block, built in two
     products without forming the Kronecker product: P times every frame
     matrix at once (one product broadcast over the (d, n, n) frame), then
-    the (d n) x n stack of the P X_j times S.
+    the (d n) x n stack of the P X_j times S.  Float64 factors and frames
+    give a float64 Jacobian, any complex one a complex Jacobian.
     """
     if len(factors) == 0 or len(factors) != len(frames):
         raise ParameterRangeError("need a nonempty chain and one tangent frame per factor")
     prefix, suffix = _prefixes_suffixes(factors)
     n = len(factors[0])
-    out = np.empty((sum(len(frame) for frame in frames), n * n), dtype=complex)
+    out = np.empty((sum(len(frame) for frame in frames), n * n), dtype=fam._field(*factors, *frames))
     row = 0
     for frame, P, S in zip(frames, prefix, suffix):
         d = len(frame)
@@ -181,12 +183,13 @@ def jacobian(factors, frames) -> np.ndarray:
     return out.T
 
 
-def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above rel_tol times the largest.
+def _gram_full_rank(M: np.ndarray, rel_tol: float) -> bool:
+    """Does a Cholesky factorization prove that every singular value of M
+    lies above rel_tol times the largest?  No SVD is taken.
 
-    M is taken tall, p x m with p >= m (M and M^T share singular values),
-    and full rank is tried first without an SVD.  A = 2^-e M, with max |A|
-    in [1/2, 1), is M scaled exactly, and A^H A cannot overflow.  With
+    M (float64 or complex128) is taken tall, p x m with p >= m (M and M^T
+    share singular values).  A = 2^-e M, with max |A| in [1/2, 1), is M
+    scaled exactly, and A^H A (A^T A for a real M) cannot overflow.  With
     G = fl(A^H A) and u = eps / 2, the Cholesky factorization of
 
         G - s I,   s = (rel_tol^2 + 16 (p + m + 1) eps) trace(G),
@@ -199,41 +202,81 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     - the factorization: one that completes gives R^H R = G - s I + E with
       |E| <= gamma_(m+1) |R^H| |R|, at most about (m + 1) u ||A||_F^2
       (subtracting s adds u per diagonal entry).
-    R^H R is positive semidefinite, so sigma_min(A)^2 is at least s less
-    those terms, which 32 (p + m + 1) u covers with room:
-    sigma_min^2 > rel_tol^2 ||A||_F^2 >= (rel_tol sigma_1)^2, with more
-    than 4 (p + m + 1) eps sigma_1 to spare, far above the SVD's own
-    rounding.  Every singular value clears the cut, and the rank is m.
+    These bounds count the same unit roundoff u in real and in complex
+    arithmetic, so one shift serves both.  R^H R is positive semidefinite,
+    so sigma_min(A)^2 is at least s less those terms, which 32 (p + m + 1) u
+    covers with room: sigma_min^2 > rel_tol^2 ||A||_F^2 >= (rel_tol
+    sigma_1)^2, with more than 4 (p + m + 1) eps sigma_1 to spare, far above
+    an SVD's own rounding.  So True proves rank min(p, m) at rel_tol, and
+    an empty M is vacuously of full rank.  False proves nothing: M may be
+    deficient, ill-conditioned or zero, or rel_tol too near 1 for the
+    Frobenius bound.
 
-    When the Cholesky fails (a deficient or ill-conditioned M, or a rel_tol
-    too near 1 for the Frobenius bound), the rank is the count of the
-    singular-values-only SVD of M.  A matrix with a non-finite entry has no
-    rank (DegeneratePointError).
+    Raises ParameterRangeError for a rel_tol outside (0, 1), NaN included
+    (a Cholesky factorization does not fail on NaN), and
+    DegeneratePointError for an M with a non-finite entry, which has no
+    rank.
     """
     if not 0 < rel_tol < 1:
         raise ParameterRangeError(f"rank tolerance must lie in (0, 1), got {rel_tol}")
-    M = np.asarray(M, dtype=complex)
     if M.size == 0:
-        return 0
+        return True
     top = float(np.max(np.abs(M)))
     if not math.isfinite(top):
         raise DegeneratePointError("matrix has a non-finite entry; its rank is undefined")
     if top == 0.0:
-        return 0
+        return False
     if M.shape[0] < M.shape[1]:
         M = M.T
     p, m = M.shape
     # 2^1021 is the largest scale a float holds with room; a subnormal top
     # then scales to below 1/2, still far from underflow
     A = M * math.ldexp(1.0, -max(math.frexp(top)[1], -1021))
-    G = A.conj().T @ A
+    G = (A.conj().T if np.iscomplexobj(A) else A.T) @ A
     G.flat[::m + 1] -= (rel_tol ** 2 + 16 * (p + m + 1) * _EPS) * G.trace().real
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        sv = np.linalg.svd(M, compute_uv=False)
-        return int(np.count_nonzero(sv > rel_tol * sv[0]))
-    return m
+        return False
+    return True
+
+
+def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Number of singular values above rel_tol times the largest.
+
+    Full rank is tried first without an SVD, by the shifted Gram-Cholesky
+    test of _gram_full_rank.  When that does not settle it, the rank is
+    the count of the singular-values-only SVD of M, so the rank is the same
+    either way.  A real M is ranked in float64, whose rounding bound is the
+    complex one: the rank of a real matrix over R is its rank over C.  A
+    rel_tol outside (0, 1) is a ParameterRangeError, and a matrix with a
+    non-finite entry has no rank (DegeneratePointError).
+    """
+    M = np.asarray(M)
+    M = np.asarray(M, dtype=fam._field(M))
+    if _gram_full_rank(M, rel_tol):
+        return min(M.shape)
+    sv = np.linalg.svd(M, compute_uv=False)
+    return int(np.count_nonzero(sv > rel_tol * sv[0]))
+
+
+def _verdict_jacobian(prob: DecompositionProblem, factors) -> np.ndarray:
+    """The Jacobian at member matrices that parameterize built (members by
+    construction, so not re-checked), with the frames there, cut to the
+    target's coordinates: all n^2 rows, or the first ceil(n^2/2) for
+    centro."""
+    J = jacobian(factors, [fam._frame(spec, A, False) for spec, A in zip(prob.factors, factors)])
+    return J[:prob.target_dim] if prob.target == TARGET_CENTRO else J
+
+
+def _real_point_rank(prob: DecompositionProblem, rng: np.random.Generator, rel_tol: float):
+    """min(rows, cols) of the float64 verdict Jacobian at real Gaussian
+    parameters drawn from rng, when the Gram test proves it of full rank;
+    else None.  Only this verdict leaves, so the real arrays are freed
+    before any complex trial."""
+    J = _verdict_jacobian(prob, [fam.parameterize(spec, rng.standard_normal(spec.param_dim))
+                                 for spec in prob.factors])
+    return min(J.shape) if _gram_full_rank(J, rel_tol) else None
 
 
 def estimate_image_dimension(
@@ -244,27 +287,40 @@ def estimate_image_dimension(
 ) -> DominanceReport:
     """Jacobian rank of the product map at random base points.
 
-    Each trial t draws one member matrix per factor with sample_point from
-    seed + t (trials are independent and could run in parallel; results are
-    merged in trial order).  The Jacobian is taken at those matrices: a rank
-    needs only the span of each tangent frame, which a matrix point gives
-    without the parameterization's derivative (for the orthogonal group,
-    Q E over the skew basis E instead of the Cayley map's derivative).  Its rows
-    are the target's coordinates (the first ceil(n^2/2) for centro).  The
-    dimension estimate is the maximum rank seen, and the chain is reported
-    dominant when it reaches the target dimension.
+    Each trial t first tries a real point, when every family of the chain
+    has real members at real parameters (real_points): real Gaussian
+    parameters drawn from default_rng(seed + t), with members, frames and
+    Jacobian in float64.  A real point is a point of the complex parameter
+    space, and a real matrix has the same rank over R as over C.  The rank
+    at any one point is at most the generic rank, which is at most
+    min(rows, cols), so a real Jacobian that the Gram-Cholesky test proves
+    of full rank (its rounding bound holds in real arithmetic) certifies
+    that rank over C, and it is the trial's rank.  Otherwise the real point
+    proves nothing: no real deficit is reported and no real SVD is taken.
+    The trial then draws one member matrix per factor with sample_point
+    from a fresh default_rng(seed + t) and ranks the complex Jacobian there
+    (numerical_rank).  Trials are independent and could run in parallel;
+    results are merged in trial order.
+
+    The Jacobian is taken at the member matrices: a rank needs only the
+    span of each tangent frame, which a matrix point gives without the
+    parameterization's derivative (for the orthogonal group, Q E over the
+    skew basis E instead of the Cayley map's derivative).  Its rows are the
+    target's coordinates (the first ceil(n^2/2) for centro).  The dimension
+    estimate is the maximum rank seen, and the chain is reported dominant
+    when it reaches the target dimension.
     """
     if trials < 1:
         raise ParameterRangeError("need at least one trial")
+    real = all(spec.real_points for spec in prob.factors)
     ranks = []
     for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        factors = [fam.sample_point(spec, rng)[1] for spec in prob.factors]
-        # sample_point's matrices are members by construction: no re-check
-        J = jacobian(factors, [fam._frame(spec, A, False) for spec, A in zip(prob.factors, factors)])
-        if prob.target == TARGET_CENTRO:
-            J = J[:prob.target_dim]
-        ranks.append(numerical_rank(J, rel_tol))
+        rank = _real_point_rank(prob, np.random.default_rng(seed + t), rel_tol) if real else None
+        if rank is None:
+            rng = np.random.default_rng(seed + t)
+            J = _verdict_jacobian(prob, [fam.sample_point(spec, rng)[1] for spec in prob.factors])
+            rank = numerical_rank(J, rel_tol)
+        ranks.append(rank)
     return DominanceReport(
         problem=prob.summary(),
         ranks=ranks,
@@ -272,34 +328,6 @@ def estimate_image_dimension(
         tolerance=rel_tol,
         seed=seed,
     )
-
-
-def two_factor_tangent_test(
-    spec1: fam.FamilySpec,
-    spec2: fam.FamilySpec,
-    base,
-) -> bool:
-    """Do the tangent spaces of two families at given base points jointly
-    span the full matrix space?
-
-    The test stacks both tangent frames as columns and checks for rank n^2
-    at DEFAULT_RANK_TOL.  At base points (I, I) this is exactly the rank of
-    the two-factor product map's differential, the classical certificate
-    that generic matrices factor through the pair; at other common base
-    points (such as the anti-identity) it is the tangent-sum criterion
-    itself.  Base points must be members of their families (tangent_basis
-    raises NonMemberError).
-    """
-    if spec1.n != spec2.n:
-        raise ParameterRangeError("families must share the matrix size")
-    if len(base) != 2:
-        raise ParameterRangeError("base must be a pair of matrices")
-    n = spec1.n
-    if any(np.shape(pt) != (n, n) for pt in base):
-        raise ParameterRangeError("base points must be n x n matrices")
-    B = np.concatenate([fam.tangent_basis(spec, pt).reshape(-1, n * n)
-                        for spec, pt in zip((spec1, spec2), base)])
-    return numerical_rank(B.T) == n * n
 
 
 # ---------------------------------------------------------------------------

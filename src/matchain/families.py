@@ -133,6 +133,13 @@ class FamilySpec:
         member's parameters scales the member."""
         return _family(self.tag).parameterize is None
 
+    @property
+    def real_points(self) -> bool:
+        """Whether float64 parameters give a float64 member (False for the
+        Vandermonde families and a random subspace, whose members are
+        complex)."""
+        return _family(self.tag).real
+
 
 def spec_from_argument(tag: str, arg: int | None, n: int, rng_seed=0) -> FamilySpec:
     """The family a token tag[:arg] names at size n: arg is the bandwidth of
@@ -184,25 +191,34 @@ def _skew_grid(i, j, n, k):
     return upper - upper.T
 
 
-def pattern_mask(tag: str, n: int, k: int | None = None) -> np.ndarray:
-    """Positions where some basis matrix of a structured linear family is
-    nonzero."""
-    return _grid(tag, n, k) != 0
+_REAL, _COMPLEX = np.dtype(float), np.dtype(complex)
+
+
+def _field(*arrays) -> np.dtype:
+    """The number field the arrays live in: float64 when every one is
+    float64, else complex128."""
+    for a in arrays:
+        if a.dtype != _REAL:
+            return _COMPLEX
+    return _REAL
 
 
 @lru_cache(maxsize=None)
-def _cached_basis(tag: str, n: int, k):
+def _cached_basis(tag: str, n: int, k, dtype: np.dtype):
     """Basis of a structured linear family, in parameter order, as a
-    read-only (d, n, n) array."""
+    read-only (d, n, n) array of dtype (float64 or complex128; its entries
+    are 0 and +-1, so the two hold the same numbers)."""
     grid = _grid(tag, n, k).reshape(-1)
     pos = np.flatnonzero(grid)
-    basis = np.zeros((int(np.abs(grid).max()), n * n), dtype=complex)
+    basis = np.zeros((int(np.abs(grid).max()), n * n), dtype=dtype)
     basis[np.abs(grid[pos]) - 1, pos] = np.sign(grid[pos])
     return _frozen(basis.reshape(-1, n, n))
 
 
-def _basis(spec: FamilySpec) -> np.ndarray:
-    return spec.basis if spec.basis is not None else _cached_basis(spec.tag, spec.n, spec.k)
+def _basis(spec: FamilySpec, dtype: np.dtype = _COMPLEX) -> np.ndarray:
+    """The basis of a linear family in dtype; a random subspace's basis is
+    complex whatever dtype asks."""
+    return spec.basis if spec.basis is not None else _cached_basis(spec.tag, spec.n, spec.k, dtype)
 
 
 def _combine(params: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -303,7 +319,7 @@ def _vand_member(orient, spec: FamilySpec, M, tol: float) -> bool:
 
 def _cayley_inverse(spec: FamilySpec, params) -> np.ndarray:
     """W = (I - S)^-1 for the skew-symmetric S with these parameters."""
-    S = _combine(params, _cached_basis(SKEW_SYMMETRIC, spec.n, None))
+    S = _combine(params, _cached_basis(SKEW_SYMMETRIC, spec.n, None, params.dtype))
     try:
         return np.linalg.inv(np.eye(spec.n) - S)
     except np.linalg.LinAlgError:
@@ -322,7 +338,7 @@ def _orthogonal_matrix(spec: FamilySpec, params) -> np.ndarray:
 
 
 def _orthogonal_frame(spec: FamilySpec, point, is_params: bool):
-    skew = _cached_basis(SKEW_SYMMETRIC, spec.n, None)
+    skew = _cached_basis(SKEW_SYMMETRIC, spec.n, None, point.dtype)
     if not is_params:
         return point @ skew
     # dQ/du_j = 2 W E_j W for the skew basis E
@@ -337,7 +353,7 @@ def _orthogonal_member(spec: FamilySpec, M, tol: float) -> bool:
 
 def _companion_frame(spec: FamilySpec, point, is_params: bool):
     n = spec.n
-    frame = np.zeros((n, n, n), dtype=complex)
+    frame = np.zeros((n, n, n), dtype=point.dtype)
     frame[:, :, n - 1] = np.eye(n)
     return frame
 
@@ -351,8 +367,10 @@ def _companion_member(spec: FamilySpec, M, tol: float) -> bool:
 # core operations
 
 def _parameter_vector(spec: FamilySpec, params) -> np.ndarray:
-    """params as a complex vector of the family's parameter count."""
-    params = np.asarray(params, dtype=complex).reshape(-1)
+    """params as a vector of the family's parameter count: float64 when
+    they are float64, else complex."""
+    params = np.asarray(params)
+    params = np.asarray(params, dtype=_field(params)).reshape(-1)
     if params.size != spec.param_dim:
         raise ParameterRangeError(
             f"expected {spec.param_dim} parameters for {spec.label()} (n={spec.n}), got {params.size}")
@@ -360,12 +378,14 @@ def _parameter_vector(spec: FamilySpec, params) -> np.ndarray:
 
 
 def parameterize(spec: FamilySpec, params) -> np.ndarray:
-    """Map a parameter vector to a matrix of the family."""
+    """Map a parameter vector to a matrix of the family.  Float64
+    parameters give a float64 matrix, except in the families whose members
+    are complex (real_points is False)."""
     params = _parameter_vector(spec, params)
     own = _FAMILIES[spec.tag].parameterize
     if own is not None:
         return own(spec, params)
-    return _combine(params, _basis(spec))
+    return _combine(params, _basis(spec, params.dtype))
 
 
 def tangent_basis(spec: FamilySpec, point) -> np.ndarray:
@@ -391,9 +411,10 @@ def tangent_basis(spec: FamilySpec, point) -> np.ndarray:
 
 def _frame(spec: FamilySpec, point: np.ndarray, is_params: bool) -> np.ndarray:
     """tangent_basis without its checks, for a point already known to be a
-    complex parameter vector or a member matrix (one sample_point built)."""
+    parameter vector or a member matrix (one parameterize built), in the
+    point's dtype (float64 or complex128)."""
     own = _FAMILIES[spec.tag].tangent
-    return _basis(spec) if own is None else _frozen(own(spec, point, is_params))
+    return _basis(spec, point.dtype) if own is None else _frozen(own(spec, point, is_params))
 
 
 def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -543,7 +564,8 @@ class _Family(NamedTuple):
     A nonlinear family gives dimension (spec -> parameter count),
     parameterize, tangent ((spec, point, is_params) -> the (d, n, n) frame
     alone, at a point tangent_basis has checked) and member.  target (a dominance target tag) and generic_r are
-    functions of n."""
+    functions of n.  real is False where float64 parameters still give a
+    complex member."""
 
     arg: str | None = None  # "k" or "s": the argument the tag takes
     grid: Callable | None = None
@@ -554,6 +576,7 @@ class _Family(NamedTuple):
     center: Callable = _identity_center
     target: Callable = lambda n: "full"
     generic_r: Callable = lambda n: None
+    real: bool = True
 
 
 def _vandermonde_family(orient) -> _Family:
@@ -562,7 +585,7 @@ def _vandermonde_family(orient) -> _Family:
         arg="s", dimension=lambda spec: 0 if spec.n == 1 and spec.s == 0 else spec.n,
         parameterize=lambda spec, params: orient(vand(spec.n, spec.s, params)),
         tangent=partial(_vand_frame, orient), member=partial(_vand_member, orient),
-        center=_vandermonde_center, generic_r=lambda n: 2 * n)
+        center=_vandermonde_center, generic_r=lambda n: 2 * n, real=False)
 
 
 _FAMILIES = {
@@ -603,7 +626,8 @@ _FAMILIES = {
     # centrosymmetric coordinate convention
     CENTROSYMMETRIC: _Family(
         grid=lambda i, j, n, k: np.minimum(i * n + j, n * n - 1 - (i * n + j)) + 1),
-    SUBSPACE: _Family(arg="k", dimension=lambda spec: len(spec.basis), center=lambda spec, g, rng, slot: g),
+    SUBSPACE: _Family(arg="k", dimension=lambda spec: len(spec.basis), center=lambda spec, g, rng, slot: g,
+                      real=False),
     ORTHOGONAL: _Family(dimension=lambda spec: spec.n * (spec.n - 1) // 2,
                         parameterize=_orthogonal_matrix, tangent=_orthogonal_frame,
                         member=_orthogonal_member, center=lambda spec, g, rng, slot: 0.1 * g),

@@ -174,7 +174,11 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     multiplied by max(1/3, 1 - (2 rho - 1)^3), rho the gain ratio of actual to
     predicted decrease (Nielsen, IMM-REP-1999-05, DTU 1999), floored at 1e-12;
     rejected trials multiply it by 2, 4, 8, ... within one iteration, and a
-    restart is abandoned once it exceeds 1e12 without improvement.  Restart k
+    restart is abandoned once it exceeds 1e12 s without improvement.  The
+    ceiling scales with the target, s = max(1, ||T||_F)^(2 (r - 1) / r),
+    because the Jacobian of a chain of r cones grows as ||T||^((r - 1) / r)
+    and the damping is compared with its square; at unit scale s = 1.
+    Restart k
     draws its initial chain from seed + k, but restart 0 starts from
     init_params when given, else from an exact chain for T (_exact_start).
     The best restart by residual (ties to the earlier one) is returned.
@@ -199,6 +203,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
             f"{prob.param_dim} parameters cannot cover a {prob.target_dim}-dimensional target")
     start = exact if init_params is None else init_params
     tscale = max(1.0, float(np.linalg.norm(T)))
+    ceiling = DAMPING_CEIL * tscale ** (2 * (prob.r - 1) / prob.r)
     tvec = T.reshape(-1)
     best = None
     for restart in range(opts.restarts):
@@ -225,7 +230,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
             except DegeneratePointError:
                 break
             grow = 2.0
-            while lam <= DAMPING_CEIL:
+            while lam <= ceiling:
                 delta = _damped_step(J, res, lam)
                 cand = theta + delta
                 try:

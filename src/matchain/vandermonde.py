@@ -9,8 +9,8 @@ covers the generic n x n matrix provided the s_i are pairwise distinct
 modulo n and their sum is nonzero.  The verdict is the rank of
 dominance.jacobian at the unit-root base point.  That Jacobian is
 column-permuted block diagonal with n blocks M_p, closed-form geometric
-sums (mp_block, which the tests check it against), and each block's
-determinant reduces to a scaled Vandermonde determinant times sum(s_i).
+sums (the tests check it against them), and each block's determinant
+reduces to a scaled Vandermonde determinant times sum(s_i).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .dominance import DEFAULT_RANK_TOL, DominanceReport, jacobian, numerical_rank
 from .errors import ParameterRangeError
-from .families import VANDERMONDE_T, FamilySpec, require_distinct_nodes, tangent_basis, vand
+from .families import VANDERMONDE_T, FamilySpec, tangent_basis, vand
 
 
 @dataclass(frozen=True)
@@ -80,54 +80,6 @@ def unit_root_inverse_pair(n: int, s_i: int) -> np.ndarray:
     """The transposed-Vandermonde partner B_i with entries w^{p(q-1+s_i)};
     B_i @ unit_root_factor(n, s_i) equals n * I."""
     return vand(n, s_i, unit_root(n) ** np.arange(1, n + 1)).T
-
-
-def mp_block(types: VandTypeList, p: int) -> np.ndarray:
-    """The p-th Jacobian block M_p at the unit-root base point, n = types.n.
-
-    Row q, column j holds the coefficient of the j-th factor's p-th node
-    variable in the (p, q) output entry:
-
-        q != p:  -(n w^{p-q} / (1 - w^{p-q})) * w^{(p-q) s_j - 2p + q}
-        q == p:  (2 s_j + n - 1) n w^{-p} / 2
-
-    These are the geometric sums sum_k (k + s_j - 1) w^{(p-q)k} carried out
-    in closed form and multiplied by w^{p(s_j-2) - q(s_j-1)}."""
-    n = types.n
-    if not 1 <= p <= n:
-        raise ParameterRangeError(f"block index p={p} out of range 1..{n}")
-    w = unit_root(n)
-    q = np.arange(1, n + 1)[:, None]
-    s = np.array(types.s)[None, :]
-    v = w ** (p - q)
-    M = -(n * v / np.where(q == p, 1.0, 1.0 - v)) * w ** ((p - q) * s - 2 * p + q)
-    M[p - 1] = (2 * s[0] + n - 1) * n * w ** (-p) / 2.0
-    return M
-
-
-def det_tilde(types: VandTypeList, p: int, alphas):
-    """Determinant of the reduced block, directly and in closed form.
-
-    The reduced block replaces row p of the node-power matrix
-    (w^{-(a-1) s_j})_{a,j} with (alpha_j w^{-(p-1) s_j})_j.  Its determinant
-    equals (V / n) * sum(alpha_j) where V is the Vandermonde determinant of
-    the nodes w^{-s_j}, independently of p.  Returns (direct, formula).
-    """
-    n = types.n
-    if not 1 <= p <= n:
-        raise ParameterRangeError(f"row index p={p} out of range 1..{n}")
-    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-    if alphas.size != n:
-        raise ParameterRangeError(f"need {n} alphas, got {alphas.size}")
-    w = unit_root(n)
-    nodes = np.array([w ** (-sj) for sj in types.s])
-    require_distinct_nodes(nodes, 1e-12)
-    M = vand(n, 0, nodes)
-    M[p - 1, :] = alphas * nodes ** (p - 1)
-    direct = complex(np.linalg.det(M))
-    V = complex(np.prod([nodes[b] - nodes[a] for a in range(n) for b in range(a + 1, n)]))
-    formula = V / n * complex(np.sum(alphas))
-    return direct, formula
 
 
 def vandermonde_dominance(n: int, s) -> DominanceReport:

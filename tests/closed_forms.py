@@ -1,0 +1,58 @@
+"""Closed forms and pattern oracles that two test files share.
+
+They restate results of the paper (the two-factor tangent criterion, the
+reduced Vandermonde block determinant) and the band pattern of a linear
+family, so the tests can check matchain against them; matchain itself
+never calls them.
+"""
+
+import numpy as np
+
+import matchain.dominance as dom
+import matchain.families as fam
+import matchain.vandermonde as vm
+
+
+def pattern_mask(tag, n, k=None):
+    """Positions where some basis matrix of a structured linear family is
+    nonzero."""
+    return fam._grid(tag, n, k) != 0
+
+
+def two_factor_tangent_test(spec1, spec2, base):
+    """Do the tangent spaces of two families at given base points jointly
+    span the full matrix space?
+
+    The test stacks both tangent frames as columns and checks for rank n^2
+    at DEFAULT_RANK_TOL.  At base points (I, I) this is exactly the rank of
+    the two-factor product map's differential, the classical certificate
+    that generic matrices factor through the pair; at other common base
+    points (such as the anti-identity) it is the tangent-sum criterion
+    itself.  Base points must be members of their families (tangent_basis
+    raises NonMemberError).
+    """
+    n = spec1.n
+    B = np.concatenate([fam.tangent_basis(spec, pt).reshape(-1, n * n)
+                        for spec, pt in zip((spec1, spec2), base)])
+    return dom.numerical_rank(B.T) == n * n
+
+
+def det_tilde(types, p, alphas):
+    """Determinant of the reduced block, directly and in closed form.
+
+    The reduced block replaces row p of the node-power matrix
+    (w^{-(a-1) s_j})_{a,j} with (alpha_j w^{-(p-1) s_j})_j.  Its determinant
+    equals (V / n) * sum(alpha_j) where V is the Vandermonde determinant of
+    the nodes w^{-s_j}, independently of p.  Returns (direct, formula).
+    """
+    n = types.n
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    w = vm.unit_root(n)
+    nodes = np.array([w ** (-sj) for sj in types.s])
+    fam.require_distinct_nodes(nodes, 1e-12)
+    M = vm.vand(n, 0, nodes)
+    M[p - 1, :] = alphas * nodes ** (p - 1)
+    direct = complex(np.linalg.det(M))
+    V = complex(np.prod([nodes[b] - nodes[a] for a in range(n) for b in range(a + 1, n)]))
+    formula = V / n * complex(np.sum(alphas))
+    return direct, formula

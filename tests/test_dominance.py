@@ -8,6 +8,7 @@ import pytest
 import matchain.families as fam
 import matchain.dominance as dom
 import matchain.vandermonde as vand
+from closed_forms import two_factor_tangent_test
 from matchain.errors import DegeneratePointError, NonMemberError, ParameterRangeError
 
 
@@ -391,9 +392,9 @@ def test_two_factor_tangent_test_qr_like_pairs():
     up = fam.FamilySpec("triangular-upper", 3)
     lo = fam.FamilySpec("triangular-lower", 3)
     orth = fam.FamilySpec("orthogonal", 3)
-    assert dom.two_factor_tangent_test(lo, up, (I, I))
-    assert dom.two_factor_tangent_test(orth, up, (I, I))
-    assert not dom.two_factor_tangent_test(up, up, (I, I))
+    assert two_factor_tangent_test(lo, up, (I, I))
+    assert two_factor_tangent_test(orth, up, (I, I))
+    assert not two_factor_tangent_test(up, up, (I, I))
 
 
 def test_two_factor_tangent_test_rejects_bad_base():
@@ -402,7 +403,7 @@ def test_two_factor_tangent_test_rejects_bad_base():
     bad = np.ones((3, 3), dtype=complex)  # not lower triangular
     from matchain.errors import NonMemberError
     with pytest.raises(NonMemberError):
-        dom.two_factor_tangent_test(lo, up, (bad, np.eye(3, dtype=complex)))
+        two_factor_tangent_test(lo, up, (bad, np.eye(3, dtype=complex)))
 
 
 def test_companion_chain_dominance_small():

@@ -124,6 +124,25 @@ def test_fit_chain_respects_scaling_of_linear_chains():
     np.testing.assert_allclose(scaled.product(), lam * T, atol=1e-7 * abs(lam))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e10, 1e50])
+@pytest.mark.parametrize("tags, target", [
+    (["skew-symmetric"] * 5, "full"),
+    (["toeplitz-sym"] * 3, "centro"),
+    (["bidiagonal"] * 3, "full"),
+], ids=["skew5", "toeplitz-sym3", "bidiagonal3"])
+def test_fit_chain_converges_on_a_scaled_target(tags, target, scale):
+    """The damping ceiling grows with the target as the Jacobian does, so a
+    chain that fits T also fits c T (with an absolute ceiling, 1e10 T and
+    1e50 T stalled after one iteration)."""
+    T = _random_target(4, 7)
+    if target == "centro":
+        T = (T + T[::-1, ::-1]) / 2
+    chain = fit_chain(scale * T, dom.problem(tags, 4, target), FitOptions(restarts=2))
+    assert chain.converged
+    np.testing.assert_allclose(chain.product(), scale * T, rtol=0,
+                               atol=1e-7 * scale * np.abs(T).max())
+
+
 def test_fit_chain_restarts_keep_best():
     T = _random_target(4, 3)
     prob = dom.problem(["skew-symmetric"] * 5, 4)

@@ -61,6 +61,8 @@ INPUTS = {
     "gauss48.json": gaussian(6, 48),
     "gauss6.json": gaussian(16, 6),
     "lower4.json": lower_triangular(17, 4),
+    # gauss4-b.json times 1e10: the damping ceiling scales with the target
+    "gauss4-b-1e10.json": [[(re * 1e10, im * 1e10) for re, im in row] for row in gaussian(2, 4)],
     # finite entries whose Frobenius norm overflows
     "huge3.json": [[(re * 1e160, im * 1e160) for re, im in row] for row in gaussian(18, 3)],
 }
@@ -111,6 +113,9 @@ COMMANDS = [
     # a target inside the first family: restart 0 starts from the target
     # and identities
     ["decompose", "--in", "lower4.json", "--chain", "lower,upper", "--seed", "17"],
+    # the skew fit of gauss4-b.json above, on the target scaled by 1e10
+    ["decompose", "--in", "gauss4-b-1e10.json", "--chain", "skew,skew,skew,skew,skew",
+     "--seed", "1"],
     # a negative type, and a zero-exponent row in the tangent frame
     ["sample", "--family", "vandermonde:-2", "--n", "4", "--seed", "18"],
     ["verify", "--family", "vandermonde:-2", "--n", "4", "--r", "2", "--seed", "18"],
