@@ -260,12 +260,12 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def _verdict_jacobian(prob: DecompositionProblem, factors) -> np.ndarray:
-    """The Jacobian at member matrices that parameterize built (members by
-    construction, so not re-checked), with the frames there, cut to the
-    target's coordinates: all n^2 rows, or the first ceil(n^2/2) for
-    centro."""
-    J = jacobian(factors, [fam._frame(spec, A, False) for spec, A in zip(prob.factors, factors)])
+def _verdict_jacobian(prob: DecompositionProblem, points) -> np.ndarray:
+    """The Jacobian at one (params, member) pair per factor, with the frames
+    at the params, cut to the target's coordinates: all n^2 rows, or the
+    first ceil(n^2/2) for centro."""
+    J = jacobian([A for _, A in points],
+                 [fam.tangent_basis(spec, u) for spec, (u, _) in zip(prob.factors, points)])
     return J[:prob.target_dim] if prob.target == TARGET_CENTRO else J
 
 
@@ -274,8 +274,9 @@ def _real_point_rank(prob: DecompositionProblem, rng: np.random.Generator, rel_t
     parameters drawn from rng, when the Gram test proves it of full rank;
     else None.  Only this verdict leaves, so the real arrays are freed
     before any complex trial."""
-    J = _verdict_jacobian(prob, [fam.parameterize(spec, rng.standard_normal(spec.param_dim))
-                                 for spec in prob.factors])
+    params = [rng.standard_normal(spec.param_dim) for spec in prob.factors]
+    J = _verdict_jacobian(prob, [(u, fam.parameterize(spec, u))
+                                 for spec, u in zip(prob.factors, params)])
     return min(J.shape) if _gram_full_rank(J, rel_tol) else None
 
 
@@ -297,18 +298,16 @@ def estimate_image_dimension(
     of full rank (its rounding bound holds in real arithmetic) certifies
     that rank over C, and it is the trial's rank.  Otherwise the real point
     proves nothing: no real deficit is reported and no real SVD is taken.
-    The trial then draws one member matrix per factor with sample_point
-    from a fresh default_rng(seed + t) and ranks the complex Jacobian there
+    The trial then draws one point per factor with sample_point from a
+    fresh default_rng(seed + t) and ranks the complex Jacobian there
     (numerical_rank).  Trials are independent and could run in parallel;
     results are merged in trial order.
 
-    The Jacobian is taken at the member matrices: a rank needs only the
-    span of each tangent frame, which a matrix point gives without the
-    parameterization's derivative (for the orthogonal group, Q E over the
-    skew basis E instead of the Cayley map's derivative).  Its rows are the
-    target's coordinates (the first ceil(n^2/2) for centro).  The dimension
-    estimate is the maximum rank seen, and the chain is reported dominant
-    when it reaches the target dimension.
+    Either Jacobian is taken at the members with the tangent frames at
+    their parameters, and its rows are the target's coordinates (the first
+    ceil(n^2/2) for centro).  The dimension estimate is the maximum rank
+    seen, and the chain is reported dominant when it reaches the target
+    dimension.
     """
     if trials < 1:
         raise ParameterRangeError("need at least one trial")
@@ -318,7 +317,7 @@ def estimate_image_dimension(
         rank = _real_point_rank(prob, np.random.default_rng(seed + t), rel_tol) if real else None
         if rank is None:
             rng = np.random.default_rng(seed + t)
-            J = _verdict_jacobian(prob, [fam.sample_point(spec, rng)[1] for spec in prob.factors])
+            J = _verdict_jacobian(prob, [fam.sample_point(spec, rng) for spec in prob.factors])
             rank = numerical_rank(J, rel_tol)
         ranks.append(rank)
     return DominanceReport(

@@ -8,7 +8,7 @@ provides, uniformly over a FamilySpec (one family at one size n):
 
     param_dim          dimension of the parameter space, set on construction
     parameterize       params -> matrix
-    tangent_basis      frame spanning the tangent space at a point
+    tangent_basis      params -> the derivative of parameterize there
     sample_point       a reproducible random point (one Gaussian draw)
     is_member          tolerance-based membership test
 
@@ -16,13 +16,11 @@ Each family is one entry of the table _FAMILIES.  All linear families
 share one path built on their basis; a nonlinear family brings its own
 functions.
 
-Tangent frames are what the dominance machinery consumes: the rank of the
-product map's differential is computed against these frames.  At a
-parameter vector a nonlinear family's frame is the derivative of the
-parameterization (the derivative of the Cayley map for the
-orthogonal group, per-node derivatives for Vandermonde families), which a
-fit needs; at a member matrix it is a frame with the same span (Q E over
-the skew basis E for the orthogonal group), which is all a rank needs.
+Tangent frames are what the dominance machinery and the fitter consume:
+the product map's differential is taken against these frames.  A
+nonlinear family's frame is the derivative of the parameterization (of
+the Cayley map for the orthogonal group, per node for Vandermonde
+families).
 """
 
 from __future__ import annotations
@@ -34,11 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .companion import companion_matrix
-from .errors import (
-    DegeneratePointError,
-    NonMemberError,
-    ParameterRangeError,
-)
+from .errors import DegeneratePointError, ParameterRangeError
 
 # ---------------------------------------------------------------------------
 # family tags
@@ -281,28 +275,11 @@ def _vand_tangent(n: int, s: int, nodes) -> np.ndarray:
     return frame
 
 
-def _nodes_from_matrix(n: int, s: int, V: np.ndarray) -> np.ndarray:
-    """Read nodes off an oriented Vandermonde matrix (rows are powers).
-
-    A node is x = V[1] / V[0]; only an exact zero top entry x^s reads as
-    the node 0.  A small cutoff would also zero tiny nonzero nodes of a
-    high type s, where |x|^s is far below 1e-14, and their frame would
-    then vanish."""
-    if n == 1:
-        v = V[0, 0]
-        if s < 0 and v == 0:
-            raise NonMemberError("zero entry cannot be a negative power")
-        return np.array([v ** (1.0 / s)]) if v != 0 else np.array([0.0 + 0j])
-    return np.divide(V[1], V[0], out=np.zeros(n, dtype=complex), where=V[0] != 0)
-
-
 # orient maps a Vandermonde matrix (rows are powers), or a stack of them, to
 # family members and back: the identity, or the transpose for vandermonde-t
 
-def _vand_frame(orient, spec: FamilySpec, point, is_params: bool):
-    n, s = spec.n, spec.s
-    nodes = point if is_params else _nodes_from_matrix(n, s, orient(point))
-    return orient(_vand_tangent(n, s, nodes))
+def _vand_frame(orient, spec: FamilySpec, nodes):
+    return orient(_vand_tangent(spec.n, spec.s, nodes))
 
 
 def _vand_member(orient, spec: FamilySpec, M, tol: float) -> bool:
@@ -310,8 +287,12 @@ def _vand_member(orient, spec: FamilySpec, M, tol: float) -> bool:
     V = orient(M)
     if n == 1:  # type 0 has no parameters at n = 1; a negative power is never 0
         return s > 0 or abs(V[0, 0]) > 0.0
+    # a node is x = V[1] / V[0]; only an exact zero top entry x^s reads as the
+    # node 0, so a tiny nonzero node of a high type s (|x|^s far below 1e-14)
+    # is read as itself
+    nodes = np.divide(V[1], V[0], out=np.zeros(n, dtype=complex), where=V[0] != 0)
     try:
-        rebuilt = vand(n, s, _nodes_from_matrix(n, s, V))
+        rebuilt = vand(n, s, nodes)
     except DegeneratePointError:
         return False
     return float(np.max(np.abs(V - rebuilt))) <= tol * (1.0 + float(np.linalg.norm(M)))
@@ -337,13 +318,10 @@ def _orthogonal_matrix(spec: FamilySpec, params) -> np.ndarray:
     return 2 * _cayley_inverse(spec, params) - np.eye(spec.n)
 
 
-def _orthogonal_frame(spec: FamilySpec, point, is_params: bool):
-    skew = _cached_basis(SKEW_SYMMETRIC, spec.n, None, point.dtype)
-    if not is_params:
-        return point @ skew
-    # dQ/du_j = 2 W E_j W for the skew basis E
-    W = _cayley_inverse(spec, point)
-    return 2 * (W @ skew @ W)
+def _orthogonal_frame(spec: FamilySpec, params):
+    """dQ/du_j = 2 W E_j W for the skew basis E."""
+    W = _cayley_inverse(spec, params)
+    return 2 * (W @ _cached_basis(SKEW_SYMMETRIC, spec.n, None, params.dtype) @ W)
 
 
 def _orthogonal_member(spec: FamilySpec, M, tol: float) -> bool:
@@ -351,9 +329,9 @@ def _orthogonal_member(spec: FamilySpec, M, tol: float) -> bool:
     return float(np.max(np.abs(resid))) <= tol * (1.0 + float(np.linalg.norm(M))) ** 2
 
 
-def _companion_frame(spec: FamilySpec, point, is_params: bool):
+def _companion_frame(spec: FamilySpec, params):
     n = spec.n
-    frame = np.zeros((n, n, n), dtype=point.dtype)
+    frame = np.zeros((n, n, n), dtype=params.dtype)
     frame[:, :, n - 1] = np.eye(n)
     return frame
 
@@ -388,33 +366,15 @@ def parameterize(spec: FamilySpec, params) -> np.ndarray:
     return _combine(params, _basis(spec, params.dtype))
 
 
-def tangent_basis(spec: FamilySpec, point) -> np.ndarray:
-    """Read-only (d, n, n) tangent frame of the family at a point.
-
-    point may be a parameter vector (1-d, length param_dim) or a member
-    matrix (n x n).  For linear families the frame is the fixed basis.  For
-    the nonlinear families, at a parameter vector it is the derivative of
-    the parameterization, so finite differences of parameterize converge to
-    these matrices; at a member matrix it spans the same tangent space.
-    """
-    point = np.asarray(point, dtype=complex)
-    n = spec.n
-    is_params = point.ndim == 1
-    if is_params:
-        point = _parameter_vector(spec, point)
-    elif point.shape != (n, n):
-        raise ParameterRangeError(f"point must be a parameter vector or an {n} x {n} matrix")
-    elif not is_member(spec, point, 1e-8):
-        raise NonMemberError(f"matrix is not in {spec.label()}")
-    return _frame(spec, point, is_params)
-
-
-def _frame(spec: FamilySpec, point: np.ndarray, is_params: bool) -> np.ndarray:
-    """tangent_basis without its checks, for a point already known to be a
-    parameter vector or a member matrix (one parameterize built), in the
-    point's dtype (float64 or complex128)."""
+def tangent_basis(spec: FamilySpec, params) -> np.ndarray:
+    """Read-only (d, n, n) tangent frame of the family at a parameter
+    vector: the derivative of the parameterization, so finite differences
+    of parameterize converge to these matrices.  For linear families it is
+    the fixed basis.  Float64 parameters give a float64 frame, except in the
+    families whose members are complex, as for parameterize."""
+    params = _parameter_vector(spec, params)
     own = _FAMILIES[spec.tag].tangent
-    return _basis(spec, point.dtype) if own is None else _frozen(own(spec, point, is_params))
+    return _basis(spec, params.dtype) if own is None else _frozen(own(spec, params))
 
 
 def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -562,10 +522,10 @@ class _Family(NamedTuple):
     """Everything specific to one family tag.  A structured linear family
     gives grid: (i, j, n, k) -> the array of _grid, for i, j = np.indices((n, n)).
     A nonlinear family gives dimension (spec -> parameter count),
-    parameterize, tangent ((spec, point, is_params) -> the (d, n, n) frame
-    alone, at a point tangent_basis has checked) and member.  target (a dominance target tag) and generic_r are
-    functions of n.  real is False where float64 parameters still give a
-    complex member."""
+    parameterize, tangent ((spec, params) -> the (d, n, n) frame alone, at
+    parameters tangent_basis has checked) and member.  target (a dominance
+    target tag) and generic_r are functions of n.  real is False where
+    float64 parameters still give a complex member."""
 
     arg: str | None = None  # "k" or "s": the argument the tag takes
     grid: Callable | None = None

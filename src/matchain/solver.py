@@ -42,6 +42,7 @@ from .errors import (
 
 DAMPING_FLOOR = 1e-12
 DAMPING_CEIL = 1e12
+_FLOAT_MAX = float(np.finfo(float).max)
 LU_PIVOT_TOL = 1e-10
 
 
@@ -177,7 +178,9 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     restart is abandoned once it exceeds 1e12 s without improvement.  The
     ceiling scales with the target, s = max(1, ||T||_F)^(2 (r - 1) / r),
     because the Jacobian of a chain of r cones grows as ||T||^((r - 1) / r)
-    and the damping is compared with its square; at unit scale s = 1.
+    and the damping is compared with its square; at unit scale s = 1.  It
+    is clamped to the largest float, since damping that reaches infinity
+    would never pass an infinite ceiling and a stall would never end.
     Restart k
     draws its initial chain from seed + k, but restart 0 starts from
     init_params when given, else from an exact chain for T (_exact_start).
@@ -203,7 +206,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
             f"{prob.param_dim} parameters cannot cover a {prob.target_dim}-dimensional target")
     start = exact if init_params is None else init_params
     tscale = max(1.0, float(np.linalg.norm(T)))
-    ceiling = DAMPING_CEIL * tscale ** (2 * (prob.r - 1) / prob.r)
+    ceiling = min(DAMPING_CEIL * tscale ** (2 * (prob.r - 1) / prob.r), _FLOAT_MAX)
     tvec = T.reshape(-1)
     best = None
     for restart in range(opts.restarts):

@@ -97,11 +97,11 @@ def vandermonde_dominance(n: int, s) -> DominanceReport:
     zero sum can still certify dominance here."""
     types = type_list(n, s)
     n = types.n
+    nodes = unit_root(n) ** np.arange(1, n + 1)  # the nodes of every B_i
     factors, frames = [], []
     for si in types.s:
-        B = unit_root_inverse_pair(n, si)
-        factors += [B, unit_root_factor(n, si)]
-        frames += [tangent_basis(FamilySpec(VANDERMONDE_T, n, s=si), B),
+        factors += [unit_root_inverse_pair(n, si), unit_root_factor(n, si)]
+        frames += [tangent_basis(FamilySpec(VANDERMONDE_T, n, s=si), nodes),
                    np.empty((0, n, n), dtype=complex)]
     rank = numerical_rank(jacobian(factors, frames))
     summary = {

@@ -1,9 +1,9 @@
-"""Closed forms and pattern oracles that two test files share.
+"""Closed forms and oracles that two test files share.
 
 They restate results of the paper (the two-factor tangent criterion, the
-reduced Vandermonde block determinant) and the band pattern of a linear
-family, so the tests can check matchain against them; matchain itself
-never calls them.
+reduced Vandermonde block determinant), the band pattern of a linear
+family, and a tangent frame read off a member matrix alone, so the tests
+can check matchain against them; matchain itself never calls them.
 """
 
 import numpy as np
@@ -19,17 +19,32 @@ def pattern_mask(tag, n, k=None):
     return fam._grid(tag, n, k) != 0
 
 
+def span_frame(spec, M):
+    """A frame spanning the family's tangent space at a member matrix M,
+    read off M alone: Q E over the skew-symmetric basis E at an orthogonal
+    Q, the per-node derivatives at the nodes read back as V[1] / V[0] (rows
+    are powers, n >= 2) for a Vandermonde family, and the fixed frame of
+    every other family, which does not depend on the point."""
+    n = spec.n
+    if spec.tag == "orthogonal":
+        return M @ fam.linear_basis(fam.FamilySpec("skew-symmetric", n))
+    if spec.tag in ("vandermonde", "vandermonde-t"):
+        V = M if spec.tag == "vandermonde" else M.T
+        nodes = np.divide(V[1], V[0], out=np.zeros(n, dtype=complex), where=V[0] != 0)
+        return fam.tangent_basis(spec, nodes)
+    return fam.tangent_basis(spec, np.zeros(spec.param_dim, dtype=complex))
+
+
 def two_factor_tangent_test(spec1, spec2, base):
-    """Do the tangent spaces of two families at given base points jointly
-    span the full matrix space?
+    """Do the tangent spaces of two families at given base parameters
+    jointly span the full matrix space?
 
     The test stacks both tangent frames as columns and checks for rank n^2
-    at DEFAULT_RANK_TOL.  At base points (I, I) this is exactly the rank of
-    the two-factor product map's differential, the classical certificate
-    that generic matrices factor through the pair; at other common base
-    points (such as the anti-identity) it is the tangent-sum criterion
-    itself.  Base points must be members of their families (tangent_basis
-    raises NonMemberError).
+    at DEFAULT_RANK_TOL.  At the parameters of (I, I) this is exactly the
+    rank of the two-factor product map's differential, the classical
+    certificate that generic matrices factor through the pair; at other
+    common base points (such as the anti-identity) it is the tangent-sum
+    criterion itself.
     """
     n = spec1.n
     B = np.concatenate([fam.tangent_basis(spec, pt).reshape(-1, n * n)

@@ -147,6 +147,13 @@ def test_criterion_05_two_factor_tangent_toys():
     def spec(tag):
         return fam.FamilySpec(tag, 3)
 
+    def coords(tag, M):
+        """Parameters of the member M: the zero vector gives Q = I in the
+        orthogonal group, and a linear family takes M's coordinates."""
+        if tag == "orthogonal":
+            return np.zeros(spec(tag).param_dim)
+        return fam.coordinates_of(spec(tag), M)
+
     cases = [
         ("triangular-lower", "triangular-upper", (I, I), True),
         ("triangular-upper", "triangular-lower", (I, I), True),
@@ -155,7 +162,8 @@ def test_criterion_05_two_factor_tangent_toys():
         ("anti-triangular-top", "anti-triangular-bottom", (J, J), True),
         ("triangular-upper", "triangular-upper", (I, I), False),
     ]
-    for tag1, tag2, base, want in cases:
+    for tag1, tag2, (M1, M2), want in cases:
+        base = (coords(tag1, M1), coords(tag2, M2))
         got = two_factor_tangent_test(spec(tag1), spec(tag2), base)
         if got != want:
             failures.append(f"({tag1}, {tag2}): {got}, expected {want}")

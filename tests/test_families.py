@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import matchain.families as fam
 from closed_forms import pattern_mask
-from matchain.errors import DegeneratePointError, NonMemberError, ParameterRangeError
+from matchain.errors import DegeneratePointError, ParameterRangeError
 
 
 def _spec(tag, n, k=None, s=None):
@@ -273,12 +273,6 @@ def test_coordinates_of_is_a_projection():
     assert np.linalg.norm(P - G) > 1.0
     with pytest.raises(ParameterRangeError):
         fam.coordinates_of(_spec("companion", 4), G)
-
-
-def test_tangent_basis_rejects_non_member_matrix():
-    spec = _spec("toeplitz-sym", 4)
-    with pytest.raises(NonMemberError):
-        fam.tangent_basis(spec, np.arange(16.0).reshape(4, 4).astype(complex))
 
 
 def test_symmetric_toeplitz_structure():
@@ -618,24 +612,3 @@ def test_vandermonde_membership_edge_cases():
             assert fam.is_member(_spec(tag, 1, s=2), np.array([[v]]), 1e-12)
         assert fam.is_member(_spec(tag, 1, s=-1), np.array([[3.0 - 2.0j]]), 1e-12)
         assert not fam.is_member(_spec(tag, 1, s=-1), np.array([[0.0]]), 1e-12)
-
-
-@pytest.mark.parametrize("tag, s", [("vandermonde", -2), ("vandermonde-t", 0)])
-def test_vandermonde_frame_at_a_matrix_point_matches_the_frame_at_its_nodes(tag, s):
-    spec = _spec(tag, 4, s=s)
-    x = fam.complex_gaussian(np.random.default_rng(5), 4)
-    M = fam.parameterize(spec, x)
-    at_nodes = fam.tangent_basis(spec, x)
-    at_matrix = fam.tangent_basis(spec, M)
-    np.testing.assert_allclose(at_matrix, at_nodes, rtol=1e-12, atol=0)
-    assert not at_matrix.flags.writeable
-
-
-def test_nodes_from_a_one_by_one_vandermonde_matrix():
-    v = np.array([[3.0 - 2.0j]])
-    for s in (2, -1):  # the node is a root of the entry: x^s = v
-        x = fam._nodes_from_matrix(1, s, v)
-        np.testing.assert_allclose(x ** s, v[0], rtol=1e-14)
-    np.testing.assert_array_equal(fam._nodes_from_matrix(1, 2, np.zeros((1, 1))), [0.0])
-    with pytest.raises(NonMemberError):
-        fam._nodes_from_matrix(1, -1, np.zeros((1, 1)))

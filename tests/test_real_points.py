@@ -43,14 +43,15 @@ def _complex_jacobian(factors, frames):
 
 
 def _oracle_ranks(prob, trials, seed, rel_tol=dom.DEFAULT_RANK_TOL):
-    """The complex-only verdict: sample_point members from seed + t, their
-    complex Jacobian, and the count of its singular values."""
+    """The complex-only verdict: sample_point points from seed + t, the
+    complex Jacobian at their members with the frames at their parameters,
+    and the count of its singular values."""
     ranks = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
-        factors = [fam.sample_point(spec, rng)[1] for spec in prob.factors]
-        J = _complex_jacobian(factors, [fam._frame(spec, A, False)
-                                        for spec, A in zip(prob.factors, factors)])
+        params, factors = zip(*(fam.sample_point(spec, rng) for spec in prob.factors))
+        J = _complex_jacobian(factors, [fam.tangent_basis(spec, u)
+                                        for spec, u in zip(prob.factors, params)])
         if prob.target == dom.TARGET_CENTRO:
             J = J[:prob.target_dim]
         sv = np.linalg.svd(J, compute_uv=False)
@@ -60,8 +61,9 @@ def _oracle_ranks(prob, trials, seed, rel_tol=dom.DEFAULT_RANK_TOL):
 
 def _real_point(prob, seed):
     rng = np.random.default_rng(seed)
-    factors = [fam.parameterize(spec, rng.standard_normal(spec.param_dim)) for spec in prob.factors]
-    return factors, [fam._frame(spec, A, False) for spec, A in zip(prob.factors, factors)]
+    params = [rng.standard_normal(spec.param_dim) for spec in prob.factors]
+    return ([fam.parameterize(spec, u) for spec, u in zip(prob.factors, params)],
+            [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)])
 
 
 REAL_CHAINS = [
@@ -94,8 +96,8 @@ def test_complex_product_and_jacobian_are_byte_identical_to_the_complex_only_pat
         name, tags, n, target):
     prob = dom.problem(tags, n, target)
     rng = np.random.default_rng(5)
-    factors = [fam.sample_point(spec, rng)[1] for spec in prob.factors]
-    frames = [fam._frame(spec, A, False) for spec, A in zip(prob.factors, factors)]
+    params, factors = zip(*(fam.sample_point(spec, rng) for spec in prob.factors))
+    frames = [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)]
     assert dom.chain_product(factors).tobytes() == _complex_chain_product(factors).tobytes()
     assert dom.jacobian(factors, frames).tobytes() == _complex_jacobian(factors, frames).tobytes()
 
@@ -109,8 +111,7 @@ def test_real_parameters_keep_their_dtype_in_the_family_layer():
         assert M.dtype == np.float64 and spec.real_points
         np.testing.assert_allclose(M, fam.parameterize(spec, u.astype(complex)).real,
                                    rtol=0, atol=1e-14 * np.abs(M).max())
-        assert fam._frame(spec, M, False).dtype == np.float64
-        assert fam._frame(spec, u, True).dtype == np.float64
+        assert fam.tangent_basis(spec, u).dtype == np.float64
         assert fam.is_member(spec, M, 1e-10)
     for spec in (fam.FamilySpec("vandermonde", 3, s=1), fam.random_subspace(3, 4)):
         assert not spec.real_points

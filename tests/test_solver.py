@@ -143,6 +143,18 @@ def test_fit_chain_converges_on_a_scaled_target(tags, target, scale):
                                atol=1e-7 * scale * np.abs(T).max())
 
 
+def test_fit_chain_returns_when_the_damping_ceiling_would_overflow():
+    """At ||T||_F = 1e154 and r = 40 the scaled ceiling exceeds the largest
+    float; clamped, a stalled restart ends (unclamped, the damping reached
+    infinity, which never passed the ceiling, and the fit never returned)."""
+    T = np.full((2, 2), 5e153, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = fit_chain(T, dom.problem(["diagonal"] * 40, 2),
+                          FitOptions(restarts=1, max_iterations=3))
+    assert not chain.converged
+    assert chain.iterations <= 3
+
+
 def test_fit_chain_restarts_keep_best():
     T = _random_target(4, 3)
     prob = dom.problem(["skew-symmetric"] * 5, 4)

@@ -185,11 +185,11 @@ def test_jacobian_is_block_diagonal_by_node_index(n):
     columns by node index p gives the closed form blockdiag(M_1, ..., M_n)."""
     rng = np.random.default_rng(n)
     types = vm.type_list(n, _random_valid_types(rng, n))
+    nodes = vm.unit_root(n) ** np.arange(1, n + 1)  # the nodes of every B_i
     factors, frames = [], []
     for s in types.s:
-        B = vm.unit_root_inverse_pair(n, s)
-        factors += [B, vm.unit_root_factor(n, s) / n]
-        frames += [fam.tangent_basis(fam.FamilySpec("vandermonde-t", n, s=s), B),
+        factors += [vm.unit_root_inverse_pair(n, s), vm.unit_root_factor(n, s) / n]
+        frames += [fam.tangent_basis(fam.FamilySpec("vandermonde-t", n, s=s), nodes),
                    np.empty((0, n, n), dtype=complex)]
     by_node = np.arange(n * n).reshape(n, n).T.reshape(-1)  # column (j, p) -> (p, j)
     expect = np.zeros((n * n, n * n), dtype=complex)

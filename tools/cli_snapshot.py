@@ -9,9 +9,10 @@ and the sha256 of its stdout and of its stderr (so a warning that numpy
 writes shows too).  A `decompose` line also prints the fit's
 iterations, converged flag and residual (3 significant digits), read from
 its JSON stdout, so that a fit that differs only in its last bits shows as
-the same fit.  Run it against two checkouts and diff the two outputs:
-identical lines mean byte-identical stdout and stderr and equal exit codes.  Input
-matrices are drawn from fixed seeds and written to a temporary directory,
+the same fit.  A command still running after TIMEOUT_S seconds is killed,
+and its line ends in exit=timeout with no digests.  Run it against two
+checkouts and diff the two outputs: identical lines mean byte-identical
+stdout and stderr and equal exit codes.  Input matrices are drawn from fixed seeds and written to a temporary directory,
 which is the working directory of every command, so the printed commands
 name the same files on every run.  Only the standard library is used, so
 the script runs against any checkout.
@@ -28,6 +29,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TIMEOUT_S = 120
 
 
 def gaussian(seed, n):
@@ -65,6 +67,9 @@ INPUTS = {
     "gauss4-b-1e10.json": [[(re * 1e10, im * 1e10) for re, im in row] for row in gaussian(2, 4)],
     # finite entries whose Frobenius norm overflows
     "huge3.json": [[(re * 1e160, im * 1e160) for re, im in row] for row in gaussian(18, 3)],
+    # Frobenius norm 1e154, finite: the damping ceiling of a long chain
+    # would overflow to infinity
+    "huge2.json": [[(5e153, 0.0)] * 2] * 2,
 }
 
 COMMANDS = [
@@ -167,6 +172,8 @@ COMMANDS += [
     ["verify", "--family", "vandermonde:-2000", "--n", "3", "--r", "2"],
     ["decompose", "--in", "huge3.json", "--chain", "lower,upper"],
     ["decompose", "--in", "huge3.json", "--chain", "companion,companion,companion"],
+    # a stalled restart ends at the largest-float damping ceiling
+    ["decompose", "--in", "huge2.json", "--chain", ",".join(["diagonal"] * 40)],
 ]
 
 
@@ -194,8 +201,12 @@ def main(argv=None):
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump({"n": len(entries), "entries": entries}, fh)
         for cmd in COMMANDS:
-            res = subprocess.run([sys.executable, "-m", "matchain", *cmd], cwd=work, env=env,
-                                 capture_output=True, check=False)
+            try:
+                res = subprocess.run([sys.executable, "-m", "matchain", *cmd], cwd=work, env=env,
+                                     capture_output=True, check=False, timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                print(f"matchain {' '.join(cmd)}  exit=timeout", flush=True)
+                continue
             digest = hashlib.sha256(res.stdout).hexdigest()
             err_digest = hashlib.sha256(res.stderr).hexdigest()
             fit = fit_summary(res.stdout) if cmd[0] == "decompose" else ""
