@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import families as fam
-from .companion import STATUS_UNIQUE, decompose_companion
+from .companion import DEFAULT_PIVOT_TOL, STATUS_UNIQUE, decompose_companion
 from .dominance import (
     DEFAULT_RANK_TOL,
     DEFAULT_TRIALS,
@@ -221,7 +221,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("companion", help="solve for companion factors column by column")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_PIVOT_TOL)
     p.set_defaults(func=_cmd_companion)
 
     p = sub.add_parser("bounds", help="dimension-count arithmetic for one family")

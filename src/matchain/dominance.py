@@ -49,6 +49,8 @@ def target_dim(tag: str, n: int) -> int:
     """
     if not isinstance(tag, str) or tag not in _TARGET_DIMS:
         raise ParameterRangeError(f"unknown target tag {tag!r}")
+    if not fam.is_integer(n):
+        raise ParameterRangeError(f"matrix size n={n!r} is not an integer")
     if n < 1:
         raise ParameterRangeError(f"matrix size n={n} must be positive")
     return _TARGET_DIMS[tag](n)

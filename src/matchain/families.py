@@ -60,6 +60,12 @@ VANDERMONDE_T = "vandermonde-t"
 SUBSPACE = "subspace"
 
 
+def is_integer(value) -> bool:
+    """A Python or NumPy integer, and not a bool: the rule for every size,
+    bandwidth and type argument."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family of n x n matrices, checked on construction, which then sets
@@ -86,8 +92,7 @@ class FamilySpec:
         for name, value in (("k", self.k), ("s", self.s)):
             if value is not None and arg is None:
                 raise ParameterRangeError(f"family {self.tag!r} takes no argument")
-            if value is not None and (name != arg or isinstance(value, bool)
-                                      or not isinstance(value, (int, np.integer))):
+            if value is not None and (name != arg or not is_integer(value)):
                 raise ParameterRangeError(f"{name}={value!r} is not an integer argument of {self.tag!r}")
         if self.tag == SUBSPACE:
             if self.basis is None:
@@ -109,6 +114,8 @@ class FamilySpec:
             raise ParameterRangeError(f"family {self.tag!r} takes no basis")
         elif arg is not None and getattr(self, arg) is None:
             raise ParameterRangeError(f"family {self.tag!r} needs an argument {arg}")
+        if not is_integer(self.n):
+            raise ParameterRangeError(f"matrix size n={self.n!r} is not an integer")
         if self.n < 1:
             raise ParameterRangeError(f"matrix size n={self.n} must be positive")
         object.__setattr__(self, "n", int(self.n))

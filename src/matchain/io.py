@@ -3,11 +3,12 @@
 Matrices are only read: JSON ({"n": ..., "entries": n x n array of
 [re, im] pairs}), or CSV with one row per line and entries like "1.5",
 "2i", or "0.25-1.5i" when the path, or a stream's name, ends in .csv (any
-case).  Fit options are read from a plain JSON object of FitOptions fields.
-The printed documents are built here: a matrix, a fitted chain, a dominance
-report and a companion solve, the last three stamped with schema_version
-"1".  Floats print by Python's shortest round-trip repr, so a matrix as
-`sample` prints it reads back to the exact binary64 values.
+case).  Fit options are read from a plain JSON object of FitOptions'
+integer fields.  The printed documents are built here: a matrix, a fitted
+chain, a dominance report and a companion solve, the last three stamped
+with schema_version "1".  Floats print by Python's shortest round-trip
+repr, so a matrix as `sample` prints it reads back to the exact binary64
+values.
 """
 
 from __future__ import annotations
@@ -51,21 +52,6 @@ def read_json(source):
         raise MatrixParseError(f"invalid JSON: {exc}") from None
 
 
-# JSON scalar field types: what a message calls them, and the Python types
-# json.loads gives them; bool is a subclass of int, but true is no count
-_SCALAR_KINDS = {"int": ("an integer", int), "float": ("a real number", (int, float))}
-
-
-def _scalar(value, kind: str, what: str):
-    """value as a field of type kind: "int" takes a non-bool integer, "float"
-    a non-bool integer or float (returned as a float).  Any other value
-    raises MatrixParseError naming what."""
-    noun, types = _SCALAR_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise MatrixParseError(f"{what} must be {noun}, got {json.dumps(value)}")
-    return _float(value) if kind == "float" else value
-
-
 def _float(x) -> float:
     """x as a float; an integer beyond the float range reads as +-inf."""
     try:
@@ -75,19 +61,19 @@ def _float(x) -> float:
 
 
 def read_options(source, seed: int = 0) -> FitOptions:
-    """Fit options from a JSON object of FitOptions fields, with seed where
-    the object sets none.  An unknown field or a value of the wrong type
-    raises MatrixParseError; FitOptions checks the ranges."""
+    """Fit options from a JSON object of FitOptions fields, all integers,
+    with seed where the object sets none.  An unknown field or a value that
+    is not an integer raises MatrixParseError; FitOptions checks the ranges."""
     doc = read_json(source)
     if not isinstance(doc, dict):
         raise MatrixParseError("options file must hold a JSON object")
-    # the annotations of FitOptions are strings (postponed evaluation)
-    types = {f.name: f.type for f in dataclasses.fields(FitOptions)}
-    unknown = set(doc) - set(types)
+    unknown = set(doc) - {f.name for f in dataclasses.fields(FitOptions)}
     if unknown:
         raise MatrixParseError(f"unknown option fields: {sorted(unknown)}")
-    return FitOptions(**{"seed": seed, **{key: _scalar(value, types[key], f"option {key!r}")
-                                          for key, value in doc.items()}})
+    for key, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, int):  # true is no count
+            raise MatrixParseError(f"option {key!r} must be an integer, got {json.dumps(value)}")
+    return FitOptions(**{"seed": seed, **doc})
 
 
 _TOKEN_RE = _re.compile(

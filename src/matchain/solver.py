@@ -40,6 +40,8 @@ from .errors import (
     ParameterRangeError,
 )
 
+RESIDUAL_TOL = 1e-8
+DAMPING_INIT = 1e-3
 DAMPING_FLOOR = 1e-12
 DAMPING_CEIL = 1e12
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -49,18 +51,12 @@ LU_PIVOT_TOL = 1e-10
 @dataclass(frozen=True)
 class FitOptions:
     max_iterations: int = 200
-    residual_tol: float = 1e-8
-    damping_init: float = 1e-3
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.restarts < 1:
             raise ParameterRangeError("iteration and restart counts must be positive")
-        if not 0 < self.residual_tol < 1:
-            raise ParameterRangeError("residual tolerance must lie in (0, 1)")
-        if not (np.isfinite(self.damping_init) and self.damping_init > 0):
-            raise ParameterRangeError("initial damping must be finite and positive")
         if self.seed < 0:
             raise ParameterRangeError("seed must be non-negative")
 
@@ -71,7 +67,7 @@ class FactorChain:
 
     residual is relative: ||product - target||_F / max(1, ||target||_F),
     recomputable from factors and target alone.  converged means the
-    residual met the requested tolerance.
+    residual is at most RESIDUAL_TOL.
     """
 
     problem: DecompositionProblem
@@ -79,8 +75,11 @@ class FactorChain:
     factors: list
     residual: float
     iterations: int
-    converged: bool
     target: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return self.residual <= RESIDUAL_TOL
 
     def product(self) -> np.ndarray:
         return chain_product(self.factors)
@@ -171,20 +170,22 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     Gauss-Newton with multiplicative Levenberg damping: each trial step
     solves (J^H J + lambda I) delta = -J^H res by one QR of the damped
     least-squares problem (_damped_step), so the conditioning is that of J.
-    A step is accepted only if it lowers the residual, and then damping is
-    multiplied by max(1/3, 1 - (2 rho - 1)^3), rho the gain ratio of actual to
-    predicted decrease (Nielsen, IMM-REP-1999-05, DTU 1999), floored at 1e-12;
+    Each restart starts its damping at DAMPING_INIT and stops once the
+    relative residual is at most RESIDUAL_TOL.  A step is accepted only if
+    it lowers the residual, and then damping is multiplied by
+    max(1/3, 1 - (2 rho - 1)^3), rho the gain ratio of actual to predicted
+    decrease (Nielsen, IMM-REP-1999-05, DTU 1999), floored at DAMPING_FLOOR;
     rejected trials multiply it by 2, 4, 8, ... within one iteration, and a
-    restart is abandoned once it exceeds 1e12 s without improvement.  The
-    ceiling scales with the target, s = max(1, ||T||_F)^(2 (r - 1) / r),
+    restart is abandoned once it exceeds DAMPING_CEIL s without improvement.
+    The ceiling scales with the target, s = max(1, ||T||_F)^(2 (r - 1) / r),
     because the Jacobian of a chain of r cones grows as ||T||^((r - 1) / r)
     and the damping is compared with its square; at unit scale s = 1.  It
     is clamped to the largest float, since damping that reaches infinity
     would never pass an infinite ceiling and a stall would never end.
-    Restart k
-    draws its initial chain from seed + k, but restart 0 starts from
-    init_params when given, else from an exact chain for T (_exact_start).
-    The best restart by residual (ties to the earlier one) is returned.
+    Restart k draws its initial chain from seed + k, but restart 0 starts
+    from init_params when given, else from an exact chain for T
+    (_exact_start).  The best restart by residual (ties to the earlier one)
+    is returned, and the fit stops at the first converged restart.
 
     Raises InfeasibleProblemError when the parameter count cannot cover the
     target dimension and T does not lie in the chain's first family with
@@ -221,10 +222,10 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
         except DegeneratePointError:
             continue
         res_norm = float(np.linalg.norm(res))
-        lam = opts.damping_init
+        lam = DAMPING_INIT
         iterations = 0
         for _ in range(opts.max_iterations):
-            if res_norm / tscale <= opts.residual_tol:
+            if res_norm / tscale <= RESIDUAL_TOL:
                 break
             iterations += 1
             try:
@@ -263,7 +264,6 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
                 factors=factors,
                 residual=rel,
                 iterations=iterations,
-                converged=rel <= opts.residual_tol,
                 target=T.copy(),
             )
         if best.converged:

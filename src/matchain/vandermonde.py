@@ -22,7 +22,7 @@ import numpy as np
 
 from .dominance import DEFAULT_RANK_TOL, DominanceReport, jacobian, numerical_rank
 from .errors import ParameterRangeError
-from .families import VANDERMONDE_T, FamilySpec, tangent_basis, vand
+from .families import VANDERMONDE_T, FamilySpec, is_integer, tangent_basis, vand
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,14 @@ class VandTypeList:
     s: tuple
 
     def __post_init__(self):
+        if not all(is_integer(v) for v in (self.n, *self.s)):
+            raise ParameterRangeError(f"size n={self.n!r} and types {self.s!r} must be integers")
         if self.n < 1:
             raise ParameterRangeError(f"matrix size n={self.n} must be positive")
         if len(self.s) != self.n:
             raise ParameterRangeError(f"need exactly {self.n} types, got {len(self.s)}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "s", tuple(int(v) for v in self.s))
 
     @property
     def distinct_mod_n(self) -> bool:
@@ -58,7 +62,7 @@ class VandTypeList:
 
 
 def type_list(n: int, s) -> VandTypeList:
-    return VandTypeList(n=int(n), s=tuple(int(v) for v in s))
+    return VandTypeList(n=n, s=tuple(s))
 
 
 def unit_root(n: int) -> complex:

@@ -17,11 +17,12 @@ def test_target_space_dimensions():
     assert dom.target_dim("det", 5) == 24
     assert dom.target_dim("centro", 5) == 13
     assert dom.target_dim("centro", 4) == 8
+    assert dom.target_dim("full", np.int64(3)) == 9
     with pytest.raises(ParameterRangeError):
         dom.target_dim("banana", 4)
 
 
-@pytest.mark.parametrize("tag, n", [("bogus", 3), ("full", 0)])
+@pytest.mark.parametrize("tag, n", [("bogus", 3), ("full", 0), ("full", 2.5), ("full", True)])
 def test_target_space_checks_itself_on_construction(tag, n):
     """A target is checked where its dimension is taken: target_dim, which
     a problem calls on construction."""

@@ -196,12 +196,18 @@ def test_kind_from_tag_rejects_unknown_and_subspace():
     ("subspace", {"basis": np.zeros((0, 2, 2))}),
     ("subspace", {"k": 2, "basis": np.eye(2)[None] / np.sqrt(2)}),
     ("subspace", {"basis": np.eye(3)[None] / np.sqrt(3)}),
+    ("diagonal", {"n": 2.5}), ("diagonal", {"n": True}),
 ], ids=["argument-not-taken", "bool-k", "fractional-k", "fractional-s", "missing-k",
         "unknown-tag", "basis-outside-subspace", "non-square-basis", "non-orthonormal-basis",
-        "empty-basis", "k-against-basis", "wrong-size-basis"])
+        "empty-basis", "k-against-basis", "wrong-size-basis", "fractional-n", "bool-n"])
 def test_family_kind_checks_itself_on_construction(tag, kw):
     with pytest.raises(ParameterRangeError):
-        fam.FamilySpec(tag, 2, **kw)
+        fam.FamilySpec(tag, **{"n": 2, **kw})
+
+
+def test_family_size_takes_a_numpy_integer():
+    spec = fam.FamilySpec("diagonal", np.int64(3))
+    assert spec.n == 3 and type(spec.n) is int
 
 
 def test_subspace_kind_copies_its_basis_read_only():

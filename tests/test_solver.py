@@ -1,6 +1,6 @@
 """Damped Gauss-Newton chain fitting and the constructive pipelines."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -34,12 +34,7 @@ def test_fit_options_validation():
     with pytest.raises(ParameterRangeError):
         FitOptions(max_iterations=0)
     with pytest.raises(ParameterRangeError):
-        FitOptions(residual_tol=-1.0)
-    with pytest.raises(ParameterRangeError):
         FitOptions(restarts=0)
-    for bad in (0.0, np.nan, np.inf):
-        with pytest.raises(ParameterRangeError):
-            FitOptions(damping_init=bad)
     with pytest.raises(ParameterRangeError):
         FitOptions(seed=-1)
 
@@ -350,10 +345,18 @@ def test_fit_rejects_a_degenerate_trial_and_doubles_the_damping(monkeypatch):
 
     monkeypatch.setattr(solver, "_damped_step", recorded)
     _fail_parameterize_call(monkeypatch, 7)
-    opts = FitOptions(restarts=1)
-    chain = fit_chain(_random_target(4, 13), _SKEW3, opts)
-    assert lams[:2] == [opts.damping_init, 2.0 * opts.damping_init]
+    chain = fit_chain(_random_target(4, 13), _SKEW3, FitOptions(restarts=1))
+    assert lams[:2] == [solver.DAMPING_INIT, 2.0 * solver.DAMPING_INIT]
     assert chain.iterations > 1
+
+
+@pytest.mark.parametrize("opts", [FitOptions(), FitOptions(max_iterations=1, restarts=1)],
+                         ids=["converged", "unconverged"])
+def test_converged_derives_from_the_residual(opts):
+    chain = fit_chain(_random_target(4, 14), dom.problem(["skew-symmetric"] * 5, 4), opts)
+    assert "converged" not in {f.name for f in fields(solver.FactorChain)}
+    assert chain.converged == (chain.residual <= solver.RESIDUAL_TOL)
+    assert chain.converged == (opts.max_iterations > 1)
 
 
 @pytest.mark.parametrize("fit", [

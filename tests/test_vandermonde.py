@@ -171,8 +171,10 @@ def test_dominance_degenerates_at_the_true_singular_sum():
 
 
 def test_dominance_rejects_bad_types():
-    with pytest.raises(ParameterRangeError):
-        vm.vandermonde_dominance(3, (1, 2))
+    # a wrong count, then a size or type that is not an integer
+    for n, s in [(3, (1, 2)), (3, (1, 2.5, 3)), (3, (True, 2, 3)), (2.9, (1, 2))]:
+        with pytest.raises(ParameterRangeError):
+            vm.vandermonde_dominance(n, s)
     # at n = 1, vandermonde-t(0) has the one member [[1]] and no parameters
     with pytest.raises(ParameterRangeError):
         vm.vandermonde_dominance(1, (0,))

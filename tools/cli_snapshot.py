@@ -12,10 +12,11 @@ its JSON stdout, so that a fit that differs only in its last bits shows as
 the same fit.  A command still running after TIMEOUT_S seconds is killed,
 and its line ends in exit=timeout with no digests.  Run it against two
 checkouts and diff the two outputs: identical lines mean byte-identical
-stdout and stderr and equal exit codes.  Input matrices are drawn from fixed seeds and written to a temporary directory,
-which is the working directory of every command, so the printed commands
-name the same files on every run.  Only the standard library is used, so
-the script runs against any checkout.
+stdout and stderr and equal exit codes.  Input matrices are drawn from
+fixed seeds and, with the fit options files, written to a temporary
+directory, which is the working directory of every command, so the
+printed commands name the same files on every run.  Only the standard
+library is used, so the script runs against any checkout.
 """
 
 import argparse
@@ -72,6 +73,11 @@ INPUTS = {
     "huge2.json": [[(5e153, 0.0)] * 2] * 2,
 }
 
+# fit options files: name -> JSON object
+OPTIONS = {
+    "opts-5x2.json": {"max_iterations": 5, "restarts": 2},
+}
+
 COMMANDS = [
     ["verify", "--family", "skew", "--n", "4", "--r", "3", "--seed", "0"],
     ["verify", "--family", "skew", "--n", "6", "--r", "3", "--seed", "1"],
@@ -121,6 +127,9 @@ COMMANDS = [
     # the skew fit of gauss4-b.json above, on the target scaled by 1e10
     ["decompose", "--in", "gauss4-b-1e10.json", "--chain", "skew,skew,skew,skew,skew",
      "--seed", "1"],
+    # the skew fit of gauss4-b.json above, with options read from a file
+    ["decompose", "--in", "gauss4-b.json", "--chain", "skew,skew,skew,skew,skew",
+     "--opts", "opts-5x2.json", "--seed", "1"],
     # a negative type, and a zero-exponent row in the tangent frame
     ["sample", "--family", "vandermonde:-2", "--n", "4", "--seed", "18"],
     ["verify", "--family", "vandermonde:-2", "--n", "4", "--r", "2", "--seed", "18"],
@@ -200,6 +209,9 @@ def main(argv=None):
         for name, entries in INPUTS.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump({"n": len(entries), "entries": entries}, fh)
+        for name, doc in OPTIONS.items():
+            with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
         for cmd in COMMANDS:
             try:
                 res = subprocess.run([sys.executable, "-m", "matchain", *cmd], cwd=work, env=env,
