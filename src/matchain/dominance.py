@@ -272,11 +272,12 @@ def _verdict_jacobian(prob: DecompositionProblem, points) -> np.ndarray:
 
 
 def _real_point_rank(prob: DecompositionProblem, rng: np.random.Generator, rel_tol: float):
-    """min(rows, cols) of the float64 verdict Jacobian at real Gaussian
-    parameters drawn from rng, when the Gram test proves it of full rank;
-    else None.  Only this verdict leaves, so the real arrays are freed
-    before any complex trial."""
-    params = [rng.standard_normal(spec.param_dim) for spec in prob.factors]
+    """min(rows, cols) of the float64 verdict Jacobian at real parameters
+    near the family centers, drawn from rng by fit_center slot by slot,
+    when the Gram test proves it of full rank; else None.  Only this verdict
+    leaves, so the real arrays are freed before any complex trial."""
+    params = [fam.fit_center(spec, rng, slot, float)
+              for slot, spec in enumerate(prob.factors, start=1)]
     J = _verdict_jacobian(prob, [(u, fam.parameterize(spec, u))
                                  for spec, u in zip(prob.factors, params)])
     return min(J.shape) if _gram_full_rank(J, rel_tol) else None
@@ -291,17 +292,20 @@ def estimate_image_dimension(
     """Jacobian rank of the product map at random base points.
 
     Each trial t first tries a real point, when every family of the chain
-    has real members at real parameters (real_points): real Gaussian
-    parameters drawn from default_rng(seed + t), with members, frames and
-    Jacobian in float64.  A real point is a point of the complex parameter
-    space, and a real matrix has the same rank over R as over C.  The rank
-    at any one point is at most the generic rank, which is at most
-    min(rows, cols), so a real Jacobian that the Gram-Cholesky test proves
-    of full rank (its rounding bound holds in real arithmetic) certifies
-    that rank over C, and it is the trial's rank.  Otherwise the real point
-    proves nothing: no real deficit is reported and no real SVD is taken.
-    The trial then draws one point per factor with sample_point from a
-    fresh default_rng(seed + t) and ranks the complex Jacobian there
+    has real members at real parameters (real_points): real parameters
+    about each family's center, which fit_center draws from
+    default_rng(seed + t) slot by slot, with members, frames and Jacobian in
+    float64.  Near the centers the Jacobian is far better conditioned than
+    at real Gaussian parameters (on companion chains, for one), and any
+    point will do: a real point is a point of the complex parameter space,
+    and a real matrix has the same rank over R as over C.  The rank at any
+    one point is at most the generic rank, which is at most min(rows,
+    cols), so a real Jacobian that the Gram-Cholesky test proves of full
+    rank (its rounding bound holds in real arithmetic) certifies that rank
+    over C, and it is the trial's rank.  Otherwise the real point proves
+    nothing: no real deficit is reported and no real SVD is taken.  The
+    trial then draws one point per factor with sample_point from a fresh
+    default_rng(seed + t) and ranks the complex Jacobian there
     (numerical_rank).  Trials are independent and could run in parallel;
     results are merged in trial order.
 

@@ -470,12 +470,22 @@ def identity_coordinates(spec: FamilySpec) -> np.ndarray:
     return _center_coordinates(spec.tag, spec.n, spec.k, False)
 
 
-def fit_center(spec: FamilySpec, rng: np.random.Generator, slot: int) -> np.ndarray:
-    """Starting parameters for factor `slot` (1-based) of a fit: the family's
-    center, perturbed by a complex Gaussian of param_dim entries drawn from
-    rng (symmetric Toeplitz at n >= 2 and Vandermonde centers draw more)."""
-    g = complex_gaussian(rng, spec.param_dim)
-    return _FAMILIES[spec.tag].center(spec, g, rng, slot)
+def _gaussian(rng: np.random.Generator, size: int, field) -> np.ndarray:
+    """A standard Gaussian vector in field (float or complex, as a type or a
+    dtype): real, or complex_gaussian."""
+    return rng.standard_normal(size) if field == _REAL else complex_gaussian(rng, size)
+
+
+def fit_center(spec: FamilySpec, rng: np.random.Generator, slot: int, field=complex) -> np.ndarray:
+    """Parameters about the family's center for factor `slot` (1-based) of
+    a chain: the center perturbed by a Gaussian of param_dim entries drawn
+    from rng in field, complex or float.  Symmetric Toeplitz centers at
+    n >= 2 draw one more entry in field, and Vandermonde centers draw n
+    complex ones: their nodes are complex in either field, and every other
+    center is float64 in the float field.  Fits start from complex centers.
+    Rank verdicts try real ones first, where the Jacobian is far better
+    conditioned than at real Gaussian parameters."""
+    return _FAMILIES[spec.tag].center(spec, _gaussian(rng, spec.param_dim, field), rng, slot)
 
 
 def bounds_facts(spec: FamilySpec):
@@ -487,14 +497,21 @@ def bounds_facts(spec: FamilySpec):
 
 
 # ---------------------------------------------------------------------------
-# fit centers: (spec, g, rng, slot) -> parameters, g a Gaussian of param_dim
+# fit centers: (spec, g, rng, slot) -> parameters in g's field, g a Gaussian
+# of param_dim
+
+def _in_field(coords: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The complex coordinates of a structured family's center (real
+    numbers) in g's field."""
+    return coords.real if g.dtype == _REAL else coords
+
 
 def _identity_center(spec, g, rng, slot):
-    return identity_coordinates(spec) + 0.1 * g
+    return _in_field(identity_coordinates(spec), g) + 0.1 * g
 
 
 def _exchange_center(spec, g, rng, slot):
-    return _center_coordinates(spec.tag, spec.n, spec.k, True) + 0.1 * g
+    return _in_field(_center_coordinates(spec.tag, spec.n, spec.k, True), g) + 0.1 * g
 
 
 def _first_parameter_center(spec, g, rng, slot):
@@ -510,9 +527,9 @@ def _toeplitz_sym_center(spec, g, rng, slot):
     if n < 2:
         return _identity_center(spec, g, rng, slot)
     # identity plus one excited mode, the classic full-rank points
-    u = np.zeros(spec.param_dim, dtype=complex)
+    u = np.zeros(spec.param_dim, dtype=g.dtype)
     u[0] = 1.0
-    u[n - 1 - ((slot - 1) % (n - 1))] = complex_gaussian(rng, 1)[0]
+    u[n - 1 - ((slot - 1) % (n - 1))] = _gaussian(rng, 1, g.dtype)[0]
     return u
 
 

@@ -55,6 +55,9 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iterations", "restarts", "seed"):
+            if not fam.is_integer(getattr(self, name)):
+                raise ParameterRangeError(f"{name}={getattr(self, name)!r} is not an integer")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ParameterRangeError("iteration and restart counts must be positive")
         if self.seed < 0:

@@ -156,3 +156,53 @@ def test_the_gram_test_refuses_a_non_finite_real_matrix():
     M[1, 2] = np.nan
     with pytest.raises(DegeneratePointError):
         dom.numerical_rank(M)
+
+
+@pytest.mark.parametrize("tags, n", [(["companion"] * 12, 12),
+                                     (["triangular-lower", "triangular-upper"] * 6, 6)],
+                         ids=["companion-x12-n12", "lower-upper-x6-n6"])
+def test_real_centres_certify_without_an_svd_or_a_complex_trial(tags, n, monkeypatch):
+    """Real Gaussian points are ill-conditioned on these chains (companion
+    x12 passed the Gram test 18 times in 100, and lower-upper x6 reported
+    "not dominant"); near the family centres every trial is settled by the
+    real Gram test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verdict left the real Gram test")
+
+    prob = dom.problem(tags, n)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(fam, "sample_point", refuse)
+    assert dom.estimate_image_dimension(prob, seed=0).ranks == [n * n] * 5
+
+
+def test_skew_real_points_are_the_real_gaussian_draws():
+    """The skew centre is the draw itself, so a skew real point is the
+    standard normal draw of each slot in turn, and its verdicts stay: at
+    n = 10 seeds 13 and 37 fail the real Gram test and fall back."""
+    prob = dom.problem(["skew-symmetric"] * 3, 10)
+    for seed in range(40):
+        rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for slot, spec in enumerate(prob.factors, start=1):
+            u = fam.fit_center(spec, rng, slot, float)
+            assert u.tobytes() == old.standard_normal(spec.param_dim).tobytes()
+        factors, frames = _real_point(prob, seed)
+        passes = dom._gram_full_rank(dom.jacobian(factors, frames), dom.DEFAULT_RANK_TOL)
+        got = dom._real_point_rank(prob, np.random.default_rng(seed), dom.DEFAULT_RANK_TOL)
+        assert got == (100 if passes else None)
+        assert passes == (seed not in (13, 37))
+    assert dom.estimate_image_dimension(prob, trials=40, seed=0).ranks == [100] * 40
+
+
+def test_orthogonal_chain_stays_deficient():
+    prob = dom.problem(["orthogonal"] * 3, 8)
+    assert dom.estimate_image_dimension(prob, seed=0).ranks == [28] * 5
+
+
+def test_real_centres_are_float64_and_reproducible():
+    for tag in sorted(fam.ALL_TAGS - {"subspace", "vandermonde", "vandermonde-t"}):
+        arg = {"k": 2} if tag.startswith("k-diagonal") else {}
+        spec = fam.FamilySpec(tag, 5, **arg)
+        u = fam.fit_center(spec, np.random.default_rng(9), 1, float)
+        assert u.dtype == np.float64 and u.shape == (spec.param_dim,)
+        assert u.tobytes() == fam.fit_center(spec, np.random.default_rng(9), 1, float).tobytes()
+        assert fam.parameterize(spec, u).dtype == np.float64

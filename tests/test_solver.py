@@ -39,6 +39,21 @@ def test_fit_options_validation():
         FitOptions(seed=-1)
 
 
+@pytest.mark.parametrize("values", [{"max_iterations": 2.5}, {"seed": 1.5, "restarts": 2},
+                                    {"restarts": True}],
+                         ids=["float-max-iterations", "float-seed", "bool-restarts"])
+def test_fit_options_refuse_a_count_that_is_not_an_integer(values):
+    with pytest.raises(ParameterRangeError):
+        FitOptions(**values)
+
+
+def test_fit_options_accept_numpy_integers():
+    opts = FitOptions(max_iterations=np.int64(3), restarts=np.int32(1), seed=np.uint8(4))
+    prob = dom.problem(["triangular-lower", "triangular-upper"], 2)
+    chain = fit_chain(_random_target(2, 0), prob, opts)
+    assert chain.iterations <= 3
+
+
 def test_fit_chain_rejects_bad_targets():
     prob = dom.problem(["bidiagonal"] * 4, 3)
     with pytest.raises(ParameterRangeError):
