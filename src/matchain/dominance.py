@@ -262,25 +262,18 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def _verdict_jacobian(prob: DecompositionProblem, points) -> np.ndarray:
-    """The Jacobian at one (params, member) pair per factor, with the frames
-    at the params, cut to the target's coordinates: all n^2 rows, or the
-    first ceil(n^2/2) for centro."""
-    J = jacobian([A for _, A in points],
-                 [fam.tangent_basis(spec, u) for spec, (u, _) in zip(prob.factors, points)])
-    return J[:prob.target_dim] if prob.target == TARGET_CENTRO else J
-
-
-def _real_point_rank(prob: DecompositionProblem, rng: np.random.Generator, rel_tol: float):
-    """min(rows, cols) of the float64 verdict Jacobian at real parameters
-    near the family centers, drawn from rng by fit_center slot by slot,
-    when the Gram test proves it of full rank; else None.  Only this verdict
-    leaves, so the real arrays are freed before any complex trial."""
-    params = [fam.fit_center(spec, rng, slot, float)
+def _trial_jacobian(prob: DecompositionProblem, seed: int, field) -> np.ndarray:
+    """The verdict Jacobian of one trial in field (float or complex): one
+    parameter vector per factor about its family's center, which fit_center
+    draws from default_rng(seed) slot by slot, the members there, the
+    frames at those parameters, and the rows cut to the target's
+    coordinates (all n^2, or the first ceil(n^2/2) for centro)."""
+    rng = np.random.default_rng(seed)
+    params = [fam.fit_center(spec, rng, slot, field)
               for slot, spec in enumerate(prob.factors, start=1)]
-    J = _verdict_jacobian(prob, [(u, fam.parameterize(spec, u))
-                                 for spec, u in zip(prob.factors, params)])
-    return min(J.shape) if _gram_full_rank(J, rel_tol) else None
+    J = jacobian([fam.parameterize(spec, u) for spec, u in zip(prob.factors, params)],
+                 [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)])
+    return J[:prob.target_dim] if prob.target == TARGET_CENTRO else J
 
 
 def estimate_image_dimension(
@@ -291,40 +284,38 @@ def estimate_image_dimension(
 ) -> DominanceReport:
     """Jacobian rank of the product map at random base points.
 
-    Each trial t first tries a real point, when every family of the chain
-    has real members at real parameters (real_points): real parameters
-    about each family's center, which fit_center draws from
-    default_rng(seed + t) slot by slot, with members, frames and Jacobian in
-    float64.  Near the centers the Jacobian is far better conditioned than
-    at real Gaussian parameters (on companion chains, for one), and any
-    point will do: a real point is a point of the complex parameter space,
-    and a real matrix has the same rank over R as over C.  The rank at any
-    one point is at most the generic rank, which is at most min(rows,
-    cols), so a real Jacobian that the Gram-Cholesky test proves of full
-    rank (its rounding bound holds in real arithmetic) certifies that rank
-    over C, and it is the trial's rank.  Otherwise the real point proves
-    nothing: no real deficit is reported and no real SVD is taken.  The
-    trial then draws one point per factor with sample_point from a fresh
+    Trial t takes its points about the family centers, which fit_center
+    draws from default_rng(seed + t), the same source of good points a fit
+    starts from (see _trial_jacobian); the rank at any one point is at most
+    the generic rank, so any point will do.  When every family of the chain
+    has real members at real parameters (real_points), the trial first
+    draws real parameters, with members, frames and Jacobian in float64: a
+    real point is a point of the complex parameter space, and a real matrix
+    has the same rank over R as over C.  A real Jacobian that the
+    Gram-Cholesky test proves of full rank (its rounding bound holds in
+    real arithmetic) certifies that rank over C, at most min(rows, cols),
+    and it is the trial's rank.  Otherwise the real point proves nothing:
+    no real deficit is reported and no real SVD is taken, and the real
+    arrays are freed before the trial draws complex parameters from a fresh
     default_rng(seed + t) and ranks the complex Jacobian there
     (numerical_rank).  Trials are independent and could run in parallel;
     results are merged in trial order.
 
-    Either Jacobian is taken at the members with the tangent frames at
-    their parameters, and its rows are the target's coordinates (the first
-    ceil(n^2/2) for centro).  The dimension estimate is the maximum rank
-    seen, and the chain is reported dominant when it reaches the target
-    dimension.
+    The dimension estimate is the maximum rank seen, and the chain is
+    reported dominant when it reaches the target dimension.
     """
     if trials < 1:
         raise ParameterRangeError("need at least one trial")
     real = all(spec.real_points for spec in prob.factors)
     ranks = []
     for t in range(trials):
-        rank = _real_point_rank(prob, np.random.default_rng(seed + t), rel_tol) if real else None
+        rank = None
+        if real:
+            J = _trial_jacobian(prob, seed + t, float)
+            rank = min(J.shape) if _gram_full_rank(J, rel_tol) else None
+            del J
         if rank is None:
-            rng = np.random.default_rng(seed + t)
-            J = _verdict_jacobian(prob, [fam.sample_point(spec, rng) for spec in prob.factors])
-            rank = numerical_rank(J, rel_tol)
+            rank = numerical_rank(_trial_jacobian(prob, seed + t, complex), rel_tol)
         ranks.append(rank)
     return DominanceReport(
         problem=prob.summary(),

@@ -9,6 +9,8 @@ provides, uniformly over a FamilySpec (one family at one size n):
     param_dim          dimension of the parameter space, set on construction
     parameterize       params -> matrix
     tangent_basis      params -> the derivative of parameterize there
+    fit_center         a reproducible point about the family's center,
+                       where fits start and rank verdicts are taken
     sample_point       a reproducible random point (one Gaussian draw)
     is_member          tolerance-based membership test
 
@@ -392,10 +394,11 @@ def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def sample_point(spec: FamilySpec, rng_seed=0):
     """Draw (params, matrix): one vector of i.i.d. standard complex Gaussian
-    parameters from default_rng(rng_seed), and its parameterization.  Such a
-    point is generic with probability one, so nothing is redrawn; a member
-    whose entries overflow (a Vandermonde type far from 0) raises
-    DegeneratePointError."""
+    parameters from default_rng(rng_seed), and its parameterization; this is
+    what the `sample` command prints.  Such a point is generic with
+    probability one, so nothing is redrawn; a member whose entries overflow
+    (a Vandermonde type far from 0) raises DegeneratePointError.  Fits and
+    rank verdicts take their points from fit_center instead."""
     params = complex_gaussian(np.random.default_rng(rng_seed), spec.param_dim)
     M = parameterize(spec, params)
     if not np.isfinite(M).all():
@@ -480,11 +483,13 @@ def fit_center(spec: FamilySpec, rng: np.random.Generator, slot: int, field=comp
     """Parameters about the family's center for factor `slot` (1-based) of
     a chain: the center perturbed by a Gaussian of param_dim entries drawn
     from rng in field, complex or float.  Symmetric Toeplitz centers at
-    n >= 2 draw one more entry in field, and Vandermonde centers draw n
-    complex ones: their nodes are complex in either field, and every other
-    center is float64 in the float field.  Fits start from complex centers.
-    Rank verdicts try real ones first, where the Jacobian is far better
-    conditioned than at real Gaussian parameters."""
+    n >= 2 draw one more entry in field.  Vandermonde centers draw n more
+    real ones, the phases of nodes of modulus 1 about the roots of unity,
+    and are complex in either field; every other center is float64 in the
+    float field.  This is the one source of points for fits, which start
+    from complex centers, and for rank verdicts, which try real centers
+    first and complex ones after: near the centers the Jacobian is far
+    better conditioned than at Gaussian parameters."""
     return _FAMILIES[spec.tag].center(spec, _gaussian(rng, spec.param_dim, field), rng, slot)
 
 
@@ -534,9 +539,11 @@ def _toeplitz_sym_center(spec, g, rng, slot):
 
 
 def _vandermonde_center(spec, g, rng, slot):
+    """The n-th roots of unity w^k, each turned by a small phase: nodes of
+    modulus 1, whose powers cannot overflow at any type."""
     n = spec.n
     w = np.exp(-2j * np.pi * np.arange(1, n + 1) / n)
-    return w * (1.0 + 0.1 * complex_gaussian(rng, n))
+    return w * np.exp(0.1j * rng.standard_normal(n))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,18 @@ type list (s_1, ..., s_n) the chain of pairs
 
     (transpose factor of type s_i) * (fixed unit-root factor of type s_i)
 
-covers the generic n x n matrix provided the s_i are pairwise distinct
-modulo n and their sum is nonzero.  The verdict is the rank of
-dominance.jacobian at the unit-root base point.  That Jacobian is
-column-permuted block diagonal with n blocks M_p, closed-form geometric
-sums (the tests check it against them), and each block's determinant
-reduces to a scaled Vandermonde determinant times sum(s_i).
+is checked at one point: the verdict is the rank of dominance.jacobian at
+the unit-root base point.  That Jacobian is column-permuted block diagonal
+with n blocks M_p, closed-form geometric sums (the tests check it against
+them).  When the types are pairwise distinct modulo n, each block's
+determinant works out to (V/n) (sum s_i + n(n-1)/2), V the nonzero
+Vandermonde determinant of the nodes w^(-s_i), so the rank is n^2 exactly
+when sum s_i is not -n(n-1)/2.  Repeated residues make no such
+reduction, and the rank there may be full or not.  The report flags the
+paper's two conditions (distinct residues, a nonzero sum) beside the
+rank, and neither decides it: s = (-1, -2, 0) at n = 3 meets both and
+ranks 6 of 9, and s = (-4, -2) at n = 2 repeats a residue and ranks 4
+of 4.
 """
 
 from __future__ import annotations
@@ -29,9 +35,10 @@ from .families import VANDERMONDE_T, FamilySpec, is_integer, tangent_basis, vand
 class VandTypeList:
     """A size n together with the types (s_1, ..., s_n) of the factors.
 
-    Validity has two independent parts: the types must be pairwise distinct
-    modulo n (so the unit-root nodes w^{-s_j} are distinct) and their sum
-    must be nonzero (so the block determinants do not vanish).
+    Validity has the paper's two independent parts: the types must be
+    pairwise distinct modulo n (so the unit-root nodes w^{-s_j} are
+    distinct) and their sum must be nonzero.  Neither decides the rank at
+    the unit-root point (see the module docstring).
     """
 
     n: int
@@ -61,10 +68,6 @@ class VandTypeList:
         return self.distinct_mod_n and self.nonzero_sum
 
 
-def type_list(n: int, s) -> VandTypeList:
-    return VandTypeList(n=n, s=tuple(s))
-
-
 def unit_root(n: int) -> complex:
     """Primitive n-th root of unity exp(2 pi i / n)."""
     if n < 1:
@@ -92,14 +95,10 @@ def vandermonde_dominance(n: int, s) -> DominanceReport:
     vandermonde-t(s_i) family, and A_i = unit_root_factor(n, s_i) is fixed
     (a slot with an empty frame).  The rank is taken at DEFAULT_RANK_TOL.
 
-    Validity flags travel in the report rather than being raised, and the
-    rank is whatever the Jacobian gives.  The two can disagree: repeated
-    residues do collapse the rank, but the determinant of each block works
-    out to (V/n) (sum s_j + n(n-1)/2), so the rank at this base point drops
-    exactly when sum s_j = -n(n-1)/2.  A nonzero sum is therefore not what
-    keeps the blocks nonsingular, and a type list flagged invalid for its
-    zero sum can still certify dominance here."""
-    types = type_list(n, s)
+    The validity flags of VandTypeList travel in the report rather than
+    being raised, and the rank is whatever the Jacobian gives; the module
+    docstring says when the two disagree."""
+    types = VandTypeList(n=n, s=tuple(s))
     n = types.n
     nodes = unit_root(n) ** np.arange(1, n + 1)  # the nodes of every B_i
     factors, frames = [], []

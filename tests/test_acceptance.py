@@ -198,7 +198,7 @@ def test_criterion_06_bidiagonal_products_and_pipeline():
 def _random_valid_types(rng, n):
     while True:
         s = tuple(int(v) for v in rng.integers(-2 * n, 2 * n + 1, size=n))
-        if vm.type_list(n, s).is_valid:
+        if vm.VandTypeList(n, s).is_valid:
             return s
 
 
@@ -207,7 +207,7 @@ def test_criterion_07_vandermonde_determinant_identity():
     rng = np.random.default_rng(700)
     for trial in range(100):
         n = int(rng.integers(2, 7))
-        types = vm.type_list(n, _random_valid_types(rng, n))
+        types = vm.VandTypeList(n, _random_valid_types(rng, n))
         p = int(rng.integers(1, n + 1))
         alphas = fam.complex_gaussian(rng, n)
         direct, formula = det_tilde(types, p, alphas)
@@ -218,7 +218,7 @@ def test_criterion_07_vandermonde_determinant_identity():
     # carries the types themselves (only odd n admits such lists with
     # distinct residues)
     for n, s in [(3, (-1, 0, 1)), (5, (-2, -1, 0, 1, 2)), (5, (0, 1, 2, 3, -6))]:
-        types = vm.type_list(n, s)
+        types = vm.VandTypeList(n, s)
         for p in range(1, n + 1):
             direct, formula = det_tilde(types, p, np.array(s, dtype=complex))
             _, ref = det_tilde(types, p, np.ones(n))
@@ -229,7 +229,7 @@ def test_criterion_07_vandermonde_determinant_identity():
     for n in range(2, 7):
         s = tuple(range(1, n + 1))
         rep = vm.vandermonde_dominance(n, s)
-        types = vm.type_list(n, s)
+        types = vm.VandTypeList(n, s)
         if not (types.distinct_mod_n and types.nonzero_sum):
             failures.append(f"n={n}: s={s} does not satisfy both validity conditions")
         if not rep.dominant or rep.d_estimate != n * n:

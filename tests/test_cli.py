@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import matchain.cli as cli
 import matchain.dominance as dom
 import matchain.families as fam
 import matchain.io as mio
@@ -77,9 +78,10 @@ def test_verify_is_reproducible():
 
 
 def test_verify_with_an_overflowing_product_is_an_error_not_a_traceback():
-    """At type 200 the product of the sampled factors overflows, and a
-    matrix with a non-finite entry has no rank."""
-    res = run_cli("verify", "--family", "vandermonde:200", "--n", "4", "--r", "8")
+    """The centre nodes have modulus 1, but a product of 1,100 factors with
+    unimodular entries still overflows, and a matrix with a non-finite
+    entry has no rank."""
+    res = run_cli("verify", "--family", "vandermonde:1", "--n", "4", "--r", "1100")
     assert res.returncode == 1
     assert res.stdout == ""
     assert res.stderr.splitlines() == [
@@ -88,12 +90,34 @@ def test_verify_with_an_overflowing_product_is_an_error_not_a_traceback():
 
 @pytest.mark.parametrize("command", [["sample"], ["verify", "--r", "2"]])
 def test_a_sampled_member_that_overflows_is_an_error(command):
-    """At type -2000 the powers of the sampled nodes overflow: no JSON with
-    Infinity tokens, and no message about a zero node."""
+    """At type -2000 the powers of the sampled Gaussian nodes overflow: no
+    JSON with Infinity tokens, and no message about a zero node.  A verdict
+    takes its nodes at the centres, of modulus 1, whose powers stay finite,
+    so it reports the chain's rank instead (6 of 9 in every trial)."""
     res = run_cli(command[0], "--family", "vandermonde:-2000", "--n", "3", *command[1:])
-    assert res.returncode == 1
-    assert res.stdout == ""
-    assert res.stderr.splitlines() == ["error: sampled member has a non-finite entry"]
+    if command[0] == "sample":
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: sampled member has a non-finite entry"]
+    else:
+        assert res.returncode == 3
+        assert res.stderr == ""
+        doc = json.loads(res.stdout)
+        assert doc["ranks"] == [6] * 5 and doc["target_dim"] == 9
+
+
+@pytest.mark.parametrize("family, n, r", [
+    ("vandermonde:1", 4, 8), ("vandermonde:3", 8, 16), ("vandermonde:1", 6, 12),
+    ("vandermonde:200", 4, 8),
+])
+def test_vandermonde_chains_of_2n_factors_are_dominant(family, n, r, capsys):
+    """2n generalized Vandermonde factors reach a generic matrix, and
+    verdicts at the centre nodes see it at the default tolerance (Gaussian
+    nodes gave 15 of 16, 15 of 64 and 26 of 36, and overflowed at type 200)."""
+    assert cli.main(["verify", "--family", family, "--n", str(n), "--r", str(r)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dominant"] is True
+    assert doc["ranks"] == [n * n] * 5
 
 
 def test_table_reproduces_all_rows():

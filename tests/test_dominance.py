@@ -1,5 +1,6 @@
 """Jacobians of multiplication maps and dimension arithmetic."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -154,17 +155,24 @@ def test_jacobian_needs_a_nonempty_chain_and_one_frame_per_factor():
 
 @pytest.mark.parametrize("tag", sorted(fam.ALL_TAGS))
 def test_jacobian_at_sampled_matrices_matches_parameters(tag):
-    """Verdicts take the frames at the parameters sample_point returns: the
-    same rank as with frames read off its matrices alone (span_frame), and
+    """Verdicts take the frames at the parameters of their points: at
+    sample_point's Gaussian points and at the family centres alike, the
+    same rank as with frames read off the matrices alone (span_frame), and
     the same array where the frame does not depend on the point (linear and
     companion families).  Banded kinds take bandwidth 2, Vandermonde kinds
     type 0, subspaces dimension n."""
+    def centres(rng):
+        params = [fam.fit_center(spec, rng, slot) for slot, spec in enumerate(prob.factors, 1)]
+        return [(u, fam.parameterize(spec, u)) for spec, u in zip(prob.factors, params)]
+
     for n in (2, 4, 6):
         arg = n if tag == "subspace" else 2 if tag.startswith("k-diagonal") else None
         prob = dom.problem([fam.spec_from_argument(tag, arg, n, rng_seed=n)] * 2, n)
-        for seed in range(3):
+        for seed, draw in itertools.product(range(3), ("gaussian", "centre")):
             rng = np.random.default_rng(seed)
-            params, mats = zip(*(fam.sample_point(spec, rng) for spec in prob.factors))
+            points = ([fam.sample_point(spec, rng) for spec in prob.factors] if draw == "gaussian"
+                      else centres(rng))
+            params, mats = zip(*points)
             J_params = dom.jacobian(mats, _frames(prob, params))
             J_mats = dom.jacobian(mats, [span_frame(spec, M) for spec, M in zip(prob.factors, mats)])
             assert dom.numerical_rank(J_mats) == dom.numerical_rank(J_params)
@@ -174,25 +182,33 @@ def test_jacobian_at_sampled_matrices_matches_parameters(tag):
 
 @pytest.mark.parametrize("tag", ["vandermonde", "vandermonde-t"])
 def test_sampled_vandermonde_matrices_are_members(tag):
-    """estimate_image_dimension does not re-check the matrices sample_point
-    builds; they pass is_member."""
+    """estimate_image_dimension does not re-check the members it builds at
+    the family centres, nor `sample` the ones sample_point draws; both pass
+    is_member."""
     for s in range(-3, 4):
         for n in range(2, 9):
             spec = fam.FamilySpec(tag, n, s=s)
             for seed in range(5):
                 _, V = fam.sample_point(spec, seed)
                 assert fam.is_member(spec, V, 1e-8)
+                u = fam.fit_center(spec, np.random.default_rng(seed), 1)
+                assert fam.is_member(spec, fam.parameterize(spec, u), 1e-8)
 
 
 @pytest.mark.parametrize("tag", ["vandermonde", "vandermonde-t"])
 @pytest.mark.parametrize("s", [8, 12, 20])
 def test_high_type_vandermonde_verdicts_at_sampled_matrices(tag, s):
     """At a high type s a Gaussian node x can have |x|^s far below 1e-14; it
-    is still a nonzero node with its own frame, and a verdict needs no
-    redraw."""
+    is still a nonzero node with its own frame, and the Jacobian there is
+    ranked without a redraw, though far below 64.  Verdicts take their
+    nodes at the centres, of modulus 1, and see the generic rank 64 in
+    every trial."""
     prob = dom.problem([fam.FamilySpec(tag, 8, s=s)] * 16, 8)
     for seed in range(0, 20, 5):
-        assert len(dom.estimate_image_dimension(prob, trials=5, seed=seed).ranks) == 5
+        rng = np.random.default_rng(seed)
+        params, mats = zip(*(fam.sample_point(spec, rng) for spec in prob.factors))
+        assert 1 <= dom.numerical_rank(dom.jacobian(mats, _frames(prob, params))) < 64
+        assert dom.estimate_image_dimension(prob, trials=5, seed=seed).ranks == [64] * 5
 
 
 def test_orthogonal_span_frame_spans_the_cayley_derivative():
@@ -311,7 +327,7 @@ def test_full_rank_verdicts_take_no_svd(monkeypatch, kinds, ranks, svd_calls):
 
 
 def test_verdicts_read_frames_without_a_membership_re_check(monkeypatch):
-    """sample_point builds members, so a verdict takes their frames without
+    """parameterize builds members, so a verdict takes their frames without
     is_member."""
     monkeypatch.setattr(fam, "is_member", lambda *a: pytest.fail("is_member was called"))
     for kinds in ([_SKEW] * 3, [_ORTH] * 2, [_COMPANION] * 3,

@@ -3,9 +3,10 @@ point before a complex one.
 
 A real matrix has the same rank over R as over C, and full rank at one
 point forces the generic rank, so a real point that the Gram-Cholesky test
-proves of full rank settles a trial; any other trial is today's complex
-one.  The oracles below are copies of the complex-only product layer, so
-the tests compare against what a verdict gave before real points.
+proves of full rank settles a trial; any other trial is a complex one.
+Both are taken at the family centres.  The oracles below are copies of the
+complex-only product layer at Gaussian points, so the tests compare
+against what a verdict gave before real points and centres.
 """
 
 import numpy as np
@@ -43,9 +44,9 @@ def _complex_jacobian(factors, frames):
 
 
 def _oracle_ranks(prob, trials, seed, rel_tol=dom.DEFAULT_RANK_TOL):
-    """The complex-only verdict: sample_point points from seed + t, the
-    complex Jacobian at their members with the frames at their parameters,
-    and the count of its singular values."""
+    """The complex-only verdict at Gaussian points: sample_point points
+    from seed + t, the complex Jacobian at their members with the frames at
+    their parameters, and the count of its singular values."""
     ranks = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
@@ -134,19 +135,32 @@ def test_no_trial_ranks_below_the_complex_only_oracle(name, tags, n, target):
     assert max(got) == max(want)
 
 
-@pytest.mark.parametrize("prob", [
-    dom.problem([fam.FamilySpec("vandermonde", 4, s=1)] * 8, 4),
-    dom.problem([fam.random_subspace(3, 5, rng_seed=1)] * 2, 3),
+@pytest.mark.parametrize("prob, same_point", [
+    (dom.problem([fam.FamilySpec("vandermonde", 4, s=1)] * 8, 4), False),
+    (dom.problem([fam.random_subspace(3, 5, rng_seed=1)] * 2, 3), True),
 ], ids=["vandermonde-1-n4", "subspace-n3"])
-def test_chains_with_complex_members_report_the_oracle_ranks(prob):
-    assert dom.estimate_image_dimension(prob, trials=20, seed=0).ranks == _oracle_ranks(prob, 20, 0)
+def test_chains_with_complex_members_report_the_oracle_ranks(prob, same_point):
+    """Complex trials draw at the family centres.  The subspace centre is
+    the Gaussian draw itself, so its ranks are the oracle's; the
+    Vandermonde centre nodes lie about the roots of unity, where no trial
+    ranks below the Gaussian one."""
+    got = dom.estimate_image_dimension(prob, trials=20, seed=0).ranks
+    want = _oracle_ranks(prob, 20, 0)
+    assert all(g >= w for g, w in zip(got, want)), (got, want)
+    assert got == want if same_point else got == [prob.target_dim] * 20
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the verdict left the real Gram test")
 
 
 @pytest.mark.parametrize("rel_tol", [float("nan"), 0.0, 1.0])
-def test_rank_tolerance_out_of_range_is_refused_where_the_real_point_passes(rel_tol):
+def test_rank_tolerance_out_of_range_is_refused_where_the_real_point_passes(rel_tol, monkeypatch):
     prob = dom.problem(["skew-symmetric"] * 3, 8)
+    monkeypatch.setattr(np.linalg, "svd", _refuse)
+    monkeypatch.setattr(dom, "numerical_rank", _refuse)
     # at the default tolerance the real point settles the trial
-    assert dom._real_point_rank(prob, np.random.default_rng(0), dom.DEFAULT_RANK_TOL) == 64
+    assert dom.estimate_image_dimension(prob, trials=1).ranks == [64]
     with pytest.raises(ParameterRangeError):
         dom.estimate_image_dimension(prob, trials=1, rel_tol=rel_tol)
 
@@ -166,20 +180,21 @@ def test_real_centres_certify_without_an_svd_or_a_complex_trial(tags, n, monkeyp
     x12 passed the Gram test 18 times in 100, and lower-upper x6 reported
     "not dominant"); near the family centres every trial is settled by the
     real Gram test."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the verdict left the real Gram test")
-
     prob = dom.problem(tags, n)
-    monkeypatch.setattr(np.linalg, "svd", refuse)
-    monkeypatch.setattr(fam, "sample_point", refuse)
+    monkeypatch.setattr(np.linalg, "svd", _refuse)
+    monkeypatch.setattr(dom, "numerical_rank", _refuse)
     assert dom.estimate_image_dimension(prob, seed=0).ranks == [n * n] * 5
 
 
-def test_skew_real_points_are_the_real_gaussian_draws():
+def test_skew_real_points_are_the_real_gaussian_draws(monkeypatch):
     """The skew centre is the draw itself, so a skew real point is the
     standard normal draw of each slot in turn, and its verdicts stay: at
-    n = 10 seeds 13 and 37 fail the real Gram test and fall back."""
+    n = 10 seeds 13 and 37 fail the real Gram test and fall back to one
+    complex trial each."""
     prob = dom.problem(["skew-symmetric"] * 3, 10)
+    complex_trials, rank = [], dom.numerical_rank
+    monkeypatch.setattr(dom, "numerical_rank",
+                        lambda M, rel_tol: complex_trials.append(M.dtype) or rank(M, rel_tol))
     for seed in range(40):
         rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
         for slot, spec in enumerate(prob.factors, start=1):
@@ -187,10 +202,10 @@ def test_skew_real_points_are_the_real_gaussian_draws():
             assert u.tobytes() == old.standard_normal(spec.param_dim).tobytes()
         factors, frames = _real_point(prob, seed)
         passes = dom._gram_full_rank(dom.jacobian(factors, frames), dom.DEFAULT_RANK_TOL)
-        got = dom._real_point_rank(prob, np.random.default_rng(seed), dom.DEFAULT_RANK_TOL)
-        assert got == (100 if passes else None)
+        complex_trials.clear()
+        assert dom.estimate_image_dimension(prob, trials=1, seed=seed).ranks == [100]
+        assert complex_trials == ([] if passes else [np.complex128])
         assert passes == (seed not in (13, 37))
-    assert dom.estimate_image_dimension(prob, trials=40, seed=0).ranks == [100] * 40
 
 
 def test_orthogonal_chain_stays_deficient():

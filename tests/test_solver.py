@@ -655,12 +655,14 @@ def test_decompose_bidiagonal_factors_its_target_once(monkeypatch):
 
 def test_vandermonde_chain_fit_converges_from_root_of_unity_centers():
     """A Vandermonde chain has no exact start, so every restart starts from
-    fit_center: the n-th roots of unity, each scaled by 1 + 0.1 g."""
+    fit_center: the n-th roots of unity, each turned by a phase exp(0.1 i g),
+    so every node has modulus 1."""
     specs = [fam.FamilySpec("vandermonde-t", 3, s=1), fam.FamilySpec("vandermonde", 3, s=1),
              fam.FamilySpec("vandermonde-t", 3, s=2), fam.FamilySpec("vandermonde", 3, s=2)]
     prob = dom.problem(specs, 3)
     u = fam.fit_center(prob.factors[0], np.random.default_rng(0), 1)
     w = np.exp(-2j * np.pi * np.arange(1, 4) / 3)
+    assert np.all(np.abs(np.abs(u) - 1.0) <= 1e-15)
     assert np.all(np.abs(u / w - 1.0) < 0.5)
     T = _random_target(3, 4)
     chain = fit_chain(T, prob, FitOptions(seed=11))

@@ -1,5 +1,7 @@
 """Unit-root Vandermonde chains and their block determinants."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,14 +27,14 @@ def test_vand_entries():
 
 
 def test_type_list_validity_flags():
-    t = vm.type_list(3, (1, 2, 3))
+    t = vm.VandTypeList(3, (1, 2, 3))
     assert t.distinct_mod_n and t.nonzero_sum and t.is_valid
-    t = vm.type_list(3, (-1, 0, 1))  # sums to zero
+    t = vm.VandTypeList(3, (-1, 0, 1))  # sums to zero
     assert t.distinct_mod_n and not t.nonzero_sum and not t.is_valid
-    t = vm.type_list(3, (0, 3, 1))  # 0 and 3 collide mod 3
+    t = vm.VandTypeList(3, (0, 3, 1))  # 0 and 3 collide mod 3
     assert not t.distinct_mod_n
     with pytest.raises(ParameterRangeError):
-        vm.type_list(3, (1, 2))
+        vm.VandTypeList(3, (1, 2))
 
 
 def test_unit_root_factor_pair_inverts():
@@ -84,7 +86,7 @@ def test_mp_block_matches_finite_differences():
     out of the chain normalization.
     """
     n = 3
-    types = vm.type_list(n, (0, 2, 4))
+    types = vm.VandTypeList(n, (0, 2, 4))
     w = vm.unit_root(n)
     base_nodes = np.array([w ** p for p in range(1, n + 1)])
 
@@ -116,7 +118,7 @@ def test_mp_block_determinant_formula():
     for n in (2, 3, 4, 5, 6):
         for _ in range(5):
             s = _random_valid_types(rng, n)
-            types = vm.type_list(n, s)
+            types = vm.VandTypeList(n, s)
             p = int(rng.integers(1, n + 1))
             alphas = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             direct, formula = det_tilde(types, p, alphas)
@@ -125,7 +127,7 @@ def test_mp_block_determinant_formula():
 
 
 def test_det_tilde_vanishes_when_alphas_sum_to_zero():
-    types = vm.type_list(4, (1, 2, 3, 4))
+    types = vm.VandTypeList(4, (1, 2, 3, 4))
     alphas = np.array([1.0, -1.0, 2.5, -2.5])
     direct, formula = det_tilde(types, 2, alphas)
     assert formula == 0
@@ -135,7 +137,7 @@ def test_det_tilde_vanishes_when_alphas_sum_to_zero():
 def _random_valid_types(rng, n):
     while True:
         s = tuple(int(v) for v in rng.integers(-2 * n, 2 * n + 1, size=n))
-        t = vm.type_list(n, s)
+        t = vm.VandTypeList(n, s)
         if t.is_valid:
             return s
 
@@ -170,6 +172,25 @@ def test_dominance_degenerates_at_the_true_singular_sum():
     assert rep.d_estimate < 9
 
 
+def test_distinct_residues_rank_fully_exactly_off_the_singular_sum():
+    """With types pairwise distinct modulo n the rank is n^2 exactly when
+    sum s differs from -n(n-1)/2, whatever the paper's validity flags say."""
+    for n in (2, 3, 4):
+        for s in itertools.combinations_with_replacement(range(-4, 4), n):
+            rep = vm.vandermonde_dominance(n, s)
+            if rep.problem["types_distinct_mod_n"]:
+                assert rep.dominant == (sum(s) != -n * (n - 1) // 2), s
+
+
+def test_repeated_residues_do_not_decide_the_rank():
+    """-4 and -2 collide modulo 2, yet the blocks stay nonsingular; 0 and 0
+    collapse them."""
+    rep = vm.vandermonde_dominance(2, (-4, -2))
+    assert not rep.problem["types_distinct_mod_n"]
+    assert rep.ranks == [4]
+    assert vm.vandermonde_dominance(2, (0, 0)).ranks == [2]
+
+
 def test_dominance_rejects_bad_types():
     # a wrong count, then a size or type that is not an integer
     for n, s in [(3, (1, 2)), (3, (1, 2.5, 3)), (3, (True, 2, 3)), (2.9, (1, 2))]:
@@ -186,7 +207,7 @@ def test_jacobian_is_block_diagonal_by_node_index(n):
     vandermonde-t(s_i) frame and each A_i fixed, times n: grouping the
     columns by node index p gives the closed form blockdiag(M_1, ..., M_n)."""
     rng = np.random.default_rng(n)
-    types = vm.type_list(n, _random_valid_types(rng, n))
+    types = vm.VandTypeList(n, _random_valid_types(rng, n))
     nodes = vm.unit_root(n) ** np.arange(1, n + 1)  # the nodes of every B_i
     factors, frames = [], []
     for s in types.s:

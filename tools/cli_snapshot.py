@@ -145,6 +145,11 @@ COMMANDS = [
     # the benchmark's certify workload
     ["verify", "--family", "anti-triangular-bottom", "--n", "8", "--r", "5", "--seed", "1"],
     ["verify", "--family", "companion", "--n", "12", "--r", "12", "--seed", "0"],
+    # 2n Vandermonde factors, dominant at the center nodes (Gaussian nodes
+    # left them short; type 200 is in the overflow block below)
+    ["verify", "--family", "vandermonde:1", "--n", "4", "--r", "8"],
+    ["verify", "--family", "vandermonde:3", "--n", "8", "--r", "16"],
+    ["verify", "--family", "vandermonde:1", "--n", "6", "--r", "12"],
 ]
 
 # every family, with the argument it takes
@@ -177,11 +182,13 @@ for family in ["vandermonde", "vandermonde-t:0"]:
         ["verify", "--family", family, "--n", "1", "--r", "2", "--seed", "41"],
     ]
 
-# overflow: a chain product of type-200 factors, type -2000 members whose
-# powers overflow, and a target whose Frobenius norm overflows; each is one
-# error line on stderr
+# overflow: type-200 and type -2000 members, whose powers overflow at
+# Gaussian nodes (`sample`) but not at the center nodes of a verdict, a
+# chain product of 1,100 factors, and a target whose Frobenius norm
+# overflows; each error is one line on stderr
 COMMANDS += [
     ["verify", "--family", "vandermonde:200", "--n", "4", "--r", "8"],
+    ["verify", "--family", "vandermonde:1", "--n", "4", "--r", "1100"],
     ["sample", "--family", "vandermonde:-2000", "--n", "3"],
     ["verify", "--family", "vandermonde:-2000", "--n", "3", "--r", "2"],
     ["decompose", "--in", "huge3.json", "--chain", "lower,upper"],
