@@ -193,7 +193,7 @@ def _build_parser() -> _Parser:
                      description="structured matrix chain decompositions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[], help="estimate the image dimension of a chain")
+    p = sub.add_parser("verify", help="estimate the image dimension of a chain")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)

@@ -304,8 +304,13 @@ def estimate_image_dimension(
     The dimension estimate is the maximum rank seen, and the chain is
     reported dominant when it reaches the target dimension.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not fam.is_integer(value):
+            raise ParameterRangeError(f"{name}={value!r} is not an integer")
     if trials < 1:
         raise ParameterRangeError("need at least one trial")
+    if seed < 0:
+        raise ParameterRangeError("seed must be non-negative")
     real = all(spec.real_points for spec in prob.factors)
     ranks = []
     for t in range(trials):

@@ -287,10 +287,6 @@ def _vand_tangent(n: int, s: int, nodes) -> np.ndarray:
 # orient maps a Vandermonde matrix (rows are powers), or a stack of them, to
 # family members and back: the identity, or the transpose for vandermonde-t
 
-def _vand_frame(orient, spec: FamilySpec, nodes):
-    return orient(_vand_tangent(spec.n, spec.s, nodes))
-
-
 def _vand_member(orient, spec: FamilySpec, M, tol: float) -> bool:
     n, s = spec.n, spec.s
     V = orient(M)
@@ -444,6 +440,8 @@ def random_subspace(n: int, k: int, rng_seed=0) -> FamilySpec:
     The basis is the Householder Q of k vectorized complex Gaussian
     matrices, orthonormal for the Frobenius inner product whatever the draw.
     """
+    if not is_integer(k):
+        raise ParameterRangeError(f"subspace dimension k={k!r} is not an integer")
     if not 1 <= k <= n * n:
         raise ParameterRangeError(f"subspace dimension k={k} out of range 1..{n * n}")
     X = complex_gaussian(np.random.default_rng(rng_seed), n * n * k).reshape(n * n, k)
@@ -575,7 +573,8 @@ def _vandermonde_family(orient) -> _Family:
     return _Family(
         arg="s", dimension=lambda spec: 0 if spec.n == 1 and spec.s == 0 else spec.n,
         parameterize=lambda spec, params: orient(vand(spec.n, spec.s, params)),
-        tangent=partial(_vand_frame, orient), member=partial(_vand_member, orient),
+        tangent=lambda spec, params: orient(_vand_tangent(spec.n, spec.s, params)),
+        member=partial(_vand_member, orient),
         center=_vandermonde_center, generic_r=lambda n: 2 * n, real=False)
 
 

@@ -391,4 +391,6 @@ def decompose_centrosymmetric(T, opts: FitOptions | None = None,
         raise NonMemberError("target is not centrosymmetric")
     if r is None:
         r = n // 2 + 1
+    elif not fam.is_integer(r):
+        raise ParameterRangeError(f"chain length r={r!r} is not an integer")
     return fit_chain(T, problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)

@@ -52,20 +52,20 @@ def two_factor_tangent_test(spec1, spec2, base):
     return dom.numerical_rank(B.T) == n * n
 
 
-def det_tilde(types, p, alphas):
-    """Determinant of the reduced block, directly and in closed form.
+def det_tilde(n, s, p, alphas):
+    """Determinant of the reduced block for the types s at size n, directly
+    and in closed form.
 
     The reduced block replaces row p of the node-power matrix
     (w^{-(a-1) s_j})_{a,j} with (alpha_j w^{-(p-1) s_j})_j.  Its determinant
     equals (V / n) * sum(alpha_j) where V is the Vandermonde determinant of
     the nodes w^{-s_j}, independently of p.  Returns (direct, formula).
     """
-    n = types.n
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     w = vm.unit_root(n)
-    nodes = np.array([w ** (-sj) for sj in types.s])
+    nodes = np.array([w ** (-sj) for sj in s])
     fam.require_distinct_nodes(nodes, 1e-12)
-    M = vm.vand(n, 0, nodes)
+    M = fam.vand(n, 0, nodes)
     M[p - 1, :] = alphas * nodes ** (p - 1)
     direct = complex(np.linalg.det(M))
     V = complex(np.prod([nodes[b] - nodes[a] for a in range(n) for b in range(a + 1, n)]))

@@ -54,6 +54,33 @@ def test_fit_options_accept_numpy_integers():
     assert chain.iterations <= 3
 
 
+_SKEW3 = dom.problem(["skew-symmetric"] * 3, 4)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: dom.estimate_image_dimension(_SKEW3, trials=2.5), id="float-trials"),
+    pytest.param(lambda: dom.estimate_image_dimension(_SKEW3, trials=True), id="bool-trials"),
+    pytest.param(lambda: dom.estimate_image_dimension(_SKEW3, seed=1.5), id="float-seed"),
+    pytest.param(lambda: dom.estimate_image_dimension(_SKEW3, seed=True), id="bool-seed"),
+    pytest.param(lambda: dom.estimate_image_dimension(_SKEW3, seed=-1), id="negative-seed"),
+    pytest.param(lambda: decompose_centrosymmetric(_centro_target(5, 50), r=2.5), id="float-r"),
+    pytest.param(lambda: decompose_centrosymmetric(_centro_target(5, 50), r=True), id="bool-r"),
+    pytest.param(lambda: fam.random_subspace(4, 2.5), id="float-k"),
+])
+def test_library_counts_refuse_what_is_not_an_integer(call):
+    """The rule FitOptions follows: a count is a Python or NumPy integer,
+    not a bool, and a seed is not negative."""
+    with pytest.raises(ParameterRangeError):
+        call()
+
+
+def test_library_counts_accept_numpy_integers():
+    rep = dom.estimate_image_dimension(_SKEW3, trials=np.int64(2), seed=np.int32(1))
+    assert rep.ranks == dom.estimate_image_dimension(_SKEW3, trials=2, seed=1).ranks
+    assert fam.random_subspace(3, np.int64(4)).k == 4
+    assert decompose_centrosymmetric(_centro_target(5, 50), r=np.int64(3)).converged
+
+
 def test_fit_chain_rejects_bad_targets():
     prob = dom.problem(["bidiagonal"] * 4, 3)
     with pytest.raises(ParameterRangeError):

@@ -20,29 +20,20 @@ def test_unit_root_value():
 
 def test_vand_entries():
     nodes = np.array([2.0, 3.0], dtype=complex)
-    V = vm.vand(2, 1, nodes)
+    V = fam.vand(2, 1, nodes)
     np.testing.assert_allclose(V, [[2, 3], [4, 9]], rtol=1e-14)
-    V0 = vm.vand(2, 0, nodes)
+    V0 = fam.vand(2, 0, nodes)
     np.testing.assert_allclose(V0, [[1, 1], [2, 3]], rtol=1e-14)
 
 
-def test_type_list_validity_flags():
-    t = vm.VandTypeList(3, (1, 2, 3))
-    assert t.distinct_mod_n and t.nonzero_sum and t.is_valid
-    t = vm.VandTypeList(3, (-1, 0, 1))  # sums to zero
-    assert t.distinct_mod_n and not t.nonzero_sum and not t.is_valid
-    t = vm.VandTypeList(3, (0, 3, 1))  # 0 and 3 collide mod 3
-    assert not t.distinct_mod_n
-    with pytest.raises(ParameterRangeError):
-        vm.VandTypeList(3, (1, 2))
-
-
 def test_unit_root_factor_pair_inverts():
-    """The paired factor is n times the inverse of the base factor."""
+    """The vandermonde-t member at the nodes w^1 .. w^n is n times the
+    inverse of the base factor."""
     for n in (2, 3, 5):
+        nodes = vm.unit_root(n) ** np.arange(1, n + 1)
         for s in (-1, 0, 2):
             A = vm.unit_root_factor(n, s)
-            B = vm.unit_root_inverse_pair(n, s)
+            B = fam.parameterize(fam.FamilySpec("vandermonde-t", n, s=s), nodes)
             np.testing.assert_allclose(B @ A, n * np.eye(n), atol=1e-12)
             np.testing.assert_allclose(A @ B, n * np.eye(n), atol=1e-12)
 
@@ -51,12 +42,13 @@ def test_unit_root_factor_is_vandermonde_at_unit_root_nodes():
     n, s = 4, 2
     w = vm.unit_root(n)
     nodes = np.array([w ** (-q) for q in range(1, n + 1)])
-    V = vm.vand(n, s, nodes)
+    V = fam.vand(n, s, nodes)
     np.testing.assert_allclose(vm.unit_root_factor(n, s), V, atol=1e-12)
 
 
-def mp_block(types, p):
-    """The p-th Jacobian block M_p at the unit-root base point, n = types.n.
+def mp_block(n, s, p):
+    """The p-th Jacobian block M_p at the unit-root base point for the types
+    s at size n.
 
     Row q, column j holds the coefficient of the j-th factor's p-th node
     variable in the (p, q) output entry:
@@ -66,10 +58,9 @@ def mp_block(types, p):
 
     These are the geometric sums sum_k (k + s_j - 1) w^{(p-q)k} carried out
     in closed form and multiplied by w^{p(s_j-2) - q(s_j-1)}."""
-    n = types.n
     w = vm.unit_root(n)
     q = np.arange(1, n + 1)[:, None]
-    s = np.array(types.s)[None, :]
+    s = np.array(s)[None, :]
     v = w ** (p - q)
     M = -(n * v / np.where(q == p, 1.0, 1.0 - v)) * w ** ((p - q) * s - 2 * p + q)
     M[p - 1] = (2 * s[0] + n - 1) * n * w ** (-p) / 2.0
@@ -85,15 +76,14 @@ def test_mp_block_matches_finite_differences():
     derivative is column j of the p-th block, up to the scaling by n kept
     out of the chain normalization.
     """
-    n = 3
-    types = vm.VandTypeList(n, (0, 2, 4))
+    n, types = 3, (0, 2, 4)
     w = vm.unit_root(n)
     base_nodes = np.array([w ** p for p in range(1, n + 1)])
 
     def chain(all_nodes):
         P = np.eye(n, dtype=complex)
-        for i, s in enumerate(types.s):
-            B = vm.vand(n, s, all_nodes[i]).T
+        for i, s in enumerate(types):
+            B = fam.vand(n, s, all_nodes[i]).T
             A = vm.unit_root_factor(n, s)
             P = P @ (B @ A / n)
         return P
@@ -108,7 +98,7 @@ def test_mp_block_matches_finite_differences():
         # only row p of the product moves
         off_rows = [q for q in range(n) if q != p - 1]
         assert np.max(np.abs(fd[off_rows])) < 1e-6
-        Mp = mp_block(types, p)
+        Mp = mp_block(n, types, p)
         np.testing.assert_allclose(fd[p - 1, :], Mp[:, j], atol=1e-5)
 
 
@@ -118,27 +108,25 @@ def test_mp_block_determinant_formula():
     for n in (2, 3, 4, 5, 6):
         for _ in range(5):
             s = _random_valid_types(rng, n)
-            types = vm.VandTypeList(n, s)
             p = int(rng.integers(1, n + 1))
             alphas = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            direct, formula = det_tilde(types, p, alphas)
+            direct, formula = det_tilde(n, s, p, alphas)
             scale = max(abs(formula), 1e-8)
             assert abs(direct - formula) <= 1e-8 * scale
 
 
 def test_det_tilde_vanishes_when_alphas_sum_to_zero():
-    types = vm.VandTypeList(4, (1, 2, 3, 4))
     alphas = np.array([1.0, -1.0, 2.5, -2.5])
-    direct, formula = det_tilde(types, 2, alphas)
+    direct, formula = det_tilde(4, (1, 2, 3, 4), 2, alphas)
     assert formula == 0
     assert abs(direct) <= 1e-10
 
 
 def _random_valid_types(rng, n):
+    """A type list with pairwise distinct residues modulo n and a nonzero sum."""
     while True:
         s = tuple(int(v) for v in rng.integers(-2 * n, 2 * n + 1, size=n))
-        t = vm.VandTypeList(n, s)
-        if t.is_valid:
+        if len({v % n for v in s}) == n and sum(s) != 0:
             return s
 
 
@@ -148,19 +136,23 @@ def test_dominance_with_consecutive_types():
         assert rep.dominant
         assert rep.d_estimate == n * n
         assert rep.problem["r"] == 2 * n
-        assert rep.problem["types_distinct_mod_n"]
-        assert rep.problem["types_nonzero_sum"]
+
+
+def test_report_problem_holds_only_the_chain():
+    """The rank is the one certificate: the problem names the chain and the
+    target, and nothing else."""
+    rep = vm.vandermonde_dominance(3, (1, 2, 3))
+    assert list(rep.problem) == ["n", "r", "families", "target"]
+    assert rep.problem["families"] == [f"vandermonde-pair({s})" for s in (1, 2, 3)]
 
 
 def test_dominance_does_not_require_nonzero_sum():
     """A zero-sum type list can still give a full-rank base point.
 
     The reduced blocks are nonsingular exactly when the type sum avoids
-    -n(n-1)/2, so the zero-sum flag is a modeling convention rather than
-    a rank obstruction.
+    -n(n-1)/2, so a zero sum is no rank obstruction.
     """
     rep = vm.vandermonde_dominance(3, (-1, 0, 1))
-    assert not rep.problem["types_nonzero_sum"]
     assert rep.dominant
     assert rep.d_estimate == 9
 
@@ -174,20 +166,18 @@ def test_dominance_degenerates_at_the_true_singular_sum():
 
 def test_distinct_residues_rank_fully_exactly_off_the_singular_sum():
     """With types pairwise distinct modulo n the rank is n^2 exactly when
-    sum s differs from -n(n-1)/2, whatever the paper's validity flags say."""
-    for n in (2, 3, 4):
+    sum s differs from -n(n-1)/2."""
+    for n in (2, 3, 4, 5):
         for s in itertools.combinations_with_replacement(range(-4, 4), n):
-            rep = vm.vandermonde_dominance(n, s)
-            if rep.problem["types_distinct_mod_n"]:
+            if len({v % n for v in s}) == n:
+                rep = vm.vandermonde_dominance(n, s)
                 assert rep.dominant == (sum(s) != -n * (n - 1) // 2), s
 
 
 def test_repeated_residues_do_not_decide_the_rank():
     """-4 and -2 collide modulo 2, yet the blocks stay nonsingular; 0 and 0
     collapse them."""
-    rep = vm.vandermonde_dominance(2, (-4, -2))
-    assert not rep.problem["types_distinct_mod_n"]
-    assert rep.ranks == [4]
+    assert vm.vandermonde_dominance(2, (-4, -2)).ranks == [4]
     assert vm.vandermonde_dominance(2, (0, 0)).ranks == [2]
 
 
@@ -207,16 +197,16 @@ def test_jacobian_is_block_diagonal_by_node_index(n):
     vandermonde-t(s_i) frame and each A_i fixed, times n: grouping the
     columns by node index p gives the closed form blockdiag(M_1, ..., M_n)."""
     rng = np.random.default_rng(n)
-    types = vm.VandTypeList(n, _random_valid_types(rng, n))
+    types = _random_valid_types(rng, n)
     nodes = vm.unit_root(n) ** np.arange(1, n + 1)  # the nodes of every B_i
     factors, frames = [], []
-    for s in types.s:
-        factors += [vm.unit_root_inverse_pair(n, s), vm.unit_root_factor(n, s) / n]
-        frames += [fam.tangent_basis(fam.FamilySpec("vandermonde-t", n, s=s), nodes),
-                   np.empty((0, n, n), dtype=complex)]
+    for s in types:
+        spec = fam.FamilySpec("vandermonde-t", n, s=s)
+        factors += [fam.parameterize(spec, nodes), vm.unit_root_factor(n, s) / n]
+        frames += [fam.tangent_basis(spec, nodes), np.empty((0, n, n), dtype=complex)]
     by_node = np.arange(n * n).reshape(n, n).T.reshape(-1)  # column (j, p) -> (p, j)
     expect = np.zeros((n * n, n * n), dtype=complex)
-    for p, Mp in enumerate([mp_block(types, p) for p in range(1, n + 1)]):
+    for p, Mp in enumerate([mp_block(n, types, p) for p in range(1, n + 1)]):
         expect[p * n:(p + 1) * n, p * n:(p + 1) * n] = Mp
     np.testing.assert_allclose(n * dom.jacobian(factors, frames)[:, by_node], expect,
                                rtol=0, atol=1e-13 * np.abs(expect).max())
