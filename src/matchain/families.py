@@ -1,7 +1,7 @@
 """Structured families of n x n complex matrices.
 
 Each family is either a linear subspace given by a basis (band patterns,
-triangles, Toeplitz variants, centrosymmetric matrices, random subspaces),
+triangles, Toeplitz variants, centrosymmetric matrices, seeded subspaces),
 or the image of a smooth parameterization (complex orthogonal group,
 companion matrices, generalized Vandermonde matrices).  The module
 provides, uniformly over a FamilySpec (one family at one size n):
@@ -68,24 +68,32 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_seed(seed):
+    """Refuse a seed that is not a non-negative integer (by is_integer)."""
+    if not is_integer(seed) or seed < 0:
+        raise ParameterRangeError(f"seed={seed!r} is not a non-negative integer")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family of n x n matrices, checked on construction, which then sets
     param_dim and refuses a family without parameters at this n.
 
     k is the bandwidth for the k-diagonal families and the dimension for
-    SUBSPACE; s is the type of a generalized Vandermonde family.  basis
-    carries the Frobenius-orthonormal matrices of a random subspace (which
-    projection membership relies on), copied to a read-only (k, n, n) array,
-    and is excluded from equality (two independently drawn subspaces of the
-    same dimension compare equal on the structural fields only).
+    SUBSPACE; s is the type of a generalized Vandermonde family.  seed,
+    which SUBSPACE alone takes and needs, draws its basis: the Householder
+    Q of k vectorized complex Gaussian matrices from default_rng(seed),
+    Frobenius-orthonormal (projection membership relies on that), kept as
+    a read-only C-ordered (k, n, n) array.  basis derives from the seed, so
+    specs compare and hash by what they draw.
     """
 
     tag: str
     n: int
     k: int | None = None
     s: int | None = None
-    basis: np.ndarray | None = field(default=None, compare=False, repr=False)
+    seed: int | None = None
+    basis: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
     param_dim: int = field(init=False)
 
     def __post_init__(self):
@@ -96,31 +104,23 @@ class FamilySpec:
                 raise ParameterRangeError(f"family {self.tag!r} takes no argument")
             if value is not None and (name != arg or not is_integer(value)):
                 raise ParameterRangeError(f"{name}={value!r} is not an integer argument of {self.tag!r}")
-        if self.tag == SUBSPACE:
-            if self.basis is None:
-                raise ParameterRangeError("subspaces are drawn by random_subspace() (token subspace:k)")
-            # a C-ordered copy: members' bytes depend on its layout, and the caller's array stays writable
-            basis = np.array(self.basis, dtype=complex, order="C")
-            if basis.ndim != 3 or len(basis) == 0 or basis.shape[1] != basis.shape[2]:
-                raise ParameterRangeError("a subspace basis is a nonempty stack of n x n matrices")
-            if self.k is not None and self.k != len(basis):
-                raise ParameterRangeError(f"subspace dimension k={self.k} but {len(basis)} basis matrices")
-            rows = basis.reshape(len(basis), -1)
-            if float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows))))) > 1e-10:
-                raise ParameterRangeError("subspace basis is not orthonormal")
-            if basis.shape[1] != self.n:
-                raise ParameterRangeError(f"subspace basis holds no {self.n} x {self.n} matrices")
-            object.__setattr__(self, "k", len(basis))
-            object.__setattr__(self, "basis", _frozen(basis))
-        elif self.basis is not None:
-            raise ParameterRangeError(f"family {self.tag!r} takes no basis")
-        elif arg is not None and getattr(self, arg) is None:
+        if arg is not None and getattr(self, arg) is None:
             raise ParameterRangeError(f"family {self.tag!r} needs an argument {arg}")
+        if self.tag != SUBSPACE and self.seed is not None:
+            raise ParameterRangeError(f"family {self.tag!r} takes no seed")
         if not is_integer(self.n):
             raise ParameterRangeError(f"matrix size n={self.n!r} is not an integer")
         if self.n < 1:
             raise ParameterRangeError(f"matrix size n={self.n} must be positive")
         object.__setattr__(self, "n", int(self.n))
+        if self.tag == SUBSPACE:
+            _require_seed(self.seed)
+            n, k = self.n, self.k
+            if not 1 <= k <= n * n:
+                raise ParameterRangeError(f"subspace dimension k={k} out of range 1..{n * n}")
+            X = complex_gaussian(np.random.default_rng(self.seed), n * n * k).reshape(n * n, k)
+            Q = np.linalg.qr(X)[0]
+            object.__setattr__(self, "basis", _frozen(np.ascontiguousarray(Q.T.reshape(k, n, n))))
         d = entry.dimension(self) if entry.grid is None else int(np.abs(_grid(self.tag, self.n, self.k)).max())
         if d == 0:
             raise ParameterRangeError(f"family {self.label()} has no parameters at n={self.n}")
@@ -149,10 +149,9 @@ def spec_from_argument(tag: str, arg: int | None, n: int, rng_seed=0) -> FamilyS
     a banded family, the type of a Vandermonde family (0 when omitted), or
     the dimension of a random subspace of the n x n matrices drawn from
     rng_seed."""
-    if tag == SUBSPACE and arg is not None:
-        return random_subspace(n, arg, rng_seed=rng_seed)
     name = _family(tag).arg or "k"  # FamilySpec rejects a k the tag does not take
-    return FamilySpec(tag, n, **{name: 0 if arg is None and name == "s" else arg})
+    seed = {"seed": rng_seed} if tag == SUBSPACE else {}
+    return FamilySpec(tag, n, **{name: 0 if arg is None and name == "s" else arg}, **seed)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,9 @@ def sample_point(spec: FamilySpec, rng_seed=0):
     what the `sample` command prints.  Such a point is generic with
     probability one, so nothing is redrawn; a member whose entries overflow
     (a Vandermonde type far from 0) raises DegeneratePointError.  Fits and
-    rank verdicts take their points from fit_center instead."""
+    rank verdicts take their points from fit_center instead.  rng_seed is a
+    non-negative integer, as a subspace seed is."""
+    _require_seed(rng_seed)
     params = complex_gaussian(np.random.default_rng(rng_seed), spec.param_dim)
     M = parameterize(spec, params)
     if not np.isfinite(M).all():
@@ -434,20 +435,6 @@ def is_member(spec: FamilySpec, M, tol: float) -> bool:
     return float(np.linalg.norm(resid)) <= tol * (1.0 + norm)
 
 
-def random_subspace(n: int, k: int, rng_seed=0) -> FamilySpec:
-    """A uniformly random k-dimensional linear family of n x n matrices.
-
-    The basis is the Householder Q of k vectorized complex Gaussian
-    matrices, orthonormal for the Frobenius inner product whatever the draw.
-    """
-    if not is_integer(k):
-        raise ParameterRangeError(f"subspace dimension k={k!r} is not an integer")
-    if not 1 <= k <= n * n:
-        raise ParameterRangeError(f"subspace dimension k={k} out of range 1..{n * n}")
-    X = complex_gaussian(np.random.default_rng(rng_seed), n * n * k).reshape(n * n, k)
-    return FamilySpec(SUBSPACE, n, k=k, basis=np.linalg.qr(X)[0].T.reshape(k, n, n))
-
-
 def coordinates_of(spec: FamilySpec, M) -> np.ndarray:
     """Least-squares coordinates of a member matrix of a linear family."""
     B = linear_basis(spec).reshape(-1, spec.n * spec.n).T
@@ -456,19 +443,12 @@ def coordinates_of(spec: FamilySpec, M) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _center_coordinates(tag: str, n: int, k, exchange: bool) -> np.ndarray:
-    """Read-only coordinates of I, or of J when exchange, in a structured
-    linear family: one least-squares solve per (tag, n, k)."""
-    M = exchange_matrix(n) if exchange else np.eye(n, dtype=complex)
-    return _frozen(coordinates_of(FamilySpec(tag, n, k=k), M))
-
-
-def identity_coordinates(spec: FamilySpec) -> np.ndarray:
-    """Coordinates of the identity in a linear family that contains it, as
-    a read-only array."""
-    if spec.basis is not None:
-        return _frozen(coordinates_of(spec, np.eye(spec.n, dtype=complex)))
-    return _center_coordinates(spec.tag, spec.n, spec.k, False)
+def identity_coordinates(spec: FamilySpec, exchange: bool = False) -> np.ndarray:
+    """Read-only coordinates of the identity, or of the exchange matrix J
+    when exchange, in a linear family that contains it: one least-squares
+    solve per spec."""
+    M = exchange_matrix(spec.n) if exchange else np.eye(spec.n, dtype=complex)
+    return _frozen(coordinates_of(spec, M))
 
 
 def _gaussian(rng: np.random.Generator, size: int, field) -> np.ndarray:
@@ -514,7 +494,7 @@ def _identity_center(spec, g, rng, slot):
 
 
 def _exchange_center(spec, g, rng, slot):
-    return _in_field(_center_coordinates(spec.tag, spec.n, spec.k, True), g) + 0.1 * g
+    return _in_field(identity_coordinates(spec, True), g) + 0.1 * g
 
 
 def _first_parameter_center(spec, g, rng, slot):
@@ -616,7 +596,7 @@ _FAMILIES = {
     # centrosymmetric coordinate convention
     CENTROSYMMETRIC: _Family(
         grid=lambda i, j, n, k: np.minimum(i * n + j, n * n - 1 - (i * n + j)) + 1),
-    SUBSPACE: _Family(arg="k", dimension=lambda spec: len(spec.basis), center=lambda spec, g, rng, slot: g,
+    SUBSPACE: _Family(arg="k", dimension=lambda spec: spec.k, center=lambda spec, g, rng, slot: g,
                       real=False),
     ORTHOGONAL: _Family(dimension=lambda spec: spec.n * (spec.n - 1) // 2,
                         parameterize=_orthogonal_matrix, tangent=_orthogonal_frame,

@@ -31,8 +31,8 @@ from .errors import ParameterRangeError
 
 def unit_root(n: int) -> complex:
     """Primitive n-th root of unity exp(2 pi i / n)."""
-    if n < 1:
-        raise ParameterRangeError(f"n={n} must be positive")
+    if not fam.is_integer(n) or n < 1:
+        raise ParameterRangeError(f"n={n!r} is not a positive integer")
     return cmath.exp(2j * cmath.pi / n)
 
 

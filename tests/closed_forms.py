@@ -3,7 +3,8 @@
 They restate results of the paper (the two-factor tangent criterion, the
 reduced Vandermonde block determinant), the band pattern of a linear
 family, and a tangent frame read off a member matrix alone, so the tests
-can check matchain against them; matchain itself never calls them.
+can check matchain against them; matchain itself never calls them.  One
+helper, gaussian_point, draws test points from a running generator.
 """
 
 import numpy as np
@@ -17,6 +18,14 @@ def pattern_mask(tag, n, k=None):
     """Positions where some basis matrix of a structured linear family is
     nonzero."""
     return fam._grid(tag, n, k) != 0
+
+
+def gaussian_point(spec, rng):
+    """(params, member) for one complex Gaussian parameter vector drawn from
+    the generator rng: the draw families.sample_point makes from a seed,
+    taken from a stream that several points share."""
+    params = fam.complex_gaussian(rng, spec.param_dim)
+    return params, fam.parameterize(spec, params)
 
 
 def span_frame(spec, M):

@@ -240,7 +240,7 @@ def test_criterion_08_generic_subspaces():
     for n in (4, 5, 6):
         r = n // 2 + 1
         for j in range(5):
-            kind = fam.random_subspace(n, 2 * n - 1, rng_seed=100 * n + j)
+            kind = fam.FamilySpec("subspace", n, k=2 * n - 1, seed=100 * n + j)
             rep = dom.estimate_image_dimension(
                 dom.problem([kind] * r, n), trials=3, seed=j)
             if not rep.dominant:

@@ -9,7 +9,7 @@ import pytest
 import matchain.families as fam
 import matchain.dominance as dom
 import matchain.vandermonde as vand
-from closed_forms import span_frame, two_factor_tangent_test
+from closed_forms import gaussian_point, span_frame, two_factor_tangent_test
 from matchain.errors import DegeneratePointError, ParameterRangeError
 
 
@@ -98,7 +98,7 @@ def test_jacobian_shape_and_column_content(kinds, n, target):
     the other slots zero, cut to the target rows."""
     prob = dom.problem(kinds, n, target)
     rng = np.random.default_rng(5)
-    params = [fam.sample_point(spec, rng)[0] for spec in prob.factors]
+    params = [gaussian_point(spec, rng)[0] for spec in prob.factors]
     base = [fam.parameterize(spec, p) for spec, p in zip(prob.factors, params)]
     frames = _frames(prob, params)
     rows = (n * n + 1) // 2 if target == "centro" else n * n
@@ -120,7 +120,7 @@ def test_jacobian_slot_without_parameters():
     rng = np.random.default_rng(3)
     lower, upper = (fam.FamilySpec(tag, 4)
                     for tag in ("bidiagonal-lower", "bidiagonal-upper"))
-    (ua, A), (ub, B) = (fam.sample_point(spec, rng) for spec in (lower, upper))
+    (ua, A), (ub, B) = (gaussian_point(spec, rng) for spec in (lower, upper))
     F = fam.complex_gaussian(rng, 16).reshape(4, 4)
     fa, fb = fam.tangent_basis(lower, ua), fam.tangent_basis(upper, ub)
     J = dom.jacobian([A, F, B], [fa, np.empty((0, 4, 4), dtype=complex), fb])
@@ -156,7 +156,7 @@ def test_jacobian_needs_a_nonempty_chain_and_one_frame_per_factor():
 @pytest.mark.parametrize("tag", sorted(fam.ALL_TAGS))
 def test_jacobian_at_sampled_matrices_matches_parameters(tag):
     """Verdicts take the frames at the parameters of their points: at
-    sample_point's Gaussian points and at the family centres alike, the
+    Gaussian points (gaussian_point) and at the family centres alike, the
     same rank as with frames read off the matrices alone (span_frame), and
     the same array where the frame does not depend on the point (linear and
     companion families).  Banded kinds take bandwidth 2, Vandermonde kinds
@@ -170,7 +170,7 @@ def test_jacobian_at_sampled_matrices_matches_parameters(tag):
         prob = dom.problem([fam.spec_from_argument(tag, arg, n, rng_seed=n)] * 2, n)
         for seed, draw in itertools.product(range(3), ("gaussian", "centre")):
             rng = np.random.default_rng(seed)
-            points = ([fam.sample_point(spec, rng) for spec in prob.factors] if draw == "gaussian"
+            points = ([gaussian_point(spec, rng) for spec in prob.factors] if draw == "gaussian"
                       else centres(rng))
             params, mats = zip(*points)
             J_params = dom.jacobian(mats, _frames(prob, params))
@@ -206,7 +206,7 @@ def test_high_type_vandermonde_verdicts_at_sampled_matrices(tag, s):
     prob = dom.problem([fam.FamilySpec(tag, 8, s=s)] * 16, 8)
     for seed in range(0, 20, 5):
         rng = np.random.default_rng(seed)
-        params, mats = zip(*(fam.sample_point(spec, rng) for spec in prob.factors))
+        params, mats = zip(*(gaussian_point(spec, rng) for spec in prob.factors))
         assert 1 <= dom.numerical_rank(dom.jacobian(mats, _frames(prob, params))) < 64
         assert dom.estimate_image_dimension(prob, trials=5, seed=seed).ranks == [64] * 5
 

@@ -189,17 +189,15 @@ def test_kind_from_tag_rejects_unknown_and_subspace():
 @pytest.mark.parametrize("tag, kw", [
     ("toeplitz", {"k": 3}), ("k-diagonal", {"k": True}), ("k-diagonal", {"k": 2.5}),
     ("vandermonde", {"s": 1.5}), ("k-diagonal", {}), ("bogus", {}),
-    ("skew-symmetric", {"basis": np.eye(2)[None] / np.sqrt(2)}),
-    ("subspace", {"basis": np.ones((1, 2, 3)) / np.sqrt(6)}),
-    # the Gram matrix of [I, I] / 2 is all 1/2
-    ("subspace", {"basis": np.stack([np.eye(2) / 2, np.eye(2) / 2])}),
-    ("subspace", {"basis": np.zeros((0, 2, 2))}),
-    ("subspace", {"k": 2, "basis": np.eye(2)[None] / np.sqrt(2)}),
-    ("subspace", {"basis": np.eye(3)[None] / np.sqrt(3)}),
+    ("skew-symmetric", {"seed": 0}), ("subspace", {"k": 2}),
+    ("subspace", {"k": 2, "seed": True}), ("subspace", {"k": 2, "seed": 1.5}),
+    ("subspace", {"k": 2, "seed": -1}), ("subspace", {"k": 0, "seed": 0}),
+    ("subspace", {"k": 5, "seed": 0}),
     ("diagonal", {"n": 2.5}), ("diagonal", {"n": True}),
 ], ids=["argument-not-taken", "bool-k", "fractional-k", "fractional-s", "missing-k",
-        "unknown-tag", "basis-outside-subspace", "non-square-basis", "non-orthonormal-basis",
-        "empty-basis", "k-against-basis", "wrong-size-basis", "fractional-n", "bool-n"])
+        "unknown-tag", "seed-outside-subspace", "subspace-without-seed", "bool-seed",
+        "fractional-seed", "negative-seed", "subspace-k-0", "subspace-k-above-n-squared",
+        "fractional-n", "bool-n"])
 def test_family_kind_checks_itself_on_construction(tag, kw):
     with pytest.raises(ParameterRangeError):
         fam.FamilySpec(tag, **{"n": 2, **kw})
@@ -210,20 +208,30 @@ def test_family_size_takes_a_numpy_integer():
     assert spec.n == 3 and type(spec.n) is int
 
 
-def test_subspace_kind_copies_its_basis_read_only():
-    B = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    spec = fam.FamilySpec("subspace", 2, basis=B)
-    assert spec.k == 4 and spec.basis.flags.c_contiguous and not spec.basis.flags.writeable
-    assert B.flags.writeable  # the caller's array is left as it was
-    Bt = np.asfortranarray(B)
-    assert fam.FamilySpec("subspace", 2, k=4, basis=Bt).basis.flags.c_contiguous
+def test_subspace_basis_is_the_seeded_qr_draw_read_only():
+    """The basis is the Householder Q of k vectorized complex Gaussian
+    matrices from default_rng(seed), C-ordered and read-only."""
+    for n, k, seed in [(1, 1, 0), (2, 4, 3), (3, 5, 7), (4, 7, 2026)]:
+        rng = np.random.default_rng(seed)
+        X = (rng.standard_normal(n * n * k) + 1j * rng.standard_normal(n * n * k)).reshape(n * n, k)
+        expect = np.ascontiguousarray(np.linalg.qr(X)[0].T.reshape(k, n, n))
+        basis = fam.FamilySpec("subspace", n, k=k, seed=seed).basis
+        assert basis.tobytes() == expect.tobytes()
+        assert basis.flags.c_contiguous and not basis.flags.writeable
+
+
+def test_subspace_specs_compare_by_their_seed():
+    a, b = fam.FamilySpec("subspace", 4, k=7, seed=11), fam.FamilySpec("subspace", 4, k=7, seed=12)
+    assert a != b and hash(a) != hash(b)
+    again = fam.FamilySpec("subspace", 4, k=7, seed=np.int64(11))
+    assert a == again and hash(a) == hash(again)
 
 
 def test_labels():
     assert fam.FamilySpec("toeplitz-sym", 4).label() == "toeplitz-sym"
     assert fam.FamilySpec("k-diagonal", 4, k=3).label() == "k-diagonal(3)"
     assert fam.FamilySpec("vandermonde", 4, s=2).label() == "vandermonde(2)"
-    assert fam.random_subspace(4, 7).label() == "subspace(7)"
+    assert fam.FamilySpec("subspace", 4, k=7, seed=0).label() == "subspace(7)"
 
 
 @pytest.mark.parametrize("tag,k", [(t, k) for t, k, _, _ in DIMENSIONS])
@@ -358,22 +366,22 @@ def test_contains_identity_flags():
         assert not fam.is_member(_spec(tag, 4, s=s), np.eye(4), 1e-12), tag
 
 
-def test_random_subspace_basis():
-    spec = fam.random_subspace(4, 7, rng_seed=11)
+def test_subspace_basis_is_orthonormal_and_seeded():
+    spec = fam.FamilySpec("subspace", 4, k=7, seed=11)
     assert len(spec.basis) == 7
     assert all(B.shape == (4, 4) for B in spec.basis)
     # orthonormal in the trace inner product
     G = np.array([[np.vdot(a, b) for b in spec.basis] for a in spec.basis])
     np.testing.assert_allclose(G, np.eye(7), atol=1e-12)
-    again = fam.random_subspace(4, 7, rng_seed=11)
+    again = fam.FamilySpec("subspace", 4, k=7, seed=11)
     for a, b in zip(spec.basis, again.basis):
         np.testing.assert_array_equal(a, b)
-    other = fam.random_subspace(4, 7, rng_seed=12)
+    other = fam.FamilySpec("subspace", 4, k=7, seed=12)
     assert not all(np.allclose(a, b) for a, b in zip(spec.basis, other.basis))
 
 
 def test_subspace_membership_and_coordinates():
-    spec = fam.random_subspace(5, 9, rng_seed=1)
+    spec = fam.FamilySpec("subspace", 5, k=9, seed=1)
     assert spec.param_dim == 9
     p = fam.complex_gaussian(np.random.default_rng(0), 9)
     M = fam.parameterize(spec, p)
@@ -441,7 +449,7 @@ def test_parameterize_is_the_basis_contraction():
     its parameters with its basis, strided parameter views included."""
     specs = [fam.FamilySpec(tag, n, k=k) for tag, n, k in _linear_cases(range(1, 9))
              if CLOSED_FORMS[tag](n, k) > 0]
-    specs += [fam.random_subspace(n, k, rng_seed=n) for n, k in [(1, 1), (3, 4), (5, 25)]]
+    specs += [fam.FamilySpec("subspace", n, k=k, seed=n) for n, k in [(1, 1), (3, 4), (5, 25)]]
     for spec in specs:
         n = spec.n
         theta = fam.complex_gaussian(np.random.default_rng(n), 2 * spec.param_dim)
@@ -510,7 +518,7 @@ def test_fit_center_is_the_center_plus_a_small_draw(tag, k, center):
 
 
 def test_identity_coordinates_are_read_only():
-    for spec in (_spec("triangular-lower", 4), fam.random_subspace(2, 4)):
+    for spec in (_spec("triangular-lower", 4), fam.FamilySpec("subspace", 2, k=4, seed=0)):
         u = fam.identity_coordinates(spec)
         np.testing.assert_allclose(fam.parameterize(spec, u), np.eye(spec.n), atol=1e-12)
         with pytest.raises(ValueError):

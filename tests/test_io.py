@@ -139,7 +139,7 @@ def test_kind_to_dict_writes_each_family_argument():
         "tag": "vandermonde", "s": -1}
     doc = mio.kind_to_dict(fam.spec_from_argument("subspace", 3, n, rng_seed=seed))
     assert doc == {"tag": "subspace", "k": 3,
-                   "basis": mio.complex_pairs(fam.random_subspace(n, 3, seed).basis)}
+                   "basis": mio.complex_pairs(fam.FamilySpec("subspace", n, k=3, seed=seed).basis)}
     assert json.loads(json.dumps(doc)) == doc
 
 

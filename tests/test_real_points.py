@@ -14,6 +14,7 @@ import pytest
 
 import matchain.dominance as dom
 import matchain.families as fam
+from closed_forms import gaussian_point
 from matchain.errors import DegeneratePointError, ParameterRangeError
 
 
@@ -44,13 +45,13 @@ def _complex_jacobian(factors, frames):
 
 
 def _oracle_ranks(prob, trials, seed, rel_tol=dom.DEFAULT_RANK_TOL):
-    """The complex-only verdict at Gaussian points: sample_point points
+    """The complex-only verdict at Gaussian points: gaussian_point draws
     from seed + t, the complex Jacobian at their members with the frames at
     their parameters, and the count of its singular values."""
     ranks = []
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
-        params, factors = zip(*(fam.sample_point(spec, rng) for spec in prob.factors))
+        params, factors = zip(*(gaussian_point(spec, rng) for spec in prob.factors))
         J = _complex_jacobian(factors, [fam.tangent_basis(spec, u)
                                         for spec, u in zip(prob.factors, params)])
         if prob.target == dom.TARGET_CENTRO:
@@ -97,7 +98,7 @@ def test_complex_product_and_jacobian_are_byte_identical_to_the_complex_only_pat
         name, tags, n, target):
     prob = dom.problem(tags, n, target)
     rng = np.random.default_rng(5)
-    params, factors = zip(*(fam.sample_point(spec, rng) for spec in prob.factors))
+    params, factors = zip(*(gaussian_point(spec, rng) for spec in prob.factors))
     frames = [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)]
     assert dom.chain_product(factors).tobytes() == _complex_chain_product(factors).tobytes()
     assert dom.jacobian(factors, frames).tobytes() == _complex_jacobian(factors, frames).tobytes()
@@ -114,7 +115,7 @@ def test_real_parameters_keep_their_dtype_in_the_family_layer():
                                    rtol=0, atol=1e-14 * np.abs(M).max())
         assert fam.tangent_basis(spec, u).dtype == np.float64
         assert fam.is_member(spec, M, 1e-10)
-    for spec in (fam.FamilySpec("vandermonde", 3, s=1), fam.random_subspace(3, 4)):
+    for spec in (fam.FamilySpec("vandermonde", 3, s=1), fam.FamilySpec("subspace", 3, k=4, seed=0)):
         assert not spec.real_points
 
 
@@ -137,7 +138,7 @@ def test_no_trial_ranks_below_the_complex_only_oracle(name, tags, n, target):
 
 @pytest.mark.parametrize("prob, same_point", [
     (dom.problem([fam.FamilySpec("vandermonde", 4, s=1)] * 8, 4), False),
-    (dom.problem([fam.random_subspace(3, 5, rng_seed=1)] * 2, 3), True),
+    (dom.problem([fam.FamilySpec("subspace", 3, k=5, seed=1)] * 2, 3), True),
 ], ids=["vandermonde-1-n4", "subspace-n3"])
 def test_chains_with_complex_members_report_the_oracle_ranks(prob, same_point):
     """Complex trials draw at the family centres.  The subspace centre is

@@ -8,6 +8,7 @@ import pytest
 import matchain.families as fam
 import matchain.dominance as dom
 import matchain.solver as solver
+import matchain.vandermonde as vm
 from matchain.companion import decompose_companion
 from matchain.errors import (
     DegeneratePointError,
@@ -65,7 +66,7 @@ _SKEW3 = dom.problem(["skew-symmetric"] * 3, 4)
     pytest.param(lambda: dom.estimate_image_dimension(_SKEW3, seed=-1), id="negative-seed"),
     pytest.param(lambda: decompose_centrosymmetric(_centro_target(5, 50), r=2.5), id="float-r"),
     pytest.param(lambda: decompose_centrosymmetric(_centro_target(5, 50), r=True), id="bool-r"),
-    pytest.param(lambda: fam.random_subspace(4, 2.5), id="float-k"),
+    pytest.param(lambda: fam.FamilySpec("subspace", 4, k=2.5, seed=0), id="float-k"),
 ])
 def test_library_counts_refuse_what_is_not_an_integer(call):
     """The rule FitOptions follows: a count is a Python or NumPy integer,
@@ -77,8 +78,22 @@ def test_library_counts_refuse_what_is_not_an_integer(call):
 def test_library_counts_accept_numpy_integers():
     rep = dom.estimate_image_dimension(_SKEW3, trials=np.int64(2), seed=np.int32(1))
     assert rep.ranks == dom.estimate_image_dimension(_SKEW3, trials=2, seed=1).ranks
-    assert fam.random_subspace(3, np.int64(4)).k == 4
+    assert fam.FamilySpec("subspace", 3, k=np.int64(4), seed=0).k == 4
     assert decompose_centrosymmetric(_centro_target(5, 50), r=np.int64(3)).converged
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: fam.sample_point(fam.FamilySpec("diagonal", 3), rng_seed=True), id="bool-seed"),
+    pytest.param(lambda: fam.sample_point(fam.FamilySpec("diagonal", 3), rng_seed=1.5), id="float-seed"),
+    pytest.param(lambda: fam.sample_point(fam.FamilySpec("diagonal", 3), rng_seed=-1), id="negative-seed"),
+    pytest.param(lambda: vm.unit_root(2.5), id="float-root-order"),
+    pytest.param(lambda: vm.unit_root(True), id="bool-root-order"),
+])
+def test_sample_seeds_and_root_orders_refuse_what_is_not_an_integer(call):
+    """A sample seed follows the subspace seed rule (an integer by is_integer,
+    not negative), and a root of unity's order is an integer by is_integer."""
+    with pytest.raises(ParameterRangeError):
+        call()
 
 
 def test_fit_chain_rejects_bad_targets():
