@@ -49,11 +49,7 @@ def target_dim(tag: str, n: int) -> int:
     """
     if not isinstance(tag, str) or tag not in _TARGET_DIMS:
         raise ParameterRangeError(f"unknown target tag {tag!r}")
-    if not fam.is_integer(n):
-        raise ParameterRangeError(f"matrix size n={n!r} is not an integer")
-    if n < 1:
-        raise ParameterRangeError(f"matrix size n={n} must be positive")
-    return _TARGET_DIMS[tag](n)
+    return _TARGET_DIMS[tag](fam.require_int("n", n, 1))
 
 
 @dataclass(frozen=True)
@@ -67,6 +63,7 @@ class DecompositionProblem:
 
     def __post_init__(self):
         target_dim(self.target, self.n)
+        object.__setattr__(self, "n", int(self.n))
         if len(self.factors) == 0:
             raise ParameterRangeError("a problem needs at least one factor family")
         for spec in self.factors:
@@ -304,13 +301,8 @@ def estimate_image_dimension(
     The dimension estimate is the maximum rank seen, and the chain is
     reported dominant when it reaches the target dimension.
     """
-    for name, value in (("trials", trials), ("seed", seed)):
-        if not fam.is_integer(value):
-            raise ParameterRangeError(f"{name}={value!r} is not an integer")
-    if trials < 1:
-        raise ParameterRangeError("need at least one trial")
-    if seed < 0:
-        raise ParameterRangeError("seed must be non-negative")
+    trials = fam.require_int("trials", trials, 1)
+    seed = fam.require_int("seed", seed, 0)
     real = all(spec.real_points for spec in prob.factors)
     ranks = []
     for t in range(trials):
@@ -337,9 +329,7 @@ def estimate_image_dimension(
 def lower_bound_linear(dims, target_dim: int) -> bool:
     """Necessary condition: the family dimensions must sum to at least the
     target dimension for the product map to dominate."""
-    if target_dim < 0:
-        raise ParameterRangeError("target dimension must be nonnegative")
-    return sum(dims) >= target_dim
+    return sum(dims) >= fam.require_int("target_dim", target_dim, 0)
 
 
 def lower_bound_cone(m: int, target_dim: int) -> int:
@@ -348,19 +338,15 @@ def lower_bound_cone(m: int, target_dim: int) -> int:
     Scaling one factor up and another down leaves the product fixed, so the
     fibers are at least (r-1)-dimensional and r m - (r - 1) >= target_dim is
     needed, i.e. r >= ceil((target_dim - 1) / (m - 1))."""
-    if m <= 1:
-        raise ParameterRangeError("cone dimension must be at least 2")
-    if target_dim < 1:
-        raise ParameterRangeError("target dimension must be positive")
+    m = fam.require_int("m", m, 2)
+    target_dim = fam.require_int("target_dim", target_dim, 1)
     return max(1, math.ceil((target_dim - 1) / (m - 1)))
 
 
 def surjectivity_bound(r: int) -> int:
     """If r factors from a linear family containing all diagonal matrices
     cover a dense subset, 4r + 1 factors cover everything."""
-    if r < 1:
-        raise ParameterRangeError("r must be positive")
-    return 4 * r + 1
+    return 4 * fam.require_int("r", r, 1) + 1
 
 
 # ---------------------------------------------------------------------------

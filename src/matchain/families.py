@@ -63,15 +63,19 @@ SUBSPACE = "subspace"
 
 
 def is_integer(value) -> bool:
-    """A Python or NumPy integer, and not a bool: the rule for every size,
-    bandwidth and type argument."""
+    """A Python or NumPy integer, and not a bool: the rule for the k and s
+    arguments of a FamilySpec (a type may be negative).  Sizes, counts and
+    seeds follow require_int."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _require_seed(seed):
-    """Refuse a seed that is not a non-negative integer (by is_integer)."""
-    if not is_integer(seed) or seed < 0:
-        raise ParameterRangeError(f"seed={seed!r} is not a non-negative integer")
+def require_int(name: str, value, least: int) -> int:
+    """value as a Python int: an integer by is_integer, at least least."""
+    if not is_integer(value):
+        raise ParameterRangeError(f"{name}={value!r} is not an integer")
+    if value < least:
+        raise ParameterRangeError(f"{name}={value} must be at least {least}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -108,13 +112,9 @@ class FamilySpec:
             raise ParameterRangeError(f"family {self.tag!r} needs an argument {arg}")
         if self.tag != SUBSPACE and self.seed is not None:
             raise ParameterRangeError(f"family {self.tag!r} takes no seed")
-        if not is_integer(self.n):
-            raise ParameterRangeError(f"matrix size n={self.n!r} is not an integer")
-        if self.n < 1:
-            raise ParameterRangeError(f"matrix size n={self.n} must be positive")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", require_int("n", self.n, 1))
         if self.tag == SUBSPACE:
-            _require_seed(self.seed)
+            require_int("seed", self.seed, 0)
             n, k = self.n, self.k
             if not 1 <= k <= n * n:
                 raise ParameterRangeError(f"subspace dimension k={k} out of range 1..{n * n}")
@@ -395,8 +395,8 @@ def sample_point(spec: FamilySpec, rng_seed=0):
     (a Vandermonde type far from 0) raises DegeneratePointError.  Fits and
     rank verdicts take their points from fit_center instead.  rng_seed is a
     non-negative integer, as a subspace seed is."""
-    _require_seed(rng_seed)
-    params = complex_gaussian(np.random.default_rng(rng_seed), spec.param_dim)
+    rng = np.random.default_rng(require_int("rng_seed", rng_seed, 0))
+    params = complex_gaussian(rng, spec.param_dim)
     M = parameterize(spec, params)
     if not np.isfinite(M).all():
         raise DegeneratePointError("sampled member has a non-finite entry")

@@ -55,13 +55,8 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iterations", "restarts", "seed"):
-            if not fam.is_integer(getattr(self, name)):
-                raise ParameterRangeError(f"{name}={getattr(self, name)!r} is not an integer")
-        if self.max_iterations < 1 or self.restarts < 1:
-            raise ParameterRangeError("iteration and restart counts must be positive")
-        if self.seed < 0:
-            raise ParameterRangeError("seed must be non-negative")
+        for name, least in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
+            fam.require_int(name, getattr(self, name), least)
 
 
 @dataclass
@@ -389,8 +384,5 @@ def decompose_centrosymmetric(T, opts: FitOptions | None = None,
         raise ParameterRangeError("centrosymmetric pipeline needs n >= 3")
     if float(np.max(np.abs(T - T[::-1, ::-1]))) > 1e-10 * (1.0 + float(np.linalg.norm(T))):
         raise NonMemberError("target is not centrosymmetric")
-    if r is None:
-        r = n // 2 + 1
-    elif not fam.is_integer(r):
-        raise ParameterRangeError(f"chain length r={r!r} is not an integer")
+    r = fam.require_int("r", n // 2 + 1 if r is None else r, 1)
     return fit_chain(T, problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)

@@ -31,9 +31,7 @@ from .errors import ParameterRangeError
 
 def unit_root(n: int) -> complex:
     """Primitive n-th root of unity exp(2 pi i / n)."""
-    if not fam.is_integer(n) or n < 1:
-        raise ParameterRangeError(f"n={n!r} is not a positive integer")
-    return cmath.exp(2j * cmath.pi / n)
+    return cmath.exp(2j * cmath.pi / fam.require_int("n", n, 1))
 
 
 def unit_root_factor(n: int, s_i: int) -> np.ndarray:

@@ -76,3 +76,12 @@ def test_every_defined_name_is_used():
     dead = [f"{path.name}: {name}" for path, tree in trees.items() if path.parent == _SRC
             for name in _defined(tree) if name not in used and not name.startswith("__")]
     assert not dead
+
+
+def test_only_families_reads_is_integer():
+    """Sizes, counts and seeds are checked by families.require_int, so no
+    module of src/matchain but families reads is_integer and forks the
+    rule again."""
+    readers = [path.name for path in sorted(_SRC.glob("*.py")) if path.name != "families.py"
+               if "is_integer" in _references(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not readers

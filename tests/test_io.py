@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import matchain.families as fam
 import matchain.dominance as dom
 import matchain.io as mio
+import matchain.solver as solver
 from matchain.errors import MatrixParseError
 
 
@@ -151,3 +152,14 @@ def test_written_json_is_plain_data():
     assert parsed["dominant"] is False or parsed["dominant"] is True
     assert all(isinstance(v, int) for v in parsed["ranks"])
 
+
+def test_problem_at_a_numpy_size_prints_the_same_json():
+    """A problem stores n as a Python int, so a report and a fitted chain
+    at np.int64(n) print the JSON they print at n."""
+    def documents(n):
+        rep = dom.estimate_image_dimension(dom.problem(["skew-symmetric"] * 3, n), trials=2)
+        T = fam.complex_gaussian(np.random.default_rng(3), 4).reshape(2, 2)
+        chain = solver.fit_chain(T, dom.problem(["triangular-lower", "triangular-upper"], n // 2))
+        return json.dumps(mio.report_to_dict(rep)), json.dumps(mio.chain_to_dict(chain))
+
+    assert documents(np.int64(4)) == documents(4)

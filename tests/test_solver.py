@@ -82,18 +82,41 @@ def test_library_counts_accept_numpy_integers():
     assert decompose_centrosymmetric(_centro_target(5, 50), r=np.int64(3)).converged
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda: fam.sample_point(fam.FamilySpec("diagonal", 3), rng_seed=True), id="bool-seed"),
-    pytest.param(lambda: fam.sample_point(fam.FamilySpec("diagonal", 3), rng_seed=1.5), id="float-seed"),
-    pytest.param(lambda: fam.sample_point(fam.FamilySpec("diagonal", 3), rng_seed=-1), id="negative-seed"),
-    pytest.param(lambda: vm.unit_root(2.5), id="float-root-order"),
-    pytest.param(lambda: vm.unit_root(True), id="bool-root-order"),
-])
-def test_sample_seeds_and_root_orders_refuse_what_is_not_an_integer(call):
-    """A sample seed follows the subspace seed rule (an integer by is_integer,
-    not negative), and a root of unity's order is an integer by is_integer."""
+# (entry point, least): each call takes one size, count or seed
+_INTEGER_ARGUMENTS = {
+    "FamilySpec-n": (lambda v: fam.FamilySpec("diagonal", v), 1),
+    "FamilySpec-seed": (lambda v: fam.FamilySpec("subspace", 3, k=2, seed=v), 0),
+    "sample_point-rng_seed": (lambda v: fam.sample_point(fam.FamilySpec("diagonal", 3), rng_seed=v), 0),
+    "target_dim-n": (lambda v: dom.target_dim("full", v), 1),
+    "estimate_image_dimension-trials": (lambda v: dom.estimate_image_dimension(_SKEW3, trials=v), 1),
+    "estimate_image_dimension-seed": (lambda v: dom.estimate_image_dimension(_SKEW3, trials=1, seed=v), 0),
+    "FitOptions-max_iterations": (lambda v: FitOptions(max_iterations=v), 1),
+    "FitOptions-restarts": (lambda v: FitOptions(restarts=v), 1),
+    "FitOptions-seed": (lambda v: FitOptions(seed=v), 0),
+    "decompose_centrosymmetric-r": (lambda v: decompose_centrosymmetric(_centro_target(5, 50), r=v), 1),
+    "unit_root-n": (lambda v: vm.unit_root(v), 1),
+    "lower_bound_linear-target_dim": (lambda v: dom.lower_bound_linear([3, 3], v), 0),
+    "lower_bound_cone-m": (lambda v: dom.lower_bound_cone(v, 10), 2),
+    "lower_bound_cone-target_dim": (lambda v: dom.lower_bound_cone(3, v), 1),
+    "surjectivity_bound-r": (lambda v: dom.surjectivity_bound(v), 1),
+}
+
+
+@pytest.mark.parametrize("case", ["bool", "float", "below-least", "numpy-least"])
+@pytest.mark.parametrize("entry", list(_INTEGER_ARGUMENTS))
+def test_sizes_counts_and_seeds_follow_require_int(entry, case):
+    """Every size, count and seed follows families.require_int: True, 2.5
+    and least - 1 are refused with ParameterRangeError, and np.int64(least)
+    is accepted."""
+    call, least = _INTEGER_ARGUMENTS[entry]
+    if case == "numpy-least":
+        try:
+            call(np.int64(least))
+        except InfeasibleProblemError:  # one symmetric Toeplitz factor fails the count
+            assert entry == "decompose_centrosymmetric-r"
+        return
     with pytest.raises(ParameterRangeError):
-        call()
+        call({"bool": True, "float": 2.5, "below-least": least - 1}[case])
 
 
 def test_fit_chain_rejects_bad_targets():
