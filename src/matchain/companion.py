@@ -3,9 +3,9 @@
 A companion matrix here has ones on the subdiagonal, zeros elsewhere, and a
 free last column.  A = C_1 * ... * C_n is solved column by column: the q-th
 column of A yields n linear equations for the n coefficients of C_q, of which
-the first q-1 form a square subsystem (the leading (q-1) x (q-1) block of A
-with its columns reversed) and the rest are direct read-offs.  The whole
-procedure is rational in the entries of A and needs no iteration.
+the first q-1 form a square subsystem (the leading (q-1) x (q-1) block of A)
+and the rest are direct read-offs.  The whole procedure is rational in the
+entries of A and needs no iteration.
 """
 
 from __future__ import annotations
@@ -58,12 +58,14 @@ class CompanionResult:
 def decompose_companion(A, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CompanionResult:
     """Solve A = C_1 * ... * C_n for companion matrices C_q.
 
-    For each q the unknowns are the n entries of C_q's last column.  Rows
-    p < q of column q of A give a (q-1) x (q-1) linear system whose matrix is
-    the leading (q-1) block of A with reversed column order; its solution
-    fixes the q-1 trailing coefficients, after which rows p >= q are direct
-    read-offs.  The decomposition is unique exactly when every leading
-    principal block of order 1 .. n-1 is nonsingular.
+    For each q the unknowns are the n entries of C_q's last column c_q.
+    Column q of A is C_1 ... C_(q-1) c_q, and the columns of C_1 ... C_(q-1)
+    are the unit vectors e_q .. e_n and then columns 1 .. q-1 of A.  So rows
+    p < q give the leading block, A[:q-1, :q-1] g = A[:q-1, q-1] (0-based
+    slices), for the q-1 trailing coefficients g, and rows p >= q read off
+    the rest: c_q = [A[q-1:, q-1] - A[q-1:, :q-1] g ; g].  The decomposition
+    is unique exactly when every leading principal block of order 1 .. n-1
+    is nonsingular.
 
     A subsystem counts as singular when its smallest singular value is at
     most pivot_tol times its largest (the 0 x 0 system is vacuously
@@ -80,27 +82,18 @@ def decompose_companion(A, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CompanionRes
     n = A.shape[0]
 
     columns = []
-    for q0 in range(n):  # q0 = q - 1
-        m = q0  # size of the square subsystem
-        rhs = A[:m, q0]
-        M = A[:m, :m][:, ::-1]
-        if m == 0:
-            h = np.zeros(0, dtype=complex)
-        else:
-            sv = np.linalg.svd(M, compute_uv=False)
+    for q in range(n):  # 0-based: column q + 1 of A gives C_(q+1)
+        block, rhs = A[:q, :q], A[:q, q]
+        g = rhs  # empty: the 0 x 0 system at q = 0 is vacuously nonsingular
+        if q > 0:
+            sv = np.linalg.svd(block, compute_uv=False)
             if not sv[-1] > pivot_tol * sv[0]:
                 # Singular subsystem: consistency decides the failure mode.
-                h, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-                residual = np.linalg.norm(M @ h - rhs)
+                g, *_ = np.linalg.lstsq(block, rhs, rcond=None)
+                residual = np.linalg.norm(block @ g - rhs)
                 status = STATUS_NON_UNIQUE if residual <= pivot_tol * (1.0 + np.linalg.norm(rhs)) else STATUS_NO_SOLUTION
-                return CompanionResult(status=status, failed_column=q0 + 1)
-            h = np.linalg.solve(M, rhs)
-        c = np.zeros(n, dtype=complex)
-        if m > 0:
-            # h_j = c_{q, n-j+1} for j = 1 .. q-1
-            c[n - m:] = h[::-1]
-        # rows p >= q read off c_{q, p-q+1}
-        c[: n - q0] = A[q0:, q0] - A[q0:, :m][:, ::-1] @ h
-        columns.append(c)
+                return CompanionResult(status=status, failed_column=q + 1)
+            g = np.linalg.solve(block, rhs)
+        columns.append(np.concatenate([A[q:, q] - A[q:, :q] @ g, g]))
 
     return CompanionResult(status=STATUS_UNIQUE, coefficients=columns)

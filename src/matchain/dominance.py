@@ -329,7 +329,8 @@ def estimate_image_dimension(
 def lower_bound_linear(dims, target_dim: int) -> bool:
     """Necessary condition: the family dimensions must sum to at least the
     target dimension for the product map to dominate."""
-    return sum(dims) >= fam.require_int("target_dim", target_dim, 0)
+    total = sum(fam.require_int(f"dims[{i}]", d, 0) for i, d in enumerate(dims))
+    return total >= fam.require_int("target_dim", target_dim, 0)
 
 
 def lower_bound_cone(m: int, target_dim: int) -> int:

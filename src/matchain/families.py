@@ -425,28 +425,27 @@ def is_member(spec: FamilySpec, M, tol: float) -> bool:
     own = _FAMILIES[spec.tag].member
     if own is not None:
         return own(spec, M, tol)
-    # the basis rows are orthogonal (disjoint supports, or an orthonormal
-    # subspace), so the projection divides by their squared norms; both
-    # products avoid a conjugated copy of the basis
     B = _basis(spec).reshape(-1, spec.n * spec.n)
-    re_im = B.view(float)
-    v = M.reshape(-1)
-    resid = v - B.T @ ((B @ v.conj()).conj() / np.einsum("ij,ij->i", re_im, re_im))
+    resid = M.reshape(-1) - B.T @ coordinates_of(spec, M)
     return float(np.linalg.norm(resid)) <= tol * (1.0 + norm)
 
 
 def coordinates_of(spec: FamilySpec, M) -> np.ndarray:
-    """Least-squares coordinates of a member matrix of a linear family."""
-    B = linear_basis(spec).reshape(-1, spec.n * spec.n).T
-    coeff, *_ = np.linalg.lstsq(B, np.asarray(M, dtype=complex).reshape(-1), rcond=None)
-    return coeff
+    """Coordinates of the orthogonal projection of M onto a linear family,
+    the projection is_member measures: <B_l, M> / <B_l, B_l> for each basis
+    matrix B_l, which are orthogonal (disjoint supports, or an orthonormal
+    subspace).  Both products avoid a conjugated copy of the basis."""
+    B = linear_basis(spec).reshape(-1, spec.n * spec.n)
+    re_im = B.view(float)
+    v = np.asarray(M, dtype=complex).reshape(-1)
+    return (B @ v.conj()).conj() / np.einsum("ij,ij->i", re_im, re_im)
 
 
 @lru_cache(maxsize=None)
 def identity_coordinates(spec: FamilySpec, exchange: bool = False) -> np.ndarray:
     """Read-only coordinates of the identity, or of the exchange matrix J
-    when exchange, in a linear family that contains it: one least-squares
-    solve per spec."""
+    when exchange, in a linear family that contains it: its projection,
+    exact 0s and 1s, cached per spec."""
     M = exchange_matrix(spec.n) if exchange else np.eye(spec.n, dtype=complex)
     return _frozen(coordinates_of(spec, M))
 
@@ -498,8 +497,8 @@ def _exchange_center(spec, g, rng, slot):
 
 
 def _first_parameter_center(spec, g, rng, slot):
-    """The first basis point (J for persymmetric Hankel, the cycle matrix
-    for companion) plus a small perturbation."""
+    """The companion center: the first parameter point, the cycle matrix,
+    plus a small perturbation."""
     u = 0.1 * g
     u[0] += 1.0
     return u
@@ -589,7 +588,7 @@ _FAMILIES = {
                                 generic_r=lambda n: n // 2 + 1),
     # J S_d for the exchange matrix J and the symmetric Toeplitz S_d
     PERSYMMETRIC_HANKEL: _Family(grid=lambda i, j, n, k: abs(i + j - (n - 1)) + 1,
-                                 center=_first_parameter_center, target=lambda n: "centro",
+                                 center=_exchange_center, target=lambda n: "centro",
                                  generic_r=lambda n: n // 2 + 1),
     # one matrix per 180-degree-rotation orbit, numbered by the orbit's
     # first row-major position, which aligns the parameter order with the

@@ -382,7 +382,7 @@ def decompose_centrosymmetric(T, opts: FitOptions | None = None,
     n = T.shape[0]
     if n < 3:
         raise ParameterRangeError("centrosymmetric pipeline needs n >= 3")
-    if float(np.max(np.abs(T - T[::-1, ::-1]))) > 1e-10 * (1.0 + float(np.linalg.norm(T))):
+    if not fam.is_member(fam.FamilySpec(fam.CENTROSYMMETRIC, n), T, 1e-10):
         raise NonMemberError("target is not centrosymmetric")
     r = fam.require_int("r", n // 2 + 1 if r is None else r, 1)
     return fit_chain(T, problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)

@@ -278,7 +278,8 @@ def test_coordinates_of_inverts_parameterize():
 
 
 def test_coordinates_of_is_a_projection():
-    """On a non-member the least-squares coordinates give the closest member."""
+    """On a non-member the coordinates are those of the orthogonal
+    projection: the closest member."""
     spec = _spec("toeplitz-sym", 4)
     G = np.arange(16.0).reshape(4, 4)
     coords = fam.coordinates_of(spec, G)
@@ -502,7 +503,8 @@ CENTERS = [("diagonal", None, np.eye), ("bidiagonal", None, np.eye),
            ("triangular-lower", None, np.eye), ("toeplitz", None, np.eye),
            ("centrosymmetric", None, np.eye),
            ("anti-triangular-top", None, fam.exchange_matrix),
-           ("anti-triangular-bottom", None, fam.exchange_matrix)]
+           ("anti-triangular-bottom", None, fam.exchange_matrix),
+           ("hankel-persym", None, fam.exchange_matrix)]
 
 
 @pytest.mark.parametrize("tag,k,center", CENTERS)
@@ -523,6 +525,37 @@ def test_identity_coordinates_are_read_only():
         np.testing.assert_allclose(fam.parameterize(spec, u), np.eye(spec.n), atol=1e-12)
         with pytest.raises(ValueError):
             u[0] = 1.0
+
+
+def _grid_specs(n):
+    """Every structured linear family at size n, at each bandwidth a banded
+    one takes."""
+    for tag in sorted(fam.ALL_TAGS - {"subspace"}):
+        for k in (None, *range(1, n + 1)):
+            try:
+                spec = _spec(tag, n, k=k)
+            except ParameterRangeError:
+                continue
+            if spec.linear:
+                yield spec
+
+
+def test_identity_coordinates_are_exact():
+    """In every structured family that contains I, or J, at n = 1..8, the
+    cached coordinates of I and J are exactly the 0s and 1s that rebuild it."""
+    checked = 0
+    for n in range(1, 9):
+        for spec in _grid_specs(n):
+            for exchange, M in ((False, np.eye(n)), (True, fam.exchange_matrix(n))):
+                if not fam.is_member(spec, M, 1e-12):
+                    continue
+                u = fam.identity_coordinates(spec, exchange)
+                exact = np.round(u.real)
+                assert np.array_equal(u, exact), (spec, exchange)
+                assert set(exact) <= {0.0, 1.0}
+                assert np.array_equal(fam.parameterize(spec, exact), M)
+                checked += 1
+    assert checked > 200
 
 
 def test_exchange_matrix_involution():

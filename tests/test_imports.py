@@ -85,3 +85,13 @@ def test_only_families_reads_is_integer():
     readers = [path.name for path in sorted(_SRC.glob("*.py")) if path.name != "families.py"
                if "is_integer" in _references(ast.parse(path.read_text(encoding="utf-8")))]
     assert not readers
+
+
+def test_only_companion_calls_lstsq():
+    """Coordinates in a linear family are one closed-form projection
+    (families.coordinates_of), so least squares is left only for the
+    singular leading block of a companion solve, and no other module of
+    src/matchain forks the projection again."""
+    callers = [path.name for path in sorted(_SRC.glob("*.py")) if path.name != "companion.py"
+               if "lstsq" in _references(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not callers

@@ -96,6 +96,7 @@ _INTEGER_ARGUMENTS = {
     "decompose_centrosymmetric-r": (lambda v: decompose_centrosymmetric(_centro_target(5, 50), r=v), 1),
     "unit_root-n": (lambda v: vm.unit_root(v), 1),
     "lower_bound_linear-target_dim": (lambda v: dom.lower_bound_linear([3, 3], v), 0),
+    "lower_bound_linear-dims": (lambda v: dom.lower_bound_linear([3, v], 3), 0),
     "lower_bound_cone-m": (lambda v: dom.lower_bound_cone(v, 10), 2),
     "lower_bound_cone-target_dim": (lambda v: dom.lower_bound_cone(3, v), 1),
     "surjectivity_bound-r": (lambda v: dom.surjectivity_bound(v), 1),

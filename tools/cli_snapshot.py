@@ -7,9 +7,10 @@ matchain from PATH (default: this checkout's src), with BLAS pinned to one
 thread.  For each command one line is printed: the command, its exit code
 and the sha256 of its stdout and of its stderr (so a warning that numpy
 writes shows too).  A `decompose` line also prints the fit's
-iterations, converged flag and residual (3 significant digits), read from
-its JSON stdout, so that a fit that differs only in its last bits shows as
-the same fit.  A command still running after TIMEOUT_S seconds is killed,
+iterations, converged flag and residual (3 significant digits), and a
+`companion` line the solve's status and failed column, read from its JSON
+stdout, so that a fit or a solve that differs only in its last bits shows
+as the same one.  A command still running after TIMEOUT_S seconds is killed,
 and its line ends in exit=timeout with no digests.  Run it against two
 checkouts and diff the two outputs: identical lines mean byte-identical
 stdout and stderr and equal exit codes.  Input matrices are drawn from
@@ -208,6 +209,20 @@ def fit_summary(stdout):
         return ""
 
 
+def companion_summary(stdout):
+    """The status and failed column of a `companion` stdout, or '' when
+    there is none."""
+    try:
+        doc = json.loads(stdout)
+        return f"  status={doc['status']}  failed_column={doc['failed_column']}"
+    except (ValueError, KeyError, TypeError):
+        return ""
+
+
+# the summary each command prints beside its digests
+SUMMARIES = {"decompose": fit_summary, "companion": companion_summary}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
@@ -233,8 +248,8 @@ def main(argv=None):
                 continue
             digest = hashlib.sha256(res.stdout).hexdigest()
             err_digest = hashlib.sha256(res.stderr).hexdigest()
-            fit = fit_summary(res.stdout) if cmd[0] == "decompose" else ""
-            print(f"matchain {' '.join(cmd)}  exit={res.returncode}{fit}  sha256={digest}"
+            summary = SUMMARIES[cmd[0]](res.stdout) if cmd[0] in SUMMARIES else ""
+            print(f"matchain {' '.join(cmd)}  exit={res.returncode}{summary}  sha256={digest}"
                   f"  stderr_sha256={err_digest}", flush=True)
 
 
