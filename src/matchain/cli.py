@@ -188,6 +188,9 @@ def _cmd_sample(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+_TRIALS_HELP = "at most this many base points; a dominant verdict stops at its first full rank"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="matchain",
                      description="structured matrix chain decompositions")
@@ -197,7 +200,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help=_TRIALS_HELP)
     p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--target", choices=[TARGET_FULL, TARGET_DET, TARGET_CENTRO],
@@ -205,7 +208,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="skew-symmetric image dimensions against known values")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help=_TRIALS_HELP)
     p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_table)

@@ -68,9 +68,12 @@ def decompose_companion(A, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CompanionRes
     is nonsingular.
 
     A subsystem counts as singular when its smallest singular value is at
-    most pivot_tol times its largest (the 0 x 0 system is vacuously
-    nonsingular).  A singular but consistent subsystem yields "non-unique",
-    an inconsistent one "no-solution"; both report the failing column.
+    most pivot_tol times its largest, or when its LU factorization meets an
+    exact zero pivot (the 0 x 0 system is vacuously nonsingular).  Only
+    pivot_tol 0 lets the second case through: rounding can leave an exactly
+    singular block a smallest singular value of about 1e-16.  A singular but
+    consistent subsystem yields "non-unique", an inconsistent one
+    "no-solution"; both report the failing column.
     """
     if not 0 <= pivot_tol < 1:
         raise ParameterRangeError(f"pivot tolerance must lie in [0, 1), got {pivot_tol}")
@@ -87,13 +90,16 @@ def decompose_companion(A, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CompanionRes
         g = rhs  # empty: the 0 x 0 system at q = 0 is vacuously nonsingular
         if q > 0:
             sv = np.linalg.svd(block, compute_uv=False)
-            if not sv[-1] > pivot_tol * sv[0]:
+            try:
+                g = np.linalg.solve(block, rhs) if sv[-1] > pivot_tol * sv[0] else None
+            except np.linalg.LinAlgError:
+                g = None  # an exact zero pivot, which only pivot_tol 0 lets through
+            if g is None:
                 # Singular subsystem: consistency decides the failure mode.
                 g, *_ = np.linalg.lstsq(block, rhs, rcond=None)
                 residual = np.linalg.norm(block @ g - rhs)
                 status = STATUS_NON_UNIQUE if residual <= pivot_tol * (1.0 + np.linalg.norm(rhs)) else STATUS_NO_SOLUTION
                 return CompanionResult(status=status, failed_column=q + 1)
-            g = np.linalg.solve(block, rhs)
         columns.append(np.concatenate([A[q:, q] - A[q:, :q] @ g, g]))
 
     return CompanionResult(status=STATUS_UNIQUE, coefficients=columns)

@@ -99,7 +99,8 @@ def problem(families, n: int, target: str = TARGET_FULL) -> DecompositionProblem
 
 @dataclass
 class DominanceReport:
-    """Jacobian ranks over several random base points, merged by trial order."""
+    """Jacobian ranks at up to `trials` random base points, in trial order,
+    ending at the first rank equal to target_dim when one is reached."""
 
     problem: dict
     ranks: list
@@ -109,7 +110,7 @@ class DominanceReport:
 
     @property
     def trials(self) -> int:
-        """The number of base points, one rank each."""
+        """The number of trials that ran, one rank each."""
         return len(self.ranks)
 
     @property
@@ -279,7 +280,7 @@ def estimate_image_dimension(
     rel_tol: float = DEFAULT_RANK_TOL,
     seed: int = 0,
 ) -> DominanceReport:
-    """Jacobian rank of the product map at random base points.
+    """Jacobian rank of the product map at up to `trials` random base points.
 
     Trial t takes its points about the family centers, which fit_center
     draws from default_rng(seed + t), the same source of good points a fit
@@ -295,11 +296,15 @@ def estimate_image_dimension(
     no real deficit is reported and no real SVD is taken, and the real
     arrays are freed before the trial draws complex parameters from a fresh
     default_rng(seed + t) and ranks the complex Jacobian there
-    (numerical_rank).  Trials are independent and could run in parallel;
-    results are merged in trial order.
+    (numerical_rank).
 
-    The dimension estimate is the maximum rank seen, and the chain is
-    reported dominant when it reaches the target dimension.
+    The trials stop at the first rank equal to the target dimension: that
+    one point proves dominance, and no later trial can change the estimate
+    or the verdict.  A deficient verdict runs all of them, since each
+    deficit adds evidence.  So the report's ranks are the ranks of trials
+    0 .. trials - 1 cut after the first full rank, fixed by the seed.  The
+    dimension estimate is the maximum rank seen, and the chain
+    is reported dominant when it reaches the target dimension.
     """
     trials = fam.require_int("trials", trials, 1)
     seed = fam.require_int("seed", seed, 0)
@@ -314,6 +319,8 @@ def estimate_image_dimension(
         if rank is None:
             rank = numerical_rank(_trial_jacobian(prob, seed + t, complex), rel_tol)
         ranks.append(rank)
+        if rank == prob.target_dim:
+            break
     return DominanceReport(
         problem=prob.summary(),
         ranks=ranks,

@@ -56,8 +56,19 @@ def test_verify_dominant_chain():
     assert doc["dominant"] is True
     assert doc["d_estimate"] == 64
     assert doc["target_dim"] == 64
-    assert doc["ranks"] == [64, 64]
+    # the first trial certifies full rank, so the second never runs
+    assert doc["ranks"] == [64]
+    assert doc["trials"] == 1
     assert doc["problem"]["families"] == ["skew-symmetric"] * 3
+
+
+def test_verify_document_has_exactly_its_nine_keys(capsys):
+    for argv in (["--family", "skew", "--n", "8", "--r", "3"],
+                 ["--family", "skew", "--n", "4", "--r", "3", "--trials", "2"]):
+        cli.main(["verify", *argv])
+        assert set(json.loads(capsys.readouterr().out)) == {
+            "schema_version", "problem", "trials", "ranks", "d_estimate",
+            "target_dim", "dominant", "tolerance", "seed"}
 
 
 def test_verify_non_dominant_chain_exits_3():
@@ -113,11 +124,15 @@ def test_a_sampled_member_that_overflows_is_an_error(command):
 def test_vandermonde_chains_of_2n_factors_are_dominant(family, n, r, capsys):
     """2n generalized Vandermonde factors reach a generic matrix, and
     verdicts at the centre nodes see it at the default tolerance (Gaussian
-    nodes gave 15 of 16, 15 of 64 and 26 of 36, and overflowed at type 200)."""
-    assert cli.main(["verify", "--family", family, "--n", str(n), "--r", str(r)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["dominant"] is True
-    assert doc["ranks"] == [n * n] * 5
+    nodes gave 15 of 16, 15 of 64 and 26 of 36, and overflowed at type 200).
+    Seed t is the point of trial t of the default verdict, and each one
+    certifies full rank on its own, so the verdict stops after one trial."""
+    for seed in range(5):
+        argv = ["verify", "--family", family, "--n", str(n), "--r", str(r), "--seed", str(seed)]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["dominant"] is True
+        assert doc["ranks"] == [n * n]
 
 
 def test_table_reproduces_all_rows():
@@ -309,6 +324,15 @@ def test_companion_tolerance_out_of_range_is_a_usage_error(tmp_path, tol):
     assert res.returncode == 1
     assert "tolerance" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_companion_at_tolerance_zero_reports_an_exactly_singular_block(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    A = np.array([[3.0, 1.0, 1.0], [3.0, 1.0, 2.0], [3.0, 1.0, 1.0]], dtype=complex)
+    path.write_text(json.dumps(mio.matrix_to_dict(A)))
+    assert cli.main(["companion", "--in", str(path), "--tol", "0"]) == 5
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["failed_column"]) == ("no-solution", 3)
 
 
 def test_companion_generic(tmp_path):

@@ -128,19 +128,21 @@ def test_jacobian_slot_without_parameters():
     np.testing.assert_allclose(J, dom.jacobian([A, F @ B], [fa, F @ fb]), rtol=1e-13)
 
 
-@pytest.mark.parametrize("kinds, n, target, shape", [
-    pytest.param(["toeplitz-sym"] * 2, 4, "centro", (8, 8), id="centro"),
-    pytest.param(["skew-symmetric"] * 3, 5, "det", (25, 30), id="det"),
-    pytest.param(["skew-symmetric"] * 3, 5, "full", (25, 30), id="full"),
+@pytest.mark.parametrize("kinds, n, target, shape, calls", [
+    pytest.param(["toeplitz-sym"] * 2, 4, "centro", (8, 8), 2, id="centro"),
+    pytest.param(["skew-symmetric"] * 3, 5, "det", (25, 30), 1, id="det"),
+    pytest.param(["skew-symmetric"] * 3, 5, "full", (25, 30), 2, id="full"),
 ])
-def test_verdict_ranks_the_target_rows(monkeypatch, kinds, n, target, shape):
+def test_verdict_ranks_the_target_rows(monkeypatch, kinds, n, target, shape, calls):
     """A verdict ranks the Jacobian's rows in the target's coordinates: the
-    first ceil(n^2/2) for centro, all n^2 for det and full."""
+    first ceil(n^2/2) for centro, all n^2 for det and full.  Odd-size skew
+    chains reach the det target's n^2 - 1 in the first trial, which ends
+    that verdict; the other two are deficient and take both trials."""
     shapes, rank = [], dom.numerical_rank
     monkeypatch.setattr(dom, "numerical_rank",
                         lambda M, rel_tol: shapes.append(M.shape) or rank(M, rel_tol))
     dom.estimate_image_dimension(dom.problem(kinds, n, target), trials=2)
-    assert shapes == [shape] * 2
+    assert shapes == [shape] * calls
 
 
 def test_jacobian_needs_a_nonempty_chain_and_one_frame_per_factor():
@@ -201,14 +203,15 @@ def test_high_type_vandermonde_verdicts_at_sampled_matrices(tag, s):
     """At a high type s a Gaussian node x can have |x|^s far below 1e-14; it
     is still a nonzero node with its own frame, and the Jacobian there is
     ranked without a redraw, though far below 64.  Verdicts take their
-    nodes at the centres, of modulus 1, and see the generic rank 64 in
-    every trial."""
+    nodes at the centres, of modulus 1, and see the generic rank 64 at
+    every seed, so a verdict stops after its first trial."""
     prob = dom.problem([fam.FamilySpec(tag, 8, s=s)] * 16, 8)
     for seed in range(0, 20, 5):
         rng = np.random.default_rng(seed)
         params, mats = zip(*(gaussian_point(spec, rng) for spec in prob.factors))
         assert 1 <= dom.numerical_rank(dom.jacobian(mats, _frames(prob, params))) < 64
-        assert dom.estimate_image_dimension(prob, trials=5, seed=seed).ranks == [64] * 5
+    for seed in range(20):
+        assert dom.estimate_image_dimension(prob, trials=5, seed=seed).ranks == [64]
 
 
 def test_orthogonal_span_frame_spans_the_cayley_derivative():
@@ -313,16 +316,20 @@ def test_numerical_rank_is_the_svd_count_on_verdict_matrices(monkeypatch, verdic
 
 
 @pytest.mark.parametrize("kinds, ranks, svd_calls", [
-    pytest.param([_SKEW] * 3, [64, 64], 0, id="dominant-skew"),
-    pytest.param([_ORTH] * 3, [28, 28], 2, id="deficient-orthogonal"),
+    pytest.param([_SKEW] * 3, [64], 0, id="dominant-skew"),
+    pytest.param([_ORTH] * 3, [28, 28], 4, id="deficient-orthogonal"),
 ])
 def test_full_rank_verdicts_take_no_svd(monkeypatch, kinds, ranks, svd_calls):
     """A full-rank Jacobian is certified by the Gram matrix's Cholesky alone;
     a deficient one (the orthogonal group is closed under products) still
-    takes the SVD count."""
+    takes the SVD count.  Seeds 0 and 1 start a verdict at each of the
+    points 0 and 1: the dominant one stops at its first, the deficient one
+    takes both trials."""
     calls, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
-    assert dom.estimate_image_dimension(dom.problem(kinds, 8), trials=2).ranks == ranks
+    prob = dom.problem(kinds, 8)
+    for seed in (0, 1):
+        assert dom.estimate_image_dimension(prob, trials=2, seed=seed).ranks == ranks
     assert len(calls) == svd_calls
 
 
@@ -333,6 +340,30 @@ def test_verdicts_read_frames_without_a_membership_re_check(monkeypatch):
     for kinds in ([_SKEW] * 3, [_ORTH] * 2, [_COMPANION] * 3,
                   [fam.FamilySpec("vandermonde-t", 4, s=1)] * 6):
         dom.estimate_image_dimension(dom.problem(kinds, 4), trials=1)
+
+
+@pytest.mark.parametrize("kinds, n, target, dominant", [
+    pytest.param([_SKEW] * 3, 8, "full", True, id="skew-n8"),
+    pytest.param(["companion"] * 5, 5, "full", True, id="companion-n5"),
+    pytest.param(["toeplitz-sym"] * 3, 5, "centro", True, id="toeplitz-sym-n5-centro"),
+    pytest.param(["skew-symmetric"] * 3, 5, "det", True, id="skew-n5-det"),
+    pytest.param(["orthogonal"] * 3, 4, "full", False, id="orthogonal-n4-deficient"),
+])
+def test_verdict_ranks_are_the_one_trial_ranks_up_to_the_first_full_rank(kinds, n, target,
+                                                                           dominant):
+    """Trial t ranks the point of seed + t, as a one-trial verdict at that
+    seed does, and a verdict stops at its first rank equal to the target
+    dimension: a full rank at one point proves dominance, while a deficit
+    keeps every trial."""
+    prob = dom.problem(kinds, n, target)
+    for seed in (0, 3, 11):
+        oracle = [dom.estimate_image_dimension(prob, 1, seed=seed + t).ranks[0] for t in range(5)]
+        assert (prob.target_dim in oracle) == dominant
+        if dominant:
+            oracle = oracle[:oracle.index(prob.target_dim) + 1]
+        rep = dom.estimate_image_dimension(prob, 5, seed=seed)
+        assert rep.ranks == oracle
+        assert rep.dominant == dominant
 
 
 def test_estimate_image_dimension_report():
