@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import families as fam
-from .companion import DEFAULT_PIVOT_TOL, STATUS_UNIQUE, decompose_companion
+from .companion import PIVOT_TOL, STATUS_UNIQUE, decompose_companion
 from .dominance import (
     DEFAULT_RANK_TOL,
     DEFAULT_TRIALS,
@@ -224,7 +224,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("companion", help="solve for companion factors column by column")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_PIVOT_TOL)
+    p.add_argument("--tol", type=float, default=PIVOT_TOL,
+                   help="a pivot vanishes when its modulus is at most TOL times the "
+                        "Frobenius norm of the input; in [0, 1)")
     p.set_defaults(func=_cmd_companion)
 
     p = sub.add_parser("bounds", help="dimension-count arithmetic for one family")

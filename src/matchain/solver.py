@@ -9,11 +9,12 @@ never forms the normal equations.  The damping follows the gain ratio of
 actual to predicted decrease (Nielsen 1999).  Restarts draw fresh initial
 chains from per-restart seeds and the best residual wins.
 
-decompose_bidiagonal builds its factors by LU without pivoting and Neville
-elimination of each triangle, with no fitting; these constructions and the
-companion one also start fit_chain.  decompose_centrosymmetric fits a chain
-of symmetric Toeplitz factors; a chain of persymmetric Hankel factors, like
-every other chain, is fitted by fit_chain itself.
+decompose_bidiagonal builds its factors by LU without pivoting
+(companion.lu_nopivot) and Neville elimination of each triangle, with no
+fitting; these constructions and the companion one also start fit_chain.
+decompose_centrosymmetric fits a chain of symmetric Toeplitz factors; a
+chain of persymmetric Hankel factors, like every other chain, is fitted by
+fit_chain itself.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families as fam
-from .companion import STATUS_UNIQUE, decompose_companion
+from .companion import PIVOT_TOL, STATUS_UNIQUE, as_target, decompose_companion, lu_nopivot
 from .dominance import (
     DecompositionProblem,
     TARGET_CENTRO,
@@ -45,7 +46,6 @@ DAMPING_INIT = 1e-3
 DAMPING_FLOOR = 1e-12
 DAMPING_CEIL = 1e12
 _FLOAT_MAX = float(np.finfo(float).max)
-LU_PIVOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,6 @@ class FactorChain:
 
     def product(self) -> np.ndarray:
         return chain_product(self.factors)
-
-
-def _as_target(T, n=None) -> np.ndarray:
-    T = np.asarray(T, dtype=complex)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ParameterRangeError("target must be a square matrix")
-    if n is not None and T.shape[0] != n:
-        raise ParameterRangeError("target size does not match the problem")
-    # a non-finite entry makes the norm non-finite too; so does an overflow,
-    # which would pass every tol * (1 + ||T||_F) test
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.linalg.norm(T)):
-            raise ParameterRangeError("target must have a finite Frobenius norm")
-    return T
 
 
 def _initial_params(prob: DecompositionProblem, T: np.ndarray, rng: np.random.Generator):
@@ -190,7 +176,9 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     identities after it.
     """
     opts = opts or FitOptions()
-    T = _as_target(T, prob.n)
+    T = as_target(T)
+    if T.shape[0] != prob.n:
+        raise ParameterRangeError("target size does not match the problem")
     feasible = lower_bound_linear([s.param_dim for s in prob.factors], prob.target_dim)
     exact = None
     if init_params is None or not feasible:
@@ -274,29 +262,6 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
 # ---------------------------------------------------------------------------
 # pipelines
 
-def lu_nopivot(A):
-    """Doolittle elimination without pivoting: A = L U with unit-diagonal L.
-
-    Raises NonGenericMatrixError when a pivot is at most LU_PIVOT_TOL times
-    1 + ||A||_F (a vanishing leading principal minor)."""
-    A = _as_target(A)
-    n = A.shape[0]
-    U = A.copy()
-    L = np.eye(n, dtype=complex)
-    scale = 1.0 + float(np.linalg.norm(A))
-    for j in range(n - 1):
-        if abs(U[j, j]) <= LU_PIVOT_TOL * scale:
-            raise NonGenericMatrixError(
-                f"pivot {j + 1} vanishes; elimination without pivoting breaks down")
-        mult = U[j + 1:, j] / U[j, j]
-        L[j + 1:, j] = mult
-        U[j + 1:, j:] -= np.outer(mult, U[j, j:])
-        U[j + 1:, j] = 0.0
-    if n >= 1 and abs(U[n - 1, n - 1]) <= LU_PIVOT_TOL * scale:
-        raise NonGenericMatrixError("trailing pivot vanishes; the matrix is not generic")
-    return L, U
-
-
 def _neville(L, count: int):
     """Parameters of count >= n - 1 unit lower bidiagonal factors whose
     product is the unit lower triangular L, by Neville elimination: step j
@@ -308,7 +273,7 @@ def _neville(L, count: int):
     A = L.copy()
     out = np.zeros((count, 2 * n - 1), dtype=complex)
     out[:, ::2] = 1.0
-    tol = LU_PIVOT_TOL * (1.0 + float(np.linalg.norm(L)))
+    tol = PIVOT_TOL * float(np.linalg.norm(L))
     for j in range(n - 1):
         piv, below = A[j:n - 1, j], A[j + 1:, j]
         small = np.abs(piv) <= tol
@@ -362,7 +327,7 @@ def decompose_bidiagonal(T, opts: FitOptions | None = None) -> FactorChain:
     fitting).  fit_chain returns the built chain at iteration 0, or refines
     it when its residual is above tolerance.  Raises NonGenericMatrixError
     when either elimination breaks down."""
-    n = _as_target(T).shape[0]
+    n = as_target(T).shape[0]
     prob = problem([fam.BIDIAGONAL_LOWER] * n + [fam.BIDIAGONAL_UPPER] * n, n)
     return fit_chain(T, prob, opts, init_params=_exact_start(prob, T))
 
@@ -378,7 +343,7 @@ def decompose_centrosymmetric(T, opts: FitOptions | None = None,
     (for odd n it equals floor((n+1)/2)).  A persymmetric Hankel chain is
     fitted as a chain: fit_chain(T, problem(["hankel-persym"] * r, n,
     "centro"), opts)."""
-    T = _as_target(T)
+    T = as_target(T)
     n = T.shape[0]
     if n < 3:
         raise ParameterRangeError("centrosymmetric pipeline needs n >= 3")

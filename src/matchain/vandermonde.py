@@ -24,8 +24,8 @@ import cmath
 
 import numpy as np
 
-from . import families as fam
-from .dominance import DEFAULT_RANK_TOL, DominanceReport, jacobian, numerical_rank
+from . import dominance, families as fam
+from .dominance import DEFAULT_RANK_TOL, DominanceReport, numerical_rank
 from .errors import ParameterRangeError
 
 
@@ -61,7 +61,7 @@ def vandermonde_dominance(n: int, s) -> DominanceReport:
     return DominanceReport(
         problem={"n": n, "r": 2 * n, "families": [f"vandermonde-pair({spec.s})" for spec in specs],
                  "target": "full"},
-        ranks=[numerical_rank(jacobian(factors, frames))],
+        ranks=[numerical_rank(dominance.jacobian(factors, frames))],
         target_dim=n * n,
         tolerance=DEFAULT_RANK_TOL,
         seed=0,

@@ -131,21 +131,19 @@ def test_pivot_tolerance_is_scale_invariant():
     """Scaling the input must not flip the verdict."""
     rng = np.random.default_rng(11)
     A = complex_gaussian(rng, 25).reshape(5, 5)
-    r1 = decompose_companion(A)
-    r2 = decompose_companion(1e-6 * A)
-    r3 = decompose_companion(1e6 * A)
-    assert r1.status == r2.status == r3.status == STATUS_UNIQUE
+    for scale in (1.0, 1e-12, 1e-6, 1e6, 1e12):
+        assert decompose_companion(scale * A).status == STATUS_UNIQUE
 
 
 def test_an_exactly_singular_block_at_pivot_tolerance_zero_is_a_failure_not_a_raise():
-    """Rounding leaves the rank-1 block [[3, 1], [3, 1]] a smallest singular
-    value above 0, so pivot_tol 0 lets it through to an LU factorization that
-    meets an exact zero pivot; the singular branch takes it, and the
-    right-hand side (1, 2) is not in the block's range."""
-    A = np.array([[3.0, 1.0, 1.0], [3.0, 1.0, 2.0], [3.0, 1.0, 1.0]])
-    for pivot_tol in (0.0, 1e-10):
-        res = decompose_companion(A, pivot_tol)
-        assert (res.status, res.failed_column) == (STATUS_NO_SOLUTION, 3)
+    """The rank-1 block [[3, 1], [3, 1]] leaves an exact zero second pivot,
+    which vanishes at pivot_tol 0 too.  The right-hand side (1, 2) is not in
+    the block's range, (1, 1) is."""
+    for last, status in ((2.0, STATUS_NO_SOLUTION), (1.0, STATUS_NON_UNIQUE)):
+        A = np.array([[3.0, 1.0, 1.0], [3.0, 1.0, last], [3.0, 1.0, 1.0]])
+        for pivot_tol in (0.0, 1e-10):
+            res = decompose_companion(A, pivot_tol)
+            assert (res.status, res.failed_column) == (status, 3)
     rng = np.random.default_rng(0)
     for _ in range(200):
         A = rng.standard_normal((3, 3))

@@ -87,11 +87,12 @@ def test_only_families_reads_is_integer():
     assert not readers
 
 
-def test_only_companion_calls_lstsq():
+def test_only_dominance_calls_svd_and_none_calls_lstsq():
     """Coordinates in a linear family are one closed-form projection
-    (families.coordinates_of), so least squares is left only for the
-    singular leading block of a companion solve, and no other module of
-    src/matchain forks the projection again."""
-    callers = [path.name for path in sorted(_SRC.glob("*.py")) if path.name != "companion.py"
-               if "lstsq" in _references(ast.parse(path.read_text(encoding="utf-8")))]
-    assert not callers
+    (families.coordinates_of) and the companion solve is read off one LU, so
+    no module of src/matchain calls least squares, and the SVD is left only
+    for the rank decision in dominance."""
+    refs = {path.name: set(_references(ast.parse(path.read_text(encoding="utf-8"))))
+            for path in sorted(_SRC.glob("*.py"))}
+    assert not [name for name, used in refs.items() if "lstsq" in used]
+    assert [name for name, used in refs.items() if "svd" in used] == ["dominance.py"]

@@ -9,7 +9,7 @@ import matchain.families as fam
 import matchain.dominance as dom
 import matchain.solver as solver
 import matchain.vandermonde as vm
-from matchain.companion import decompose_companion
+from matchain.companion import decompose_companion, lu_nopivot
 from matchain.errors import (
     DegeneratePointError,
     InfeasibleProblemError,
@@ -22,7 +22,6 @@ from matchain.solver import (
     decompose_bidiagonal,
     decompose_centrosymmetric,
     fit_chain,
-    lu_nopivot,
 )
 
 
@@ -612,12 +611,12 @@ def test_non_finite_entries_are_rejected(bad):
 
 
 def test_a_target_whose_norm_overflows_is_rejected():
-    """Finite entries whose Frobenius norm overflows would pass every
-    tol * (1 + ||T||_F) test, so such a target is refused like a non-finite
+    """Finite entries whose Frobenius norm overflows leave no pivot to test
+    against tol * ||T||_F, so such a target is refused like a non-finite
     one, and such a matrix belongs to no family."""
     T = _random_target(3, 33) * 1e160
     assert np.isfinite(T).all()
-    for call in (lu_nopivot,
+    for call in (lu_nopivot, decompose_companion,
                  lambda M: fit_chain(M, dom.problem(["triangular-lower", "triangular-upper"], 3)),
                  lambda M: fit_chain(M, dom.problem(["companion"] * 3, 3)),
                  decompose_centrosymmetric):

@@ -194,6 +194,7 @@ COMMANDS += [
     ["verify", "--family", "vandermonde:-2000", "--n", "3", "--r", "2"],
     ["decompose", "--in", "huge3.json", "--chain", "lower,upper"],
     ["decompose", "--in", "huge3.json", "--chain", "companion,companion,companion"],
+    ["companion", "--in", "huge3.json"],
     # a stalled restart ends at the largest-float damping ceiling
     ["decompose", "--in", "huge2.json", "--chain", ",".join(["diagonal"] * 40)],
 ]
