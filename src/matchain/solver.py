@@ -5,9 +5,13 @@ factor parameters, minimizing || A_1(u_1) .. A_r(u_r) - T ||_F.  The
 residual is holomorphic in the parameters, so the step uses the plain
 complex Jacobian with conjugate transposes: each damping trial is one
 Householder QR of the damped least-squares problem (_damped_step), which
-never forms the normal equations.  The damping follows the gain ratio of
-actual to predicted decrease (Nielsen 1999).  Restarts draw fresh initial
-chains from per-restart seeds and the best residual wins.
+never forms the normal equations.  Each restart's first damping is
+Marquardt's diagonal scale, the largest squared column norm of its first
+Jacobian, and the damping then follows the gain ratio of actual to predicted
+decrease (Nielsen 1999).  For a chain of cones the first damping and the
+damping ceiling scale with the target as the squared Jacobian does, so a
+fit of c T retraces the fit of T.  Restarts draw fresh initial chains from
+per-restart seeds and the best residual wins.
 
 decompose_bidiagonal builds its factors by LU without pivoting
 (companion.lu_nopivot) and Neville elimination of each triangle, with no
@@ -42,7 +46,6 @@ from .errors import (
 )
 
 RESIDUAL_TOL = 1e-8
-DAMPING_INIT = 1e-3
 DAMPING_FLOOR = 1e-12
 DAMPING_CEIL = 1e12
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -154,8 +157,12 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     Gauss-Newton with multiplicative Levenberg damping: each trial step
     solves (J^H J + lambda I) delta = -J^H res by one QR of the damped
     least-squares problem (_damped_step), so the conditioning is that of J.
-    Each restart starts its damping at DAMPING_INIT and stops once the
-    relative residual is at most RESIDUAL_TOL.  A step is accepted only if
+    Each restart starts its damping at max_j ||J e_j||^2, the largest
+    squared column norm of its first Jacobian (Marquardt's scale with
+    tau = 1; Madsen, Nielsen and Tingleff, IMM DTU 2004), and stops once
+    the relative residual is at most RESIDUAL_TOL; a first Jacobian with no
+    nonzero column or a non-finite entry ends the restart, as a degenerate
+    one does.  A step is accepted only if
     it lowers the residual, and then damping is multiplied by
     max(1/3, 1 - (2 rho - 1)^3), rho the gain ratio of actual to predicted
     decrease (Nielsen, IMM-REP-1999-05, DTU 1999), floored at DAMPING_FLOOR;
@@ -163,7 +170,10 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     restart is abandoned once it exceeds DAMPING_CEIL s without improvement.
     The ceiling scales with the target, s = max(1, ||T||_F)^(2 (r - 1) / r),
     because the Jacobian of a chain of r cones grows as ||T||^((r - 1) / r)
-    and the damping is compared with its square; at unit scale s = 1.  It
+    and the damping is compared with its square; at unit scale s = 1.  The
+    first damping of such a chain scales by the same s, so when ||T||_F
+    and c are at least 1 the fit of c T retraces the fit of T, up to
+    rounding and as long as the damping stays above DAMPING_FLOOR.  It
     is clamped to the largest float, since damping that reaches infinity
     would never pass an infinite ceiling and a stall would never end.
     Restart k draws its initial chain from seed + k, but restart 0 starts
@@ -208,7 +218,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
         except DegeneratePointError:
             continue
         res_norm = float(np.linalg.norm(res))
-        lam = DAMPING_INIT
+        lam = None
         iterations = 0
         for _ in range(opts.max_iterations):
             if res_norm / tscale <= RESIDUAL_TOL:
@@ -219,6 +229,10 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
                                        for spec, u in zip(prob.factors, _split(prob, theta))])
             except DegeneratePointError:
                 break
+            if lam is None:
+                lam = float((np.abs(J) ** 2).sum(axis=0).max())
+                if not 0.0 < lam < np.inf:
+                    break  # a zero or non-finite first Jacobian
             grow = 2.0
             while lam <= ceiling:
                 delta = _damped_step(J, res, lam)

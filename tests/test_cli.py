@@ -204,7 +204,8 @@ def test_decompose_member_target_with_a_nonlinear_later_factor(tmp_path):
     pytest.param('{"restarts": true}', 2, "restarts", id="bool-count"),
     pytest.param('{"residual_tol": null}', 2, "residual_tol", id="null-tolerance"),
     pytest.param('{"seed": 1.5}', 2, "seed", id="fractional-seed"),
-    # the fitter's tolerance and initial damping are constants, not options
+    # the fitter's tolerance is a constant and its first damping comes from
+    # the first Jacobian: neither is an option
     pytest.param('{"residual_tol": 1e-6}', 2, "unknown option fields", id="residual-tol"),
     pytest.param('{"damping_init": 0.01}', 2, "unknown option fields", id="damping-init"),
     # well-typed but out of range

@@ -1,5 +1,6 @@
 """Damped Gauss-Newton chain fitting and the constructive pipelines."""
 
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -206,16 +207,22 @@ def test_fit_chain_respects_scaling_of_linear_chains():
     (["bidiagonal"] * 3, "full"),
 ], ids=["skew5", "toeplitz-sym3", "bidiagonal3"])
 def test_fit_chain_converges_on_a_scaled_target(tags, target, scale):
-    """The damping ceiling grows with the target as the Jacobian does, so a
-    chain that fits T also fits c T (with an absolute ceiling, 1e10 T and
-    1e50 T stalled after one iteration)."""
+    """The first damping and the damping ceiling grow with the target as the
+    squared Jacobian does, so a chain of cones fits c T in the iterations of
+    T, to the same relative residual (with an absolute ceiling, 1e10 T and
+    1e50 T stalled after one iteration; with an absolute first damping the
+    iterations varied with c)."""
     T = _random_target(4, 7)
     if target == "centro":
         T = (T + T[::-1, ::-1]) / 2
-    chain = fit_chain(scale * T, dom.problem(tags, 4, target), FitOptions(restarts=2))
+    prob = dom.problem(tags, 4, target)
+    chain = fit_chain(scale * T, prob, FitOptions(restarts=2))
     assert chain.converged
     np.testing.assert_allclose(chain.product(), scale * T, rtol=0,
                                atol=1e-7 * scale * np.abs(T).max())
+    unscaled = fit_chain(T, prob, FitOptions(restarts=2))
+    assert chain.iterations == unscaled.iterations
+    np.testing.assert_allclose(chain.residual, unscaled.residual, rtol=1e-4)
 
 
 def test_fit_chain_returns_when_the_damping_ceiling_would_overflow():
@@ -416,6 +423,13 @@ def test_fit_ends_a_restart_at_a_degenerate_frame(monkeypatch):
 
 
 def test_fit_rejects_a_degenerate_trial_and_doubles_the_damping(monkeypatch):
+    """The first trial runs at the largest squared column norm of the
+    Jacobian at the drawn start; its degenerate point is rejected and the
+    second trial doubles the damping."""
+    T = _random_target(4, 13)
+    params = solver._initial_params(_SKEW3, T, np.random.default_rng(0))
+    J = dom.jacobian([fam.parameterize(spec, u) for spec, u in zip(_SKEW3.factors, params)],
+                     [fam.tangent_basis(spec, u) for spec, u in zip(_SKEW3.factors, params)])
     lams = []
     step = solver._damped_step
 
@@ -425,9 +439,37 @@ def test_fit_rejects_a_degenerate_trial_and_doubles_the_damping(monkeypatch):
 
     monkeypatch.setattr(solver, "_damped_step", recorded)
     _fail_parameterize_call(monkeypatch, 7)
-    chain = fit_chain(_random_target(4, 13), _SKEW3, FitOptions(restarts=1))
-    assert lams[:2] == [solver.DAMPING_INIT, 2.0 * solver.DAMPING_INIT]
+    chain = fit_chain(T, _SKEW3, FitOptions(restarts=1))
+    np.testing.assert_allclose(lams[0], np.max(np.sum(np.abs(J) ** 2, axis=0)), rtol=1e-12)
+    assert lams[1] == 2.0 * lams[0]
     assert chain.iterations > 1
+
+
+def test_fit_ends_a_restart_whose_first_jacobian_is_zero():
+    """At all-zero skew parameters every factor and every Jacobian column
+    vanishes, so there is no first damping: the restart ends after one
+    iteration, with no warning, and the next restart draws its own start."""
+    T = _random_target(4, 7)
+    zeros = [np.zeros(6)] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = fit_chain(T, _SKEW3, FitOptions(restarts=1), init_params=zeros)
+    assert (one.iterations, one.residual) == (1, 1.0)
+    two = fit_chain(T, _SKEW3, FitOptions(restarts=2), init_params=zeros)
+    assert not two.converged
+    assert two.residual < 1.0
+
+
+def test_fit_ends_a_restart_whose_first_jacobian_is_not_finite(monkeypatch):
+    """An infinite first Jacobian gives no first damping either: the restart
+    ends before its first damping trial."""
+    def step(J, res, lam):
+        raise AssertionError("no trial runs")
+
+    monkeypatch.setattr(solver, "jacobian", lambda factors, frames: np.full((16, 18), np.inf))
+    monkeypatch.setattr(solver, "_damped_step", step)
+    chain = fit_chain(_random_target(4, 7), _SKEW3, FitOptions(restarts=1))
+    assert (chain.iterations, chain.converged) == (1, False)
 
 
 @pytest.mark.parametrize("opts", [FitOptions(), FitOptions(max_iterations=1, restarts=1)],

@@ -67,6 +67,9 @@ INPUTS = {
     "lower4.json": lower_triangular(17, 4),
     # gauss4-b.json times 1e10: the damping ceiling scales with the target
     "gauss4-b-1e10.json": [[(re * 1e10, im * 1e10) for re, im in row] for row in gaussian(2, 4)],
+    # centro5.json times 1e10: the first damping scales with the target too
+    "centro5-1e10.json": [[(re * 1e10, im * 1e10) for re, im in row]
+                          for row in centrosymmetric(5, 5)],
     # finite entries whose Frobenius norm overflows
     "huge3.json": [[(re * 1e160, im * 1e160) for re, im in row] for row in gaussian(18, 3)],
     # Frobenius norm 1e154, finite: the damping ceiling of a long chain
@@ -128,6 +131,9 @@ COMMANDS = [
     # the skew fit of gauss4-b.json above, on the target scaled by 1e10
     ["decompose", "--in", "gauss4-b-1e10.json", "--chain", "skew,skew,skew,skew,skew",
      "--seed", "1"],
+    # the toeplitz-sym fit of centro5.json above, on the target scaled by 1e10
+    ["decompose", "--in", "centro5-1e10.json", "--chain", "toeplitz-sym,toeplitz-sym,toeplitz-sym",
+     "--target", "centro", "--seed", "2"],
     # the skew fit of gauss4-b.json above, with options read from a file
     ["decompose", "--in", "gauss4-b.json", "--chain", "skew,skew,skew,skew,skew",
      "--opts", "opts-5x2.json", "--seed", "1"],
