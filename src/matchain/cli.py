@@ -28,6 +28,7 @@ from .dominance import (
     TARGET_CENTRO,
     TARGET_DET,
     TARGET_FULL,
+    TARGET_ORTHOGONAL,
     estimate_image_dimension,
     lower_bound_cone,
     problem,
@@ -203,8 +204,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help=_TRIALS_HELP)
     p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--target", choices=[TARGET_FULL, TARGET_DET, TARGET_CENTRO],
-                   default=TARGET_FULL)
+    p.add_argument("--target", choices=[TARGET_FULL, TARGET_DET, TARGET_CENTRO, TARGET_ORTHOGONAL],
+                   default=TARGET_FULL,
+                   help="the space the products are measured against; a chain whose "
+                        "products leave it is refused")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="skew-symmetric image dimensions against known values")

@@ -10,12 +10,23 @@ that differential at a generic base point.  Everything here reduces to
 assembling the Jacobian of rho_r against the families' tangent frames and
 reading off numerical ranks: a full-rank Jacobian at a single point
 certifies that generic matrices of the target space admit the decomposition.
+
+A target is a space with coordinates, one entry of the table _SPACES:
+full (all n x n matrices), det (the singular ones), centro (the
+centrosymmetric ones) and orthogonal (SO(n)), each with its dimension,
+its row map from the base product P and the Jacobian to the space's
+coordinates, and its membership check for P.  A row map M bounds the
+rank from below, rank(M J) <= rank(J); the space's dimension bounds it
+from above when every product lies in the space.  So a chain is ranked
+in the coordinates of a space it lies in, where a full rank is provable
+by a Gram-Cholesky test without an SVD.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,31 +36,85 @@ from .errors import DegeneratePointError, ParameterRangeError
 TARGET_FULL = "full"
 TARGET_DET = "det"
 TARGET_CENTRO = "centro"
+TARGET_ORTHOGONAL = "orthogonal"
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_TRIALS = 5
 _EPS = float(np.finfo(float).eps)
+_GRAM_BLOCK = 32  # Gram rows per product in _gram_full_rank
 
 
-# target tag -> dimension at size n
-_TARGET_DIMS = {TARGET_FULL: lambda n: n * n, TARGET_DET: lambda n: n * n - 1,
-                TARGET_CENTRO: lambda n: (n * n + 1) // 2}
+def _centro_dim(n: int) -> int:
+    return (n * n + 1) // 2
+
+
+def _det_rows(factors, J: np.ndarray) -> np.ndarray:
+    """J without the row of entry (a, b), where |u_a v_b| is largest for the
+    left and right null vectors u and v of the singular product P of the
+    factors.  The tangent space of the determinant hypersurface at a P of
+    rank n - 1 is u^T dP v = 0, on which the other n^2 - 1 entries are
+    coordinates.  The null vectors are the last columns of the Q factors of
+    P and P^T, up to conjugation, which leaves their moduli alone; no SVD
+    is taken."""
+    P = chain_product(factors)
+    a, b = (int(np.argmax(np.abs(np.linalg.qr(M)[0][:, -1]))) for M in (P, P.T))
+    return np.delete(J, a * len(P) + b, axis=0)
+
+
+def _orthogonal_rows(factors, J: np.ndarray) -> np.ndarray:
+    """The strictly upper entries (a < b) of X = P^T dP for each column dP
+    of J, P the product of the factors: at an orthogonal P the tangent
+    space is P times the skew-symmetric matrices, so X is skew-symmetric
+    and these entries are its coordinates."""
+    P = chain_product(factors)
+    n = len(P)
+    X = (P.T @ J.reshape(n, -1)).reshape(n, n, -1)
+    return X[np.triu_indices(n, 1)]
+
+
+class _Space(NamedTuple):
+    """A target space: its dimension at size n; rows, which maps the base
+    factors, whose product is P, and their Jacobian J (rows the n^2
+    row-major entries of dP) to J in the space's coordinates; and holds,
+    whether a product P lies in the space within a relative tolerance."""
+
+    dim: Callable
+    rows: Callable
+    holds: Callable
+
+
+# target tag -> space.  A row map M only bounds the rank from below,
+# rank(M J) <= rank(J); the dimension bounds it from above when every
+# product lies in the space.
+_SPACES = {
+    TARGET_FULL: _Space(lambda n: n * n, lambda factors, J: J, lambda P, tol: True),
+    TARGET_DET: _Space(lambda n: n * n - 1, _det_rows,
+                       lambda P, tol: numerical_rank(P, tol) < len(P)),
+    TARGET_CENTRO: _Space(_centro_dim, lambda factors, J: J[:_centro_dim(len(factors[0]))],
+                          lambda P, tol: fam.is_member(
+                              fam.FamilySpec(fam.CENTROSYMMETRIC, len(P)), P, tol)),
+    TARGET_ORTHOGONAL: _Space(lambda n: n * (n - 1) // 2, _orthogonal_rows, fam.is_orthogonal),
+}
 
 
 def target_dim(tag: str, n: int) -> int:
-    """Dimension of the ambient space a product is measured against, for a
-    known tag and n >= 1.
+    """Dimension of the space a product is measured against, for a known
+    tag and n >= 1.  Each tag is one entry of the space table, which also
+    holds the space's coordinates (see _trial_jacobian).
 
-    full: all n x n matrices (dimension n^2)
-    det: the determinant hypersurface (dimension n^2 - 1); used for chains
-        that are structurally confined to singular matrices, such as an odd
-        number of odd-size skew-symmetric factors
+    full: all n x n matrices (dimension n^2), coordinates all n^2 entries
+    det: the determinant hypersurface (dimension n^2 - 1), where chains of
+        odd-size skew-symmetric factors lie; coordinates all entries but
+        the one the hypersurface's normal at the base product weighs most
     centro: the centrosymmetric matrices (dimension ceil(n^2/2)), with
         coordinates the first ceil(n^2/2) row-major entries
+    orthogonal: the orthogonal group SO(n) (dimension n(n - 1)/2), where
+        chains of orthogonal factors lie; coordinates the strictly upper
+        entries of P^T dP at the base product P
     """
-    if not isinstance(tag, str) or tag not in _TARGET_DIMS:
+    if not isinstance(tag, str) or tag not in _SPACES:
         raise ParameterRangeError(f"unknown target tag {tag!r}")
-    return _TARGET_DIMS[tag](fam.require_int("n", n, 1))
+    return _SPACES[tag].dim(fam.require_int("n", n, 1))
 
 
 @dataclass(frozen=True)
@@ -188,9 +253,15 @@ def _gram_full_rank(M: np.ndarray, rel_tol: float) -> bool:
     lies above rel_tol times the largest?  No SVD is taken.
 
     M (float64 or complex128) is taken tall, p x m with p >= m (M and M^T
-    share singular values).  A = 2^-e M, with max |A| in [1/2, 1), is M
-    scaled exactly, and A^H A (A^T A for a real M) cannot overflow.  With
-    G = fl(A^H A) and u = eps / 2, the Cholesky factorization of
+    share singular values).  Let 2^e bound the largest real or imaginary
+    part of an entry, with that part in [2^(e-1), 2^e).  A is M itself when
+    e lies in [-400, 400], and otherwise the copy 2^-e M, M scaled exactly
+    (e is kept at least -1021, so a subnormal M scales to below 1/2, still
+    far from underflow).  Either way A^H A (A^T A for a real M) cannot
+    overflow, and what underflows lies far below the shift, which is
+    relative to the trace: a power-of-two scale changes neither the shift
+    nor the outcome.  With G = fl(A^H A) and u = eps / 2, the Cholesky
+    factorization of
 
         G - s I,   s = (rel_tol^2 + 16 (p + m + 1) eps) trace(G),
 
@@ -221,18 +292,26 @@ def _gram_full_rank(M: np.ndarray, rel_tol: float) -> bool:
         raise ParameterRangeError(f"rank tolerance must lie in (0, 1), got {rel_tol}")
     if M.size == 0:
         return True
-    top = float(np.max(np.abs(M)))
-    if not math.isfinite(top):
+    ends = [float(end()) for X in ((M.real, M.imag) if np.iscomplexobj(M) else (M,))
+            for end in (X.min, X.max)]
+    if not all(map(math.isfinite, ends)):
         raise DegeneratePointError("matrix has a non-finite entry; its rank is undefined")
+    top = max(map(abs, ends))
     if top == 0.0:
         return False
     if M.shape[0] < M.shape[1]:
         M = M.T
     p, m = M.shape
-    # 2^1021 is the largest scale a float holds with room; a subnormal top
-    # then scales to below 1/2, still far from underflow
-    A = M * math.ldexp(1.0, -max(math.frexp(top)[1], -1021))
-    G = (A.conj().T if np.iscomplexobj(A) else A.T) @ A
+    e = math.frexp(top)[1]
+    A = M if -400 <= e <= 400 else M * math.ldexp(1.0, -max(e, -1021))
+    if np.iscomplexobj(A):
+        # A^H A a block of rows at a time, conjugating a block of A's
+        # columns rather than all of A
+        G = np.empty((m, m), dtype=A.dtype)
+        for i in range(0, m, _GRAM_BLOCK):
+            np.matmul(A[:, i:i + _GRAM_BLOCK].conj().T, A, out=G[i:i + _GRAM_BLOCK])
+    else:
+        G = A.T @ A
     G.flat[::m + 1] -= (rel_tol ** 2 + 16 * (p + m + 1) * _EPS) * G.trace().real
     try:
         np.linalg.cholesky(G)
@@ -260,18 +339,35 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def _trial_jacobian(prob: DecompositionProblem, seed: int, field) -> np.ndarray:
-    """The verdict Jacobian of one trial in field (float or complex): one
-    parameter vector per factor about its family's center, which fit_center
-    draws from default_rng(seed) slot by slot, the members there, the
-    frames at those parameters, and the rows cut to the target's
-    coordinates (all n^2, or the first ceil(n^2/2) for centro)."""
+def _trial_factors(prob: DecompositionProblem, seed: int, field):
+    """The factors of one trial in field (float or complex) and their
+    frames: one parameter vector per factor about its family's center,
+    which fit_center draws from default_rng(seed) slot by slot, the members
+    there and the frames at those parameters."""
     rng = np.random.default_rng(seed)
     params = [fam.fit_center(spec, rng, slot, field)
               for slot, spec in enumerate(prob.factors, start=1)]
-    J = jacobian([fam.parameterize(spec, u) for spec, u in zip(prob.factors, params)],
-                 [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)])
-    return J[:prob.target_dim] if prob.target == TARGET_CENTRO else J
+    return ([fam.parameterize(spec, u) for spec, u in zip(prob.factors, params)],
+            [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)])
+
+
+def _chain_space(prob: DecompositionProblem) -> str:
+    """The space every product of the chain lies in: the target space each
+    family names (bounds_facts) when they all name the same one, else
+    full.  Each named space is closed under products."""
+    spaces = {fam.bounds_facts(spec)[0] for spec in prob.factors}
+    return spaces.pop() if len(spaces) == 1 else TARGET_FULL
+
+
+def _trial_jacobian(prob: DecompositionProblem, seed: int, field, space: str) -> np.ndarray:
+    """The verdict Jacobian of one trial in field (float or complex), at
+    the points of _trial_factors, in the coordinates of the target space
+    tagged space: the space's row map applied to the factors and the
+    Jacobian's n^2 rows.  Its rank is at most that of the Jacobian, so a
+    full rank bounds the image dimension from below, while the space's
+    dimension bounds it from above when the chain lies in the space."""
+    factors, frames = _trial_factors(prob, seed, field)
+    return _SPACES[space].rows(factors, jacobian(factors, frames))
 
 
 def estimate_image_dimension(
@@ -281,6 +377,18 @@ def estimate_image_dimension(
     seed: int = 0,
 ) -> DominanceReport:
     """Jacobian rank of the product map at up to `trials` random base points.
+
+    The Jacobian is ranked in the coordinates of the space the chain lies
+    in: the space its families all name (bounds_facts), or full.  When
+    that space is the target, or the target is full, its rows are ranked,
+    so a chain of orthogonal factors is ranked on the n(n - 1)/2
+    coordinates of SO(n) even against the full target.  Otherwise the
+    chain must lie in the target: the product at the first trial's point
+    is checked against it (centrosymmetric, singular or orthogonal, within
+    rel_tol), a chain whose product fails is refused with a
+    ParameterRangeError, and the target's rows are ranked.  A row map only
+    lowers a rank, and no rank exceeds the dimension of a space the chain
+    lies in, so the rank in the coordinates is the rank of the Jacobian.
 
     Trial t takes its points about the family centers, which fit_center
     draws from default_rng(seed + t), the same source of good points a fit
@@ -309,15 +417,22 @@ def estimate_image_dimension(
     trials = fam.require_int("trials", trials, 1)
     seed = fam.require_int("seed", seed, 0)
     real = all(spec.real_points for spec in prob.factors)
+    space = _chain_space(prob)
+    if prob.target not in (space, TARGET_FULL):
+        factors, _frames = _trial_factors(prob, seed, float if real else complex)
+        if not _SPACES[prob.target].holds(chain_product(factors), rel_tol):
+            raise ParameterRangeError(
+                f"the chain's products do not lie in the {prob.target} target space")
+        space = prob.target
     ranks = []
     for t in range(trials):
         rank = None
         if real:
-            J = _trial_jacobian(prob, seed + t, float)
+            J = _trial_jacobian(prob, seed + t, float, space)
             rank = min(J.shape) if _gram_full_rank(J, rel_tol) else None
             del J
         if rank is None:
-            rank = numerical_rank(_trial_jacobian(prob, seed + t, complex), rel_tol)
+            rank = numerical_rank(_trial_jacobian(prob, seed + t, complex, space), rel_tol)
         ranks.append(rank)
         if rank == prob.target_dim:
             break

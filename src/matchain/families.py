@@ -328,8 +328,10 @@ def _orthogonal_frame(spec: FamilySpec, params):
     return 2 * (W @ _cached_basis(SKEW_SYMMETRIC, spec.n, None, params.dtype) @ W)
 
 
-def _orthogonal_member(spec: FamilySpec, M, tol: float) -> bool:
-    resid = M.T @ M - np.eye(spec.n)
+def is_orthogonal(M, tol: float) -> bool:
+    """Does the square M satisfy M^T M = I, within max |M^T M - I| <= tol *
+    (1 + ||M||_F)^2?  The membership test of the orthogonal group."""
+    resid = M.T @ M - np.eye(len(M))
     return float(np.max(np.abs(resid))) <= tol * (1.0 + float(np.linalg.norm(M))) ** 2
 
 
@@ -472,8 +474,9 @@ def fit_center(spec: FamilySpec, rng: np.random.Generator, slot: int, field=comp
 
 def bounds_facts(spec: FamilySpec):
     """(target tag, generic count) for dimension-count reports: the target
-    space chains of this family are measured against, and the least chain
-    length known to reach a generic target (None when none is known)."""
+    space chains of this family lie in and are measured against, and the
+    least chain length known to reach a generic target (None when none is
+    known)."""
     entry = _family(spec.tag)
     return entry.target(spec.n), entry.generic_r(spec.n)
 
@@ -532,8 +535,10 @@ class _Family(NamedTuple):
     A nonlinear family gives dimension (spec -> parameter count),
     parameterize, tangent ((spec, params) -> the (d, n, n) frame alone, at
     parameters tangent_basis has checked) and member.  target (a dominance
-    target tag) and generic_r are functions of n.  real is False where
-    float64 parameters still give a complex member."""
+    target tag: a space closed under products that holds every member, so
+    every chain of the family lies in it) and generic_r are functions of
+    n.  real is False where float64 parameters still give a complex
+    member."""
 
     arg: str | None = None  # "k" or "s": the argument the tag takes
     grid: Callable | None = None
@@ -599,7 +604,10 @@ _FAMILIES = {
                       real=False),
     ORTHOGONAL: _Family(dimension=lambda spec: spec.n * (spec.n - 1) // 2,
                         parameterize=_orthogonal_matrix, tangent=_orthogonal_frame,
-                        member=_orthogonal_member, center=lambda spec, g, rng, slot: 0.1 * g),
+                        member=lambda spec, M, tol: is_orthogonal(M, tol),
+                        center=lambda spec, g, rng, slot: 0.1 * g,
+                        # the Cayley image lies in SO(n), which is closed under products
+                        target=lambda n: "orthogonal"),
     COMPANION: _Family(dimension=lambda spec: spec.n,
                        parameterize=lambda spec, params: companion_matrix(params),
                        tangent=_companion_frame, member=_companion_member,

@@ -79,6 +79,27 @@ def test_verify_non_dominant_chain_exits_3():
     assert doc["d_estimate"] == 13
 
 
+def test_verify_orthogonal_chain_on_its_own_target():
+    res = run_cli("verify", "--family", "orthogonal", "--n", "8", "--r", "3", "--target", "orthogonal")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["ranks"] == [28] and doc["target_dim"] == 28 and doc["dominant"] is True
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["--family", "skew", "--n", "8", "--r", "3", "--target", "centro"], "centro"),
+    (["--family", "toeplitz", "--n", "4", "--r", "3", "--target", "centro"], "centro"),
+    (["--family", "skew", "--n", "8", "--r", "3", "--target", "det"], "det"),
+], ids=["skew-centro", "toeplitz-centro", "even-skew-det"])
+def test_verify_refuses_a_chain_whose_products_leave_the_target(argv, target):
+    """These chains' products are not centrosymmetric, or not singular, so
+    no rank in the target's coordinates says anything about them."""
+    res = run_cli("verify", *argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert f"{target} target" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_verify_is_reproducible():
     a = run_cli("verify", "--family", "toeplitz-sym", "--n", "5", "--r", "3",
                 "--target", "centro", "--seed", "9")
@@ -412,6 +433,12 @@ def test_bounds_bidiagonal_generic_count_is_certified():
     doc = json.loads(run_cli("bounds", "--family", "bidiagonal", "--n", "5").stdout)
     assert doc["generic_r"] == 4
     assert doc["surjective_r"] == 17
+
+
+def test_bounds_orthogonal_quotes_the_orthogonal_group():
+    doc = json.loads(run_cli("bounds", "--family", "orthogonal", "--n", "5").stdout)
+    assert doc["target"] == {"tag": "orthogonal", "dim": 10}
+    assert doc["lower_bound"] == 1 and doc["lower_bound_rule"] == "ceil(10 / 10)"
 
 
 def test_bounds_companion_is_not_a_cone():

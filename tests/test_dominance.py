@@ -19,6 +19,8 @@ def test_target_space_dimensions():
     assert dom.target_dim("centro", 5) == 13
     assert dom.target_dim("centro", 4) == 8
     assert dom.target_dim("full", np.int64(3)) == 9
+    assert dom.target_dim("orthogonal", 8) == 28
+    assert dom.target_dim("orthogonal", 1) == 0
     with pytest.raises(ParameterRangeError):
         dom.target_dim("banana", 4)
 
@@ -128,21 +130,59 @@ def test_jacobian_slot_without_parameters():
     np.testing.assert_allclose(J, dom.jacobian([A, F @ B], [fa, F @ fb]), rtol=1e-13)
 
 
-@pytest.mark.parametrize("kinds, n, target, shape, calls", [
-    pytest.param(["toeplitz-sym"] * 2, 4, "centro", (8, 8), 2, id="centro"),
-    pytest.param(["skew-symmetric"] * 3, 5, "det", (25, 30), 1, id="det"),
-    pytest.param(["skew-symmetric"] * 3, 5, "full", (25, 30), 2, id="full"),
+@pytest.mark.parametrize("kinds, n, target, shapes", [
+    pytest.param(["toeplitz-sym"] * 2, 4, "centro", [(8, 8)] * 4, id="centro"),
+    pytest.param(["skew-symmetric"] * 3, 5, "det", [(24, 30)], id="det"),
+    pytest.param(["skew-symmetric"] * 3, 5, "full", [(24, 30)] * 2, id="full"),
+    pytest.param(["orthogonal"] * 3, 4, "full", [(6, 18)] * 2, id="orthogonal-on-full"),
+    pytest.param(["orthogonal"] * 3, 4, "orthogonal", [(6, 18)], id="orthogonal"),
+    pytest.param(["centrosymmetric"] * 2, 4, "centro", [(8, 16)], id="centrosymmetric-on-centro"),
 ])
-def test_verdict_ranks_the_target_rows(monkeypatch, kinds, n, target, shape, calls):
-    """A verdict ranks the Jacobian's rows in the target's coordinates: the
-    first ceil(n^2/2) for centro, all n^2 for det and full.  Odd-size skew
-    chains reach the det target's n^2 - 1 in the first trial, which ends
-    that verdict; the other two are deficient and take both trials."""
-    shapes, rank = [], dom.numerical_rank
-    monkeypatch.setattr(dom, "numerical_rank",
-                        lambda M, rel_tol: shapes.append(M.shape) or rank(M, rel_tol))
+def test_verdict_ranks_the_target_rows(monkeypatch, kinds, n, target, shapes):
+    """A verdict ranks the Jacobian in the coordinates of the space its
+    chain lies in, when that is the target or the target is full: the first
+    ceil(n^2/2) rows for centro, n^2 - 1 rows for det (the odd-size skew
+    chains' space) and n(n - 1)/2 for orthogonal.  A chain whose families
+    name another space is ranked in the target's coordinates (the
+    centrosymmetric family names full).  These are the matrices the Gram
+    test sees.  The toeplitz-sym pair is deficient: both trials fail the
+    real and the complex Gram test.  The skew and orthogonal chains pass
+    the real test at once, and stop there on their own target."""
+    seen, gram = [], dom._gram_full_rank
+    monkeypatch.setattr(dom, "_gram_full_rank",
+                        lambda M, rel_tol: seen.append(M.shape) or gram(M, rel_tol))
     dom.estimate_image_dimension(dom.problem(kinds, n, target), trials=2)
-    assert shapes == [shape] * calls
+    assert seen == shapes
+
+
+def test_det_rows_drop_the_entry_the_normal_weighs_most():
+    """The det row map drops entry (a, b) maximising |u_a v_b| for the null
+    vectors u and v of the singular product, here read off an SVD, in
+    either field."""
+    rng = np.random.default_rng(4)
+    for n in (3, 5, 7):
+        for draw in (rng.standard_normal, lambda size: fam.complex_gaussian(rng, size)):
+            A = draw(n * n).reshape(n, n)
+            A[:, -1] = A[:, :-1] @ draw(n - 1)
+            B = draw(n * n).reshape(n, n)
+            U, _, Vh = np.linalg.svd(A @ B)
+            a, b = np.argmax(np.abs(U[:, -1])), np.argmax(np.abs(Vh[-1]))
+            J = np.arange(2.0 * n * n).reshape(n * n, 2)
+            np.testing.assert_array_equal(dom._det_rows([A, B], J), np.delete(J, a * n + b, axis=0))
+
+
+def test_orthogonal_rows_are_the_skew_coordinates_of_p_transpose_dp():
+    """At an orthogonal P, a tangent dP = P K with K skew-symmetric maps to
+    the strictly upper entries of K."""
+    rng = np.random.default_rng(5)
+    spec = fam.FamilySpec("orthogonal", 5)
+    for field in (float, complex):
+        u = fam.fit_center(spec, rng, 1, field)
+        Q = fam.parameterize(spec, u)
+        K = fam.parameterize(fam.FamilySpec("skew-symmetric", 5), u)
+        J = (Q @ K).reshape(25, 1)
+        np.testing.assert_allclose(dom._orthogonal_rows([Q], J)[:, 0], K[np.triu_indices(5, 1)],
+                                   rtol=0, atol=1e-13)
 
 
 def test_jacobian_needs_a_nonempty_chain_and_one_frame_per_factor():
@@ -315,22 +355,59 @@ def test_numerical_rank_is_the_svd_count_on_verdict_matrices(monkeypatch, verdic
             assert dom.numerical_rank(M, rel_tol) == np.count_nonzero(sv > rel_tol * sv[0])
 
 
-@pytest.mark.parametrize("kinds, ranks, svd_calls", [
-    pytest.param([_SKEW] * 3, [64], 0, id="dominant-skew"),
-    pytest.param([_ORTH] * 3, [28, 28], 4, id="deficient-orthogonal"),
+@pytest.mark.parametrize("kinds, n, target, ranks", [
+    pytest.param([_SKEW] * 3, 8, "full", [64], id="dominant-skew"),
+    pytest.param([_ORTH] * 3, 8, "full", [28, 28], id="deficient-orthogonal"),
+    pytest.param([_ORTH] * 3, 8, "orthogonal", [28], id="dominant-orthogonal"),
+    pytest.param([_SKEW] * 3, 7, "det", [48], id="dominant-skew-det"),
 ])
-def test_full_rank_verdicts_take_no_svd(monkeypatch, kinds, ranks, svd_calls):
-    """A full-rank Jacobian is certified by the Gram matrix's Cholesky alone;
-    a deficient one (the orthogonal group is closed under products) still
-    takes the SVD count.  Seeds 0 and 1 start a verdict at each of the
-    points 0 and 1: the dominant one stops at its first, the deficient one
-    takes both trials."""
+def test_full_rank_verdicts_take_no_svd(monkeypatch, kinds, n, target, ranks):
+    """A full-rank Jacobian is certified by the Gram matrix's Cholesky alone,
+    in the coordinates of the space the chain lies in: the orthogonal
+    group's n(n - 1)/2 for the orthogonal chain, which is deficient on the
+    full target, and n^2 - 1 for odd-size skew chains.  Seeds 0 and 1
+    start a verdict at each of the points 0 and 1: a dominant one stops at
+    its first, the deficient one takes both trials."""
     calls, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
-    prob = dom.problem(kinds, 8)
+    prob = dom.problem(kinds, n, target)
     for seed in (0, 1):
         assert dom.estimate_image_dimension(prob, trials=2, seed=seed).ranks == ranks
-    assert len(calls) == svd_calls
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_orthogonal_verdict_ranks_are_the_svd_count_of_the_complex_jacobian(n, r):
+    """An orthogonal chain's verdict ranks n(n - 1)/2 rows; its ranks are the
+    singular-value count of the unmapped complex Jacobian, all n^2 rows, at
+    the points of the same seeds."""
+    prob = dom.problem([_ORTH] * r, n)
+    for seed in (0, 7):
+        want = []
+        for t in range(3):
+            J = dom.jacobian(*dom._trial_factors(prob, seed + t, complex))
+            sv = np.linalg.svd(J, compute_uv=False)
+            want.append(int(np.count_nonzero(sv > dom.DEFAULT_RANK_TOL * sv[0])))
+        assert dom.estimate_image_dimension(prob, trials=3, seed=seed).ranks == want
+        assert want == [n * (n - 1) // 2] * 3
+
+
+@pytest.mark.parametrize("kinds, n, target", [
+    pytest.param([_SKEW] * 3, 8, "centro", id="skew-on-centro"),
+    pytest.param(["toeplitz"] * 3, 4, "centro", id="toeplitz-on-centro"),
+    pytest.param([_SKEW] * 3, 8, "det", id="even-skew-on-det"),
+    pytest.param([_ORTH] * 3, 5, "det", id="orthogonal-on-det"),
+    pytest.param([_SKEW] * 2, 4, "orthogonal", id="skew-on-orthogonal"),
+    pytest.param(["toeplitz-sym"] * 3, 5, "orthogonal", id="toeplitz-sym-on-orthogonal"),
+])
+def test_a_chain_outside_its_target_is_refused(kinds, n, target):
+    """A row map only bounds a rank from below, so a chain is ranked against
+    a target other than full only when its products lie there: its product
+    at the first point is checked, and one outside the target is refused
+    with a message naming it."""
+    with pytest.raises(ParameterRangeError, match=f"{target} target"):
+        dom.estimate_image_dimension(dom.problem(kinds, n, target))
 
 
 def test_verdicts_read_frames_without_a_membership_re_check(monkeypatch):

@@ -142,11 +142,21 @@ COMMANDS = [
     ["verify", "--family", "vandermonde:-2", "--n", "4", "--r", "2", "--seed", "18"],
     ["sample", "--family", "vandermonde-t:0", "--n", "4", "--seed", "19"],
     ["verify", "--family", "vandermonde-t:0", "--n", "4", "--r", "2", "--seed", "19"],
-    # a det target, whose verdict keeps all n^2 rows, and an even-n centro
+    # a det target, whose verdict keeps n^2 - 1 rows, and an even-n centro
     # target, whose verdict keeps the first ceil(n^2/2)
     ["verify", "--family", "skew", "--n", "5", "--r", "3", "--target", "det", "--seed", "42"],
     ["verify", "--family", "hankel-persym", "--n", "6", "--r", "4", "--target", "centro",
      "--seed", "43"],
+    # odd-size skew chains on det, and the orthogonal chain on the
+    # orthogonal group, ranked in their own space's coordinates
+    ["verify", "--family", "skew", "--n", "7", "--r", "3", "--target", "det", "--seed", "44"],
+    ["verify", "--family", "skew", "--n", "9", "--r", "3", "--target", "det", "--seed", "45"],
+    ["verify", "--family", "orthogonal", "--n", "8", "--r", "3", "--target", "orthogonal"],
+    ["bounds", "--family", "orthogonal", "--n", "8"],
+    # chains whose products leave the target: refused, exit 1
+    ["verify", "--family", "skew", "--n", "8", "--r", "3", "--target", "centro"],
+    ["verify", "--family", "toeplitz", "--n", "4", "--r", "3", "--target", "centro"],
+    ["verify", "--family", "skew", "--n", "8", "--r", "3", "--target", "det"],
     # verdicts the real attempt settles at the family centers: a chain that
     # real Gaussian points left one rank short, and the companion chain of
     # the benchmark's certify workload
