@@ -189,7 +189,7 @@ def _cmd_sample(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-_TRIALS_HELP = "at most this many base points; a dominant verdict stops at its first full rank"
+_TRIALS_HELP = "at most this many base points; a verdict stops at its first full-rank Jacobian"
 
 
 def _build_parser() -> _Parser:
@@ -207,7 +207,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", choices=[TARGET_FULL, TARGET_DET, TARGET_CENTRO, TARGET_ORTHOGONAL],
                    default=TARGET_FULL,
                    help="the space the products are measured against; a chain whose "
-                        "products leave it is refused")
+                        "families do not keep its products there is refused")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="skew-symmetric image dimensions against known values")

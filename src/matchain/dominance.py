@@ -13,13 +13,14 @@ certifies that generic matrices of the target space admit the decomposition.
 
 A target is a space with coordinates, one entry of the table _SPACES:
 full (all n x n matrices), det (the singular ones), centro (the
-centrosymmetric ones) and orthogonal (SO(n)), each with its dimension,
+centrosymmetric ones) and orthogonal (SO(n)), each with its dimension and
 its row map from the base product P and the Jacobian to the space's
-coordinates, and its membership check for P.  A row map M bounds the
-rank from below, rank(M J) <= rank(J); the space's dimension bounds it
-from above when every product lies in the space.  So a chain is ranked
-in the coordinates of a space it lies in, where a full rank is provable
-by a Gram-Cholesky test without an SVD.
+coordinates.  A row map M bounds the rank from below, rank(M J) <=
+rank(J); the space's dimension bounds it from above when every product
+lies in the space.  Which space a chain lies in is a fact of its families
+(each names one, closed under products), not a measurement: a chain is
+ranked in the coordinates of that space, where a full rank is provable by
+a Gram-Cholesky test without an SVD.
 """
 
 from __future__ import annotations
@@ -73,27 +74,22 @@ def _orthogonal_rows(factors, J: np.ndarray) -> np.ndarray:
 
 
 class _Space(NamedTuple):
-    """A target space: its dimension at size n; rows, which maps the base
-    factors, whose product is P, and their Jacobian J (rows the n^2
-    row-major entries of dP) to J in the space's coordinates; and holds,
-    whether a product P lies in the space within a relative tolerance."""
+    """A target space: its dimension at size n, and rows, which maps the
+    base factors, whose product is P, and their Jacobian J (rows the n^2
+    row-major entries of dP) to J in the space's coordinates."""
 
     dim: Callable
     rows: Callable
-    holds: Callable
 
 
 # target tag -> space.  A row map M only bounds the rank from below,
 # rank(M J) <= rank(J); the dimension bounds it from above when every
 # product lies in the space.
 _SPACES = {
-    TARGET_FULL: _Space(lambda n: n * n, lambda factors, J: J, lambda P, tol: True),
-    TARGET_DET: _Space(lambda n: n * n - 1, _det_rows,
-                       lambda P, tol: numerical_rank(P, tol) < len(P)),
-    TARGET_CENTRO: _Space(_centro_dim, lambda factors, J: J[:_centro_dim(len(factors[0]))],
-                          lambda P, tol: fam.is_member(
-                              fam.FamilySpec(fam.CENTROSYMMETRIC, len(P)), P, tol)),
-    TARGET_ORTHOGONAL: _Space(lambda n: n * (n - 1) // 2, _orthogonal_rows, fam.is_orthogonal),
+    TARGET_FULL: _Space(lambda n: n * n, lambda factors, J: J),
+    TARGET_DET: _Space(lambda n: n * n - 1, _det_rows),
+    TARGET_CENTRO: _Space(_centro_dim, lambda factors, J: J[:_centro_dim(len(factors[0]))]),
+    TARGET_ORTHOGONAL: _Space(lambda n: n * (n - 1) // 2, _orthogonal_rows),
 }
 
 
@@ -103,11 +99,12 @@ def target_dim(tag: str, n: int) -> int:
     holds the space's coordinates (see _trial_jacobian).
 
     full: all n x n matrices (dimension n^2), coordinates all n^2 entries
-    det: the determinant hypersurface (dimension n^2 - 1), where chains of
-        odd-size skew-symmetric factors lie; coordinates all entries but
-        the one the hypersurface's normal at the base product weighs most
-    centro: the centrosymmetric matrices (dimension ceil(n^2/2)), with
-        coordinates the first ceil(n^2/2) row-major entries
+    det: the determinant hypersurface (dimension n^2 - 1), where chains
+        with an odd-size skew factor lie; coordinates all entries but the
+        one the hypersurface's normal at the base product weighs most
+    centro: the centrosymmetric matrices (dimension ceil(n^2/2)), where
+        symmetric Toeplitz, persymmetric Hankel and centrosymmetric chains
+        lie; coordinates the first ceil(n^2/2) row-major entries
     orthogonal: the orthogonal group SO(n) (dimension n(n - 1)/2), where
         chains of orthogonal factors lie; coordinates the strictly upper
         entries of P^T dP at the base product P
@@ -165,7 +162,8 @@ def problem(families, n: int, target: str = TARGET_FULL) -> DecompositionProblem
 @dataclass
 class DominanceReport:
     """Jacobian ranks at up to `trials` random base points, in trial order,
-    ending at the first rank equal to target_dim when one is reached."""
+    ending at the first full-rank Jacobian when one is reached (see
+    estimate_image_dimension)."""
 
     problem: dict
     ranks: list
@@ -339,34 +337,30 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def _trial_factors(prob: DecompositionProblem, seed: int, field):
-    """The factors of one trial in field (float or complex) and their
-    frames: one parameter vector per factor about its family's center,
-    which fit_center draws from default_rng(seed) slot by slot, the members
-    there and the frames at those parameters."""
-    rng = np.random.default_rng(seed)
-    params = [fam.fit_center(spec, rng, slot, field)
-              for slot, spec in enumerate(prob.factors, start=1)]
-    return ([fam.parameterize(spec, u) for spec, u in zip(prob.factors, params)],
-            [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)])
-
-
 def _chain_space(prob: DecompositionProblem) -> str:
-    """The space every product of the chain lies in: the target space each
-    family names (bounds_facts) when they all name the same one, else
-    full.  Each named space is closed under products."""
+    """The space every product of the chain lies in, read off the target
+    space each family names (bounds_facts), each closed under products:
+    det when any family names det, since a product with a singular factor
+    is singular; else the space all its families name; else full."""
     spaces = {fam.bounds_facts(spec)[0] for spec in prob.factors}
+    if TARGET_DET in spaces:
+        return TARGET_DET
     return spaces.pop() if len(spaces) == 1 else TARGET_FULL
 
 
 def _trial_jacobian(prob: DecompositionProblem, seed: int, field, space: str) -> np.ndarray:
     """The verdict Jacobian of one trial in field (float or complex), at
-    the points of _trial_factors, in the coordinates of the target space
-    tagged space: the space's row map applied to the factors and the
-    Jacobian's n^2 rows.  Its rank is at most that of the Jacobian, so a
-    full rank bounds the image dimension from below, while the space's
-    dimension bounds it from above when the chain lies in the space."""
-    factors, frames = _trial_factors(prob, seed, field)
+    one parameter vector per factor about its family's center, which
+    fit_center draws from default_rng(seed) slot by slot, in the
+    coordinates of the target space tagged space (its row map).  Its rank
+    is at most that of the Jacobian, so a full rank bounds the image
+    dimension from below, while the space's dimension bounds it from above
+    when the chain lies in the space."""
+    rng = np.random.default_rng(seed)
+    params = [fam.fit_center(spec, rng, slot, field)
+              for slot, spec in enumerate(prob.factors, start=1)]
+    factors = [fam.parameterize(spec, u) for spec, u in zip(prob.factors, params)]
+    frames = [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)]
     return _SPACES[space].rows(factors, jacobian(factors, frames))
 
 
@@ -379,16 +373,15 @@ def estimate_image_dimension(
     """Jacobian rank of the product map at up to `trials` random base points.
 
     The Jacobian is ranked in the coordinates of the space the chain lies
-    in: the space its families all name (bounds_facts), or full.  When
-    that space is the target, or the target is full, its rows are ranked,
+    in, which its families decide before any point is drawn (_chain_space),
     so a chain of orthogonal factors is ranked on the n(n - 1)/2
-    coordinates of SO(n) even against the full target.  Otherwise the
-    chain must lie in the target: the product at the first trial's point
-    is checked against it (centrosymmetric, singular or orthogonal, within
-    rel_tol), a chain whose product fails is refused with a
-    ParameterRangeError, and the target's rows are ranked.  A row map only
-    lowers a rank, and no rank exceeds the dimension of a space the chain
-    lies in, so the rank in the coordinates is the rank of the Jacobian.
+    coordinates of SO(n) even against the full target.  A target other
+    than that space is accepted only when it holds all n x n matrices: the
+    full target, or centro at n = 1, where every matrix is
+    centrosymmetric.  Any other is refused with a ParameterRangeError, and
+    no point is drawn.  A row map only lowers a rank, and no rank exceeds
+    the dimension of a space the chain lies in, so the rank in the
+    coordinates is the rank of the Jacobian.
 
     Trial t takes its points about the family centers, which fit_center
     draws from default_rng(seed + t), the same source of good points a fit
@@ -406,35 +399,34 @@ def estimate_image_dimension(
     default_rng(seed + t) and ranks the complex Jacobian there
     (numerical_rank).
 
-    The trials stop at the first rank equal to the target dimension: that
-    one point proves dominance, and no later trial can change the estimate
-    or the verdict.  A deficient verdict runs all of them, since each
-    deficit adds evidence.  So the report's ranks are the ranks of trials
-    0 .. trials - 1 cut after the first full rank, fixed by the seed.  The
-    dimension estimate is the maximum rank seen, and the chain
-    is reported dominant when it reaches the target dimension.
+    The trials stop at the first full-rank Jacobian, of rank min(dimension
+    of the ranked space, param_dim): no trial's Jacobian has a larger rank,
+    so no later trial can change the estimate or the verdict.  A verdict
+    none of whose trials reaches it runs all of them, since each deficit
+    adds evidence.  So the report's ranks are the ranks of trials 0 ..
+    trials - 1 cut after the first full rank, fixed by the seed.  The
+    dimension estimate is the maximum rank seen, and the chain is reported
+    dominant when it reaches the target dimension.
     """
     trials = fam.require_int("trials", trials, 1)
     seed = fam.require_int("seed", seed, 0)
-    real = all(spec.real_points for spec in prob.factors)
     space = _chain_space(prob)
-    if prob.target not in (space, TARGET_FULL):
-        factors, _frames = _trial_factors(prob, seed, float if real else complex)
-        if not _SPACES[prob.target].holds(chain_product(factors), rel_tol):
-            raise ParameterRangeError(
-                f"the chain's products do not lie in the {prob.target} target space")
-        space = prob.target
+    if prob.target != space and prob.target_dim < prob.n ** 2:
+        raise ParameterRangeError(
+            f"the chain's families do not keep its products in the {prob.target} target space")
+    real = all(spec.real_points for spec in prob.factors)
+    full_rank = min(_SPACES[space].dim(prob.n), prob.param_dim)
     ranks = []
     for t in range(trials):
         rank = None
         if real:
             J = _trial_jacobian(prob, seed + t, float, space)
-            rank = min(J.shape) if _gram_full_rank(J, rel_tol) else None
+            rank = full_rank if _gram_full_rank(J, rel_tol) else None
             del J
         if rank is None:
             rank = numerical_rank(_trial_jacobian(prob, seed + t, complex, space), rel_tol)
         ranks.append(rank)
-        if rank == prob.target_dim:
+        if rank == full_rank:
             break
     return DominanceReport(
         problem=prob.summary(),

@@ -14,7 +14,8 @@ class DegeneratePointError(MatChainError, ValueError):
 
 
 class NonMemberError(MatChainError, ValueError):
-    """A matrix handed in as a base point does not belong to its family."""
+    """A matrix handed in does not lie in the space an algorithm needs (the
+    target of decompose_centrosymmetric, which must be centrosymmetric)."""
 
 
 class NonGenericMatrixError(MatChainError, ValueError):

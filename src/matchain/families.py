@@ -328,10 +328,8 @@ def _orthogonal_frame(spec: FamilySpec, params):
     return 2 * (W @ _cached_basis(SKEW_SYMMETRIC, spec.n, None, params.dtype) @ W)
 
 
-def is_orthogonal(M, tol: float) -> bool:
-    """Does the square M satisfy M^T M = I, within max |M^T M - I| <= tol *
-    (1 + ||M||_F)^2?  The membership test of the orthogonal group."""
-    resid = M.T @ M - np.eye(len(M))
+def _orthogonal_member(spec: FamilySpec, M, tol: float) -> bool:
+    resid = M.T @ M - np.eye(spec.n)
     return float(np.max(np.abs(resid))) <= tol * (1.0 + float(np.linalg.norm(M))) ** 2
 
 
@@ -598,13 +596,15 @@ _FAMILIES = {
     # one matrix per 180-degree-rotation orbit, numbered by the orbit's
     # first row-major position, which aligns the parameter order with the
     # centrosymmetric coordinate convention
+    # centrosymmetric matrices are closed under products
     CENTROSYMMETRIC: _Family(
-        grid=lambda i, j, n, k: np.minimum(i * n + j, n * n - 1 - (i * n + j)) + 1),
+        grid=lambda i, j, n, k: np.minimum(i * n + j, n * n - 1 - (i * n + j)) + 1,
+        target=lambda n: "centro"),
     SUBSPACE: _Family(arg="k", dimension=lambda spec: spec.k, center=lambda spec, g, rng, slot: g,
                       real=False),
     ORTHOGONAL: _Family(dimension=lambda spec: spec.n * (spec.n - 1) // 2,
                         parameterize=_orthogonal_matrix, tangent=_orthogonal_frame,
-                        member=lambda spec, M, tol: is_orthogonal(M, tol),
+                        member=_orthogonal_member,
                         center=lambda spec, g, rng, slot: 0.1 * g,
                         # the Cayley image lies in SO(n), which is closed under products
                         target=lambda n: "orthogonal"),

@@ -34,7 +34,6 @@ from .dominance import (
     TARGET_CENTRO,
     chain_product,
     jacobian,
-    lower_bound_linear,
     problem,
 )
 from .errors import (
@@ -189,7 +188,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     T = as_target(T)
     if T.shape[0] != prob.n:
         raise ParameterRangeError("target size does not match the problem")
-    feasible = lower_bound_linear([s.param_dim for s in prob.factors], prob.target_dim)
+    feasible = prob.param_dim >= prob.target_dim
     exact = None
     if init_params is None or not feasible:
         try:

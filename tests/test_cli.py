@@ -125,7 +125,8 @@ def test_a_sampled_member_that_overflows_is_an_error(command):
     """At type -2000 the powers of the sampled Gaussian nodes overflow: no
     JSON with Infinity tokens, and no message about a zero node.  A verdict
     takes its nodes at the centres, of modulus 1, whose powers stay finite,
-    so it reports the chain's rank instead (6 of 9 in every trial)."""
+    so it reports the chain's rank instead: 6 of 9 in its first trial, the
+    full rank of the chain's 6 parameters, which ends the verdict."""
     res = run_cli(command[0], "--family", "vandermonde:-2000", "--n", "3", *command[1:])
     if command[0] == "sample":
         assert res.returncode == 1
@@ -135,7 +136,7 @@ def test_a_sampled_member_that_overflows_is_an_error(command):
         assert res.returncode == 3
         assert res.stderr == ""
         doc = json.loads(res.stdout)
-        assert doc["ranks"] == [6] * 5 and doc["target_dim"] == 9
+        assert doc["ranks"] == [6] and doc["target_dim"] == 9
 
 
 @pytest.mark.parametrize("family, n, r", [
@@ -439,6 +440,14 @@ def test_bounds_orthogonal_quotes_the_orthogonal_group():
     doc = json.loads(run_cli("bounds", "--family", "orthogonal", "--n", "5").stdout)
     assert doc["target"] == {"tag": "orthogonal", "dim": 10}
     assert doc["lower_bound"] == 1 and doc["lower_bound_rule"] == "ceil(10 / 10)"
+
+
+def test_bounds_centrosymmetric_quotes_the_centrosymmetric_space():
+    """Products of centrosymmetric matrices are centrosymmetric, so the
+    family is counted against that space, which one factor fills."""
+    doc = json.loads(run_cli("bounds", "--family", "centrosymmetric", "--n", "5").stdout)
+    assert doc["target"] == {"tag": "centro", "dim": 13}
+    assert doc["lower_bound"] == 1
 
 
 def test_bounds_companion_is_not_a_cone():

@@ -1,6 +1,8 @@
 """Jacobians of multiplication maps and dimension arithmetic."""
 
+import importlib.util
 import itertools
+import os
 import warnings
 
 import numpy as np
@@ -133,21 +135,23 @@ def test_jacobian_slot_without_parameters():
 @pytest.mark.parametrize("kinds, n, target, shapes", [
     pytest.param(["toeplitz-sym"] * 2, 4, "centro", [(8, 8)] * 4, id="centro"),
     pytest.param(["skew-symmetric"] * 3, 5, "det", [(24, 30)], id="det"),
-    pytest.param(["skew-symmetric"] * 3, 5, "full", [(24, 30)] * 2, id="full"),
-    pytest.param(["orthogonal"] * 3, 4, "full", [(6, 18)] * 2, id="orthogonal-on-full"),
+    pytest.param(["skew-symmetric"] * 3, 5, "full", [(24, 30)], id="full"),
+    pytest.param(["orthogonal"] * 3, 4, "full", [(6, 18)], id="orthogonal-on-full"),
     pytest.param(["orthogonal"] * 3, 4, "orthogonal", [(6, 18)], id="orthogonal"),
     pytest.param(["centrosymmetric"] * 2, 4, "centro", [(8, 16)], id="centrosymmetric-on-centro"),
+    pytest.param(["skew-symmetric", "triangular-upper", "skew-symmetric"], 5, "full", [(24, 35)],
+                 id="mixed-skew-on-full"),
 ])
 def test_verdict_ranks_the_target_rows(monkeypatch, kinds, n, target, shapes):
     """A verdict ranks the Jacobian in the coordinates of the space its
-    chain lies in, when that is the target or the target is full: the first
-    ceil(n^2/2) rows for centro, n^2 - 1 rows for det (the odd-size skew
-    chains' space) and n(n - 1)/2 for orthogonal.  A chain whose families
-    name another space is ranked in the target's coordinates (the
-    centrosymmetric family names full).  These are the matrices the Gram
-    test sees.  The toeplitz-sym pair is deficient: both trials fail the
-    real and the complex Gram test.  The skew and orthogonal chains pass
-    the real test at once, and stop there on their own target."""
+    chain lies in, against that target or the full one: the first
+    ceil(n^2/2) rows for centro (the space the centrosymmetric family
+    names too), n^2 - 1 rows for det (the space of a chain with an
+    odd-size skew factor) and n(n - 1)/2 for orthogonal.  These are the
+    matrices the Gram test sees.  The toeplitz-sym pair is deficient: both
+    trials fail the real and the complex Gram test.  The other chains pass
+    the real test at once with the full rank of their Jacobian, and stop
+    there, on their own target or on full."""
     seen, gram = [], dom._gram_full_rank
     monkeypatch.setattr(dom, "_gram_full_rank",
                         lambda M, rel_tol: seen.append(M.shape) or gram(M, rel_tol))
@@ -357,17 +361,20 @@ def test_numerical_rank_is_the_svd_count_on_verdict_matrices(monkeypatch, verdic
 
 @pytest.mark.parametrize("kinds, n, target, ranks", [
     pytest.param([_SKEW] * 3, 8, "full", [64], id="dominant-skew"),
-    pytest.param([_ORTH] * 3, 8, "full", [28, 28], id="deficient-orthogonal"),
+    pytest.param([_ORTH] * 3, 8, "full", [28], id="deficient-orthogonal"),
     pytest.param([_ORTH] * 3, 8, "orthogonal", [28], id="dominant-orthogonal"),
     pytest.param([_SKEW] * 3, 7, "det", [48], id="dominant-skew-det"),
+    pytest.param([_SKEW, "triangular-upper", _SKEW], 5, "full", [24], id="deficient-mixed-skew"),
+    pytest.param([_SKEW, "triangular-upper", _SKEW], 5, "det", [24], id="dominant-mixed-skew-det"),
 ])
 def test_full_rank_verdicts_take_no_svd(monkeypatch, kinds, n, target, ranks):
     """A full-rank Jacobian is certified by the Gram matrix's Cholesky alone,
     in the coordinates of the space the chain lies in: the orthogonal
     group's n(n - 1)/2 for the orthogonal chain, which is deficient on the
-    full target, and n^2 - 1 for odd-size skew chains.  Seeds 0 and 1
-    start a verdict at each of the points 0 and 1: a dominant one stops at
-    its first, the deficient one takes both trials."""
+    full target, and n^2 - 1 for chains with an odd-size skew factor.
+    Seeds 0 and 1 start a verdict at each of the points 0 and 1, and every
+    verdict stops at its first: no Jacobian has a rank above the dimension
+    of its chain's space, so the deficient ones stop there too."""
     calls, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
     prob = dom.problem(kinds, n, target)
@@ -381,16 +388,19 @@ def test_full_rank_verdicts_take_no_svd(monkeypatch, kinds, n, target, ranks):
 def test_orthogonal_verdict_ranks_are_the_svd_count_of_the_complex_jacobian(n, r):
     """An orthogonal chain's verdict ranks n(n - 1)/2 rows; its ranks are the
     singular-value count of the unmapped complex Jacobian, all n^2 rows, at
-    the points of the same seeds."""
+    the points of the same seeds, cut after the first that reaches
+    n(n - 1)/2, the full rank of the verdict's Jacobian."""
     prob = dom.problem([_ORTH] * r, n)
+    full_rank = min(n * (n - 1) // 2, prob.param_dim)
     for seed in (0, 7):
         want = []
         for t in range(3):
-            J = dom.jacobian(*dom._trial_factors(prob, seed + t, complex))
-            sv = np.linalg.svd(J, compute_uv=False)
+            sv = np.linalg.svd(dom._trial_jacobian(prob, seed + t, complex, "full"),
+                               compute_uv=False)
             want.append(int(np.count_nonzero(sv > dom.DEFAULT_RANK_TOL * sv[0])))
-        assert dom.estimate_image_dimension(prob, trials=3, seed=seed).ranks == want
         assert want == [n * (n - 1) // 2] * 3
+        assert dom.estimate_image_dimension(prob, trials=3, seed=seed).ranks == \
+            want[:want.index(full_rank) + 1]
 
 
 @pytest.mark.parametrize("kinds, n, target", [
@@ -400,14 +410,88 @@ def test_orthogonal_verdict_ranks_are_the_svd_count_of_the_complex_jacobian(n, r
     pytest.param([_ORTH] * 3, 5, "det", id="orthogonal-on-det"),
     pytest.param([_SKEW] * 2, 4, "orthogonal", id="skew-on-orthogonal"),
     pytest.param(["toeplitz-sym"] * 3, 5, "orthogonal", id="toeplitz-sym-on-orthogonal"),
+    pytest.param(["toeplitz-sym", "diagonal"], 4, "centro", id="toeplitz-sym-and-diagonal-on-centro"),
+    pytest.param([_SKEW] * 2, 2, "centro", id="skew-pair-n2-on-centro"),
+    pytest.param(["diagonal"] * 2, 1, "det", id="diagonal-n1-on-det"),
 ])
-def test_a_chain_outside_its_target_is_refused(kinds, n, target):
+def test_a_chain_outside_its_target_is_refused(monkeypatch, kinds, n, target):
     """A row map only bounds a rank from below, so a chain is ranked against
-    a target other than full only when its products lie there: its product
-    at the first point is checked, and one outside the target is refused
-    with a message naming it."""
+    a target smaller than all n x n matrices only when its families keep
+    its products there (_chain_space).  Any other chain is refused with a
+    message naming the target, before a point is drawn.  The families
+    decide, not a product: at n = 2 a skew pair's products -ab I are
+    centrosymmetric, but skew chains leave centro at r = 3, so the pair is
+    refused too."""
+    monkeypatch.setattr(fam, "fit_center", lambda *a: pytest.fail("a point was drawn"))
     with pytest.raises(ParameterRangeError, match=f"{target} target"):
         dom.estimate_image_dimension(dom.problem(kinds, n, target))
+
+
+def _lies_in(space, P) -> bool:
+    """Does the product P lie in the space tagged space?  An oracle apart
+    from the verdict code: the 180-degree-rotation residual for centro,
+    sigma_min / sigma_1 <= 1e-8 for det and P^T P = I for orthogonal."""
+    scale = 1.0 + np.linalg.norm(P)
+    if space == "centro":
+        return np.linalg.norm(P - P[::-1, ::-1]) <= 1e-10 * scale
+    if space == "det":
+        sv = np.linalg.svd(P, compute_uv=False)
+        return sv[-1] <= 1e-8 * sv[0]
+    if space == "orthogonal":
+        return np.linalg.norm(P.T @ P - np.eye(len(P))) <= 1e-10 * scale ** 2
+    return space == "full"
+
+
+def _snapshot_families():
+    """The family tokens of tools/cli_snapshot.py: every family, with the
+    argument it takes."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "cli_snapshot.py")
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FAMILIES
+
+
+@pytest.mark.parametrize("token", _snapshot_families())
+def test_families_keep_their_products_in_the_space_they_name(token):
+    """A verdict takes a chain's space from the families (bounds_facts),
+    with no check of a product, so this test checks each family's claim:
+    at every n = 1..6 the family takes, a product of r = 1..3 complex
+    members about its center lies in the space it names."""
+    tag, _, arg = token.partition(":")
+    for n in range(1, 7):
+        try:
+            spec = fam.spec_from_argument(tag, int(arg) if arg else None, n)
+        except ParameterRangeError:
+            continue
+        space = fam.bounds_facts(spec)[0]
+        for r in range(1, 4):
+            rng = np.random.default_rng(10 * n + r)
+            P = dom.chain_product([fam.parameterize(spec, fam.fit_center(spec, rng, slot))
+                                   for slot in range(1, r + 1)])
+            assert _lies_in(space, P), (n, r, space)
+
+
+@pytest.mark.parametrize("kinds, n, space", [
+    pytest.param(["toeplitz-sym", "hankel-persym", "centrosymmetric"], 4, "centro", id="centro"),
+    pytest.param(["toeplitz-sym", "diagonal"], 4, "full", id="centro-and-full"),
+    pytest.param([_SKEW, "toeplitz"], 5, "det", id="odd-skew-and-full"),
+    pytest.param(["triangular-upper", _SKEW, "companion"], 3, "det", id="full-odd-skew-full"),
+    pytest.param([_SKEW, "toeplitz-sym"], 5, "det", id="odd-skew-and-centro"),
+    pytest.param([_SKEW, _ORTH], 4, "full", id="even-skew-and-orthogonal"),
+])
+def test_a_chain_lies_in_the_space_its_families_keep(kinds, n, space):
+    """det when any family names det, since a product with a singular
+    factor is singular; else the space all families name; else full.  A
+    product at a complex point lies there (the oracles of
+    test_families_keep_their_products_in_the_space_they_name)."""
+    prob = dom.problem(kinds, n)
+    assert dom._chain_space(prob) == space
+    rng = np.random.default_rng(5)
+    P = dom.chain_product([fam.parameterize(spec, fam.fit_center(spec, rng, slot))
+                           for slot, spec in enumerate(prob.factors, start=1)])
+    assert _lies_in(space, P)
 
 
 def test_verdicts_read_frames_without_a_membership_re_check(monkeypatch):
@@ -419,25 +503,30 @@ def test_verdicts_read_frames_without_a_membership_re_check(monkeypatch):
         dom.estimate_image_dimension(dom.problem(kinds, 4), trials=1)
 
 
-@pytest.mark.parametrize("kinds, n, target, dominant", [
-    pytest.param([_SKEW] * 3, 8, "full", True, id="skew-n8"),
-    pytest.param(["companion"] * 5, 5, "full", True, id="companion-n5"),
-    pytest.param(["toeplitz-sym"] * 3, 5, "centro", True, id="toeplitz-sym-n5-centro"),
-    pytest.param(["skew-symmetric"] * 3, 5, "det", True, id="skew-n5-det"),
-    pytest.param(["orthogonal"] * 3, 4, "full", False, id="orthogonal-n4-deficient"),
+@pytest.mark.parametrize("kinds, n, target, space_dim, dominant", [
+    pytest.param([_SKEW] * 3, 8, "full", 64, True, id="skew-n8"),
+    pytest.param(["companion"] * 5, 5, "full", 25, True, id="companion-n5"),
+    pytest.param(["toeplitz-sym"] * 3, 5, "centro", 13, True, id="toeplitz-sym-n5-centro"),
+    pytest.param(["skew-symmetric"] * 3, 5, "det", 24, True, id="skew-n5-det"),
+    pytest.param(["orthogonal"] * 3, 4, "full", 6, False, id="orthogonal-n4-deficient"),
+    pytest.param(["diagonal"] * 2, 1, "centro", 1, True, id="diagonal-n1-centro"),
 ])
 def test_verdict_ranks_are_the_one_trial_ranks_up_to_the_first_full_rank(kinds, n, target,
-                                                                           dominant):
+                                                                           space_dim, dominant):
     """Trial t ranks the point of seed + t, as a one-trial verdict at that
-    seed does, and a verdict stops at its first rank equal to the target
-    dimension: a full rank at one point proves dominance, while a deficit
-    keeps every trial."""
+    seed does, and a verdict stops at its first full-rank Jacobian, of rank
+    min(dimension of the chain's space, parameter count), which no later
+    trial can exceed: on the chain's own target that proves dominance, and
+    the orthogonal chain on full stops there deficient.  At n = 1 every
+    matrix is centrosymmetric, so the centro target takes a chain of any
+    space."""
     prob = dom.problem(kinds, n, target)
+    full_rank = min(space_dim, prob.param_dim)
     for seed in (0, 3, 11):
         oracle = [dom.estimate_image_dimension(prob, 1, seed=seed + t).ranks[0] for t in range(5)]
         assert (prob.target_dim in oracle) == dominant
-        if dominant:
-            oracle = oracle[:oracle.index(prob.target_dim) + 1]
+        if full_rank in oracle:
+            oracle = oracle[:oracle.index(full_rank) + 1]
         rep = dom.estimate_image_dimension(prob, 5, seed=seed)
         assert rep.ranks == oracle
         assert rep.dominant == dominant

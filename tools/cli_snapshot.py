@@ -157,6 +157,13 @@ COMMANDS = [
     ["verify", "--family", "skew", "--n", "8", "--r", "3", "--target", "centro"],
     ["verify", "--family", "toeplitz", "--n", "4", "--r", "3", "--target", "centro"],
     ["verify", "--family", "skew", "--n", "8", "--r", "3", "--target", "det"],
+    # the space a chain lies in, read off its families: at n = 1 every
+    # matrix is centrosymmetric, so a diagonal chain is dominant there; a
+    # skew chain at n = 2 is refused on centro, though its products -ab I
+    # happen to lie there; a centrosymmetric chain is ranked on centro
+    ["verify", "--family", "diagonal", "--n", "1", "--r", "2", "--target", "centro"],
+    ["verify", "--family", "skew", "--n", "2", "--r", "2", "--target", "centro"],
+    ["verify", "--family", "centrosymmetric", "--n", "4", "--r", "2", "--target", "centro"],
     # verdicts the real attempt settles at the family centers: a chain that
     # real Gaussian points left one rank short, and the companion chain of
     # the benchmark's certify workload
