@@ -29,6 +29,7 @@ from .dominance import (
     TARGET_DET,
     TARGET_FULL,
     TARGET_ORTHOGONAL,
+    chain_space,
     estimate_image_dimension,
     lower_bound_cone,
     problem,
@@ -130,8 +131,7 @@ def _cmd_decompose(args) -> int:
     if not specs:
         raise ParameterRangeError("--chain must list at least one family")
     opts = read_options(args.opts, seed=args.seed) if args.opts else FitOptions(seed=args.seed)
-    prob = problem(specs, n, args.target)
-    chain = fit_chain(T, prob, opts)
+    chain = fit_chain(T, problem(specs, n, chain_space(specs)), opts)
     _emit(chain_to_dict(chain))
     if not chain.converged:
         print(f"did not converge: residual {chain.residual:.3e}", file=sys.stderr)
@@ -221,8 +221,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--chain", required=True, help="comma-separated family tokens")
     p.add_argument("--opts", default=None, help="JSON file with fit options")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--target", choices=[TARGET_FULL, TARGET_DET, TARGET_CENTRO],
-                   default=TARGET_FULL)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("companion", help="solve for companion factors column by column")

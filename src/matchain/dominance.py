@@ -11,16 +11,16 @@ assembling the Jacobian of rho_r against the families' tangent frames and
 reading off numerical ranks: a full-rank Jacobian at a single point
 certifies that generic matrices of the target space admit the decomposition.
 
-A target is a space with coordinates, one entry of the table _SPACES:
-full (all n x n matrices), det (the singular ones), centro (the
-centrosymmetric ones) and orthogonal (SO(n)), each with its dimension and
-its row map from the base product P and the Jacobian to the space's
-coordinates.  A row map M bounds the rank from below, rank(M J) <=
-rank(J); the space's dimension bounds it from above when every product
-lies in the space.  Which space a chain lies in is a fact of its families
-(each names one, closed under products), not a measurement: a chain is
-ranked in the coordinates of that space, where a full rank is provable by
-a Gram-Cholesky test without an SVD.
+A target is a space with coordinates, one entry of the table _SPACES: full
+(all n x n matrices), det (the singular ones), centro (the centrosymmetric
+ones) and orthogonal (SO(n)), each with its dimension, its row map from the
+base product P and the Jacobian to the space's coordinates, and its
+membership test for a fit's target.  A row map M bounds the rank from
+below, rank(M J) <= rank(J); the space's dimension bounds it from above
+when every product lies in the space.  Which space a chain lies in is a
+fact of its families (each names one, closed under products), not a
+measurement: a chain is ranked in the coordinates of that space, where a
+full rank is provable by a Gram-Cholesky test without an SVD.
 """
 
 from __future__ import annotations
@@ -73,23 +73,29 @@ def _orthogonal_rows(factors, J: np.ndarray) -> np.ndarray:
     return X[np.triu_indices(n, 1)]
 
 
+def _member(tag: str, T: np.ndarray) -> bool:
+    return fam.is_member(fam.FamilySpec(tag, len(T)), T, 1e-10)
+
+
 class _Space(NamedTuple):
-    """A target space: its dimension at size n, and rows, which maps the
-    base factors, whose product is P, and their Jacobian J (rows the n^2
-    row-major entries of dP) to J in the space's coordinates."""
+    """A target space: its dimension at size n; rows, mapping the base
+    factors (product P) and their Jacobian J (rows the n^2 row-major
+    entries of dP) to J in the space's coordinates; member, testing T."""
 
     dim: Callable
     rows: Callable
+    member: Callable
 
 
-# target tag -> space.  A row map M only bounds the rank from below,
-# rank(M J) <= rank(J); the dimension bounds it from above when every
-# product lies in the space.
+# target tag -> space (see target_dim).  centro and orthogonal members pass
+# the family's is_member at 1e-10; O(n) does, so SO(n) also needs det > 0.
 _SPACES = {
-    TARGET_FULL: _Space(lambda n: n * n, lambda factors, J: J),
-    TARGET_DET: _Space(lambda n: n * n - 1, _det_rows),
-    TARGET_CENTRO: _Space(_centro_dim, lambda factors, J: J[:_centro_dim(len(factors[0]))]),
-    TARGET_ORTHOGONAL: _Space(lambda n: n * (n - 1) // 2, _orthogonal_rows),
+    TARGET_FULL: _Space(lambda n: n * n, lambda factors, J: J, lambda T: True),
+    TARGET_DET: _Space(lambda n: n * n - 1, _det_rows, lambda T: numerical_rank(T) < len(T)),
+    TARGET_CENTRO: _Space(_centro_dim, lambda factors, J: J[:_centro_dim(len(factors[0]))],
+                          lambda T: _member(fam.CENTROSYMMETRIC, T)),
+    TARGET_ORTHOGONAL: _Space(lambda n: n * (n - 1) // 2, _orthogonal_rows,
+                              lambda T: _member(fam.ORTHOGONAL, T) and np.linalg.det(T).real > 0),
 }
 
 
@@ -337,12 +343,12 @@ def numerical_rank(M, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def _chain_space(prob: DecompositionProblem) -> str:
-    """The space every product of the chain lies in, read off the target
-    space each family names (bounds_facts), each closed under products:
-    det when any family names det, since a product with a singular factor
-    is singular; else the space all its families name; else full."""
-    spaces = {fam.bounds_facts(spec)[0] for spec in prob.factors}
+def chain_space(factors) -> str:
+    """The space every product of a chain of FamilySpecs lies in, read off
+    the space each family names (bounds_facts), closed under products: det
+    when any names det, as a product with a singular factor is singular;
+    else the space all its families name; else full."""
+    spaces = {fam.bounds_facts(spec)[0] for spec in factors}
     if TARGET_DET in spaces:
         return TARGET_DET
     return spaces.pop() if len(spaces) == 1 else TARGET_FULL
@@ -373,7 +379,7 @@ def estimate_image_dimension(
     """Jacobian rank of the product map at up to `trials` random base points.
 
     The Jacobian is ranked in the coordinates of the space the chain lies
-    in, which its families decide before any point is drawn (_chain_space),
+    in, which its families decide before any point is drawn (chain_space),
     so a chain of orthogonal factors is ranked on the n(n - 1)/2
     coordinates of SO(n) even against the full target.  A target other
     than that space is accepted only when it holds all n x n matrices: the
@@ -410,7 +416,7 @@ def estimate_image_dimension(
     """
     trials = fam.require_int("trials", trials, 1)
     seed = fam.require_int("seed", seed, 0)
-    space = _chain_space(prob)
+    space = chain_space(prob.factors)
     if prob.target != space and prob.target_dim < prob.n ** 2:
         raise ParameterRangeError(
             f"the chain's families do not keep its products in the {prob.target} target space")
@@ -439,13 +445,6 @@ def estimate_image_dimension(
 
 # ---------------------------------------------------------------------------
 # counting bounds
-
-def lower_bound_linear(dims, target_dim: int) -> bool:
-    """Necessary condition: the family dimensions must sum to at least the
-    target dimension for the product map to dominate."""
-    total = sum(fam.require_int(f"dims[{i}]", d, 0) for i, d in enumerate(dims))
-    return total >= fam.require_int("target_dim", target_dim, 0)
-
 
 def lower_bound_cone(m: int, target_dim: int) -> int:
     """Least r compatible with dominance for r cones of dimension m.

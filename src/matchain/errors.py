@@ -14,8 +14,7 @@ class DegeneratePointError(MatChainError, ValueError):
 
 
 class NonMemberError(MatChainError, ValueError):
-    """A matrix handed in does not lie in the space an algorithm needs (the
-    target of decompose_centrosymmetric, which must be centrosymmetric)."""
+    """A fit's target lies outside the space its chain's products lie in."""
 
 
 class NonGenericMatrixError(MatChainError, ValueError):

@@ -18,7 +18,7 @@ decompose_bidiagonal builds its factors by LU without pivoting
 fitting; these constructions and the companion one also start fit_chain.
 decompose_centrosymmetric fits a chain of symmetric Toeplitz factors; a
 chain of persymmetric Hankel factors, like every other chain, is fitted by
-fit_chain itself.
+fit_chain itself, which refuses a target outside the chain's space.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ import numpy as np
 from . import families as fam
 from .companion import PIVOT_TOL, STATUS_UNIQUE, as_target, decompose_companion, lu_nopivot
 from .dominance import (
+    _SPACES,
     DecompositionProblem,
     TARGET_CENTRO,
     chain_product,
+    chain_space,
     jacobian,
     problem,
 )
@@ -180,15 +182,20 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     (_exact_start).  The best restart by residual (ties to the earlier one)
     is returned, and the fit stops at the first converged restart.
 
-    Raises InfeasibleProblemError when the parameter count cannot cover the
-    target dimension and T does not lie in the chain's first family with
-    identities after it.
+    Before any restart, a T outside the chain's space (chain_space; the fit
+    never reads prob.target) raises NonMemberError, and too few parameters
+    for the space's dimension InfeasibleProblemError, unless T lies in the
+    chain's first family with identities after it.
     """
     opts = opts or FitOptions()
     T = as_target(T)
     if T.shape[0] != prob.n:
         raise ParameterRangeError("target size does not match the problem")
-    feasible = prob.param_dim >= prob.target_dim
+    space = chain_space(prob.factors)
+    if not _SPACES[space].member(T):
+        raise NonMemberError(f"target does not lie in the {space} space of the chain's products")
+    space_dim = _SPACES[space].dim(prob.n)
+    feasible = prob.param_dim >= space_dim
     exact = None
     if init_params is None or not feasible:
         try:
@@ -199,7 +206,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
         # too few parameters to reach a generic target, and no structural
         # shortcut puts this particular target inside the chain
         raise InfeasibleProblemError(
-            f"{prob.param_dim} parameters cannot cover a {prob.target_dim}-dimensional target")
+            f"{prob.param_dim} parameters cannot cover a {space_dim}-dimensional target")
     start = exact if init_params is None else init_params
     tscale = max(1.0, float(np.linalg.norm(T)))
     ceiling = min(DAMPING_CEIL * tscale ** (2 * (prob.r - 1) / prob.r), _FLOAT_MAX)
@@ -353,14 +360,11 @@ def decompose_centrosymmetric(T, opts: FitOptions | None = None,
     The default chain length is floor(n/2) + 1, the least r with
     r n - (r - 1) >= ceil(n^2/2), below which r factors from the
     scaling-invariant n-dimensional family cannot reach a generic target
-    (for odd n it equals floor((n+1)/2)).  A persymmetric Hankel chain is
-    fitted as a chain: fit_chain(T, problem(["hankel-persym"] * r, n,
-    "centro"), opts)."""
-    T = as_target(T)
-    n = T.shape[0]
+    (for odd n it equals floor((n+1)/2)); fit_chain refuses a T that is
+    not centrosymmetric.  A persymmetric Hankel chain is fitted as a chain:
+    fit_chain(T, problem(["hankel-persym"] * r, n))."""
+    n = as_target(T).shape[0]
     if n < 3:
         raise ParameterRangeError("centrosymmetric pipeline needs n >= 3")
-    if not fam.is_member(fam.FamilySpec(fam.CENTROSYMMETRIC, n), T, 1e-10):
-        raise NonMemberError("target is not centrosymmetric")
     r = fam.require_int("r", n // 2 + 1 if r is None else r, 1)
     return fit_chain(T, problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)

@@ -301,14 +301,14 @@ def test_criterion_10_bounds_arithmetic():
     for n in range(2, 11):
         # companion: n generic factors (a linear, not conic, parameter count),
         # 4n+1 for every matrix
-        if not dom.lower_bound_linear([n] * n, n * n):
+        if dom.problem(["companion"] * n, n).param_dim < n * n:
             failures.append(f"companion n={n}: n factors fail the linear count")
-        if dom.lower_bound_linear([n] * (n - 1), n * n):
+        if dom.problem(["companion"] * (n - 1), n).param_dim >= n * n:
             failures.append(f"companion n={n}: n-1 factors pass the linear count")
         if dom.surjectivity_bound(n) != 4 * n + 1:
             failures.append(f"companion n={n}: {dom.surjectivity_bound(n)} != {4 * n + 1}")
         # generalized Vandermonde: 2n generic factors, 8n+1 for every matrix
-        if not dom.lower_bound_linear([n] * (2 * n), n * n):
+        if dom.problem([fam.FamilySpec("vandermonde", n, s=1)] * (2 * n), n).param_dim < n * n:
             failures.append(f"vandermonde n={n}: 2n factors fail the linear count")
         if dom.surjectivity_bound(2 * n) != 8 * n + 1:
             failures.append(f"vandermonde n={n}: {dom.surjectivity_bound(2 * n)}"

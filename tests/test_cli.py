@@ -197,13 +197,49 @@ def test_decompose_unconverged_exits_4(tmp_path):
     assert doc["converged"] is False
 
 
+def _centro_file(tmp_path, n, seed):
+    rng = np.random.default_rng(seed)
+    A = fam.complex_gaussian(rng, n * n).reshape(n, n)
+    path = tmp_path / "centro.json"
+    path.write_text(json.dumps(mio.matrix_to_dict((A + A[::-1, ::-1]) / 2)))
+    return str(path)
+
+
 def test_decompose_infeasible_chain_is_an_error(tmp_path):
-    rng = np.random.default_rng(6)
-    T = fam.complex_gaussian(rng, 16).reshape(4, 4)
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(mio.matrix_to_dict(T)))
-    res = run_cli("decompose", "--in", str(path), "--chain", "toeplitz-sym,toeplitz-sym")
+    # one symmetric Toeplitz factor: 4 parameters for the 8-dimensional
+    # centrosymmetric 4x4 matrices
+    res = run_cli("decompose", "--in", _centro_file(tmp_path, 4, 6), "--chain", "toeplitz-sym")
     assert res.returncode == 1
+    assert "parameters cannot cover" in res.stderr
+
+
+def test_decompose_takes_no_target_option(tmp_path):
+    res = run_cli("decompose", "--in", _centro_file(tmp_path, 5, 8),
+                  "--chain", "toeplitz-sym,toeplitz-sym,toeplitz-sym", "--target", "centro")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "unrecognized arguments: --target centro" in res.stderr
+
+
+def test_decompose_names_the_space_its_chain_fits_in(tmp_path):
+    res = run_cli("decompose", "--in", _centro_file(tmp_path, 5, 9),
+                  "--chain", "hankel-persym,hankel-persym,hankel-persym")
+    assert res.returncode == 0, res.stderr
+    assert '"target": "centro"' in res.stdout
+    assert json.loads(res.stdout)["problem"]["target"] == "centro"
+
+
+def test_decompose_refuses_a_target_outside_the_chain_space(tmp_path):
+    """Products of orthogonal factors lie in SO(3): a generic target is
+    refused with a message naming the space, and no fit is printed."""
+    rng = np.random.default_rng(10)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(mio.matrix_to_dict(fam.complex_gaussian(rng, 9).reshape(3, 3))))
+    res = run_cli("decompose", "--in", str(path), "--chain", "orthogonal,orthogonal,orthogonal")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: target does not lie in the orthogonal space of the chain's products"]
 
 
 def test_decompose_member_target_with_a_nonlinear_later_factor(tmp_path):

@@ -95,8 +95,6 @@ _INTEGER_ARGUMENTS = {
     "FitOptions-seed": (lambda v: FitOptions(seed=v), 0),
     "decompose_centrosymmetric-r": (lambda v: decompose_centrosymmetric(_centro_target(5, 50), r=v), 1),
     "unit_root-n": (lambda v: vm.unit_root(v), 1),
-    "lower_bound_linear-target_dim": (lambda v: dom.lower_bound_linear([3, 3], v), 0),
-    "lower_bound_linear-dims": (lambda v: dom.lower_bound_linear([3, v], 3), 0),
     "lower_bound_cone-m": (lambda v: dom.lower_bound_cone(v, 10), 2),
     "lower_bound_cone-target_dim": (lambda v: dom.lower_bound_cone(3, v), 1),
     "surjectivity_bound-r": (lambda v: dom.surjectivity_bound(v), 1),
@@ -135,10 +133,50 @@ def test_fit_chain_rejects_bad_targets():
 
 
 def test_fit_chain_raises_when_parameters_cannot_cover():
-    # 2 symmetric Toeplitz factors carry 8 parameters, a full 4x4 needs 16
-    prob = dom.problem(["toeplitz-sym"] * 2, 4)
+    # 1 symmetric Toeplitz factor carries 4 parameters, the centrosymmetric
+    # 4x4 matrices are 8-dimensional
+    prob = dom.problem(["toeplitz-sym"], 4)
     with pytest.raises(InfeasibleProblemError):
-        fit_chain(_random_target(4, 0), prob)
+        fit_chain(_centro_target(4, 0), prob)
+
+
+@pytest.mark.parametrize("kinds, n, target, space", [
+    pytest.param(["toeplitz-sym"] * 3, 5, lambda: _random_target(5, 90), "centro",
+                 id="toeplitz-sym-generic"),
+    pytest.param(["orthogonal"] * 3, 3, lambda: _random_target(3, 91), "orthogonal",
+                 id="orthogonal-generic"),
+    pytest.param(["skew-symmetric"] * 3, 3, lambda: _random_target(3, 92), "det",
+                 id="odd-skew-nonsingular"),
+    pytest.param(["orthogonal"] * 2, 3, lambda: -np.eye(3, dtype=complex), "orthogonal",
+                 id="orthogonal-minus-identity"),
+])
+def test_fit_chain_refuses_a_target_outside_its_space(monkeypatch, kinds, n, target, space):
+    """The space comes from the chain's families, not from the problem's
+    target tag, and a target outside it is refused before any restart
+    takes a step.  -I is a member of the orthogonal family's O(n) test,
+    but det(-I) = -1 at n = 3, and every product of Cayley images lies in
+    SO(n)."""
+    monkeypatch.setattr(solver, "_damped_step", lambda *a: pytest.fail("a restart took a step"))
+    with pytest.raises(NonMemberError, match=f"the {space} space"):
+        fit_chain(target(), dom.problem(kinds, n), FitOptions(restarts=2))
+
+
+@pytest.mark.parametrize("kinds, n, target", [
+    pytest.param(["toeplitz-sym"] * 3, 5, lambda: _centro_target(5, 93), id="toeplitz-sym-centro"),
+    pytest.param(["orthogonal"] * 2, 3,
+                 lambda: dom.chain_product([fam.sample_point(fam.FamilySpec("orthogonal", 3),
+                                                             rng_seed=seed)[1] for seed in (94, 95)]),
+                 id="orthogonal-product"),
+])
+def test_fit_chain_counts_parameters_against_its_chain_space(kinds, n, target):
+    """A problem built with the default full tag still fits in its chain's
+    space: 15 parameters cover the 13-dimensional centrosymmetric 5x5
+    matrices, and 6 the 3-dimensional SO(3), though neither covers all
+    n x n matrices (the count against n^2 refused both)."""
+    T = target()
+    chain = fit_chain(T, dom.problem(kinds, n))
+    assert chain.converged
+    np.testing.assert_allclose(chain.product(), T, atol=1e-7)
 
 
 def test_diagonal_target_in_one_bidiagonal_factor_is_exact():

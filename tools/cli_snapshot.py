@@ -93,11 +93,15 @@ COMMANDS = [
     ["decompose", "--in", "gauss4-a.json", "--chain", "lower,upper", "--seed", "0"],
     ["decompose", "--in", "gauss4-b.json", "--chain", "skew,skew,skew,skew,skew", "--seed", "1"],
     ["decompose", "--in", "centro5.json", "--chain", "toeplitz-sym,toeplitz-sym,toeplitz-sym",
-     "--target", "centro", "--seed", "2"],
+     "--seed", "2"],
     ["decompose", "--in", "gauss3.json", "--chain", "orthogonal,upper,lower", "--seed", "3"],
+    # targets outside the space of the chain's products, SO(3) and the
+    # singular matrices: refused before any restart, exit 1
+    ["decompose", "--in", "gauss3.json", "--chain", "orthogonal,orthogonal,orthogonal",
+     "--seed", "3"],
+    ["decompose", "--in", "gauss3.json", "--chain", "skew,skew,skew", "--seed", "3"],
     # the persymmetric Hankel decomposition of a centrosymmetric target, at odd r
-    ["decompose", "--in", "centro5.json", "--chain", "hankel-persym,hankel-persym,hankel-persym",
-     "--target", "centro"],
+    ["decompose", "--in", "centro5.json", "--chain", "hankel-persym,hankel-persym,hankel-persym"],
     # the shapes of the benchmark's cli workload
     ["verify", "--family", "skew", "--n", "8", "--r", "3", "--seed", "5"],
     # the orthogonal and companion shapes of the benchmark's certify workload
@@ -109,8 +113,7 @@ COMMANDS = [
     ["decompose", "--in", "gauss4-c.json", "--chain", "lower,upper", "--seed", "7"],
     # one seeded fit per kind of starting point a fit draws
     ["decompose", "--in", "gauss3.json", "--chain", "top,bottom", "--seed", "8"],
-    ["decompose", "--in", "centro3.json", "--chain", "hankel-persym,hankel-persym",
-     "--target", "centro", "--seed", "9"],
+    ["decompose", "--in", "centro3.json", "--chain", "hankel-persym,hankel-persym", "--seed", "9"],
     ["decompose", "--in", "gauss3.json", "--chain", "companion,companion,companion",
      "--seed", "10"],
     ["decompose", "--in", "gauss3.json",
@@ -133,7 +136,7 @@ COMMANDS = [
      "--seed", "1"],
     # the toeplitz-sym fit of centro5.json above, on the target scaled by 1e10
     ["decompose", "--in", "centro5-1e10.json", "--chain", "toeplitz-sym,toeplitz-sym,toeplitz-sym",
-     "--target", "centro", "--seed", "2"],
+     "--seed", "2"],
     # the skew fit of gauss4-b.json above, with options read from a file
     ["decompose", "--in", "gauss4-b.json", "--chain", "skew,skew,skew,skew,skew",
      "--opts", "opts-5x2.json", "--seed", "1"],
