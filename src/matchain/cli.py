@@ -29,7 +29,6 @@ from .dominance import (
     TARGET_DET,
     TARGET_FULL,
     TARGET_ORTHOGONAL,
-    chain_space,
     estimate_image_dimension,
     lower_bound_cone,
     problem,
@@ -131,7 +130,7 @@ def _cmd_decompose(args) -> int:
     if not specs:
         raise ParameterRangeError("--chain must list at least one family")
     opts = read_options(args.opts, seed=args.seed) if args.opts else FitOptions(seed=args.seed)
-    chain = fit_chain(T, problem(specs, n, chain_space(specs)), opts)
+    chain = fit_chain(T, problem(specs, n), opts)
     _emit(chain_to_dict(chain))
     if not chain.converged:
         print(f"did not converge: residual {chain.residual:.3e}", file=sys.stderr)

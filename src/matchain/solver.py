@@ -3,15 +3,18 @@
 fit_chain runs a Levenberg-damped Gauss-Newton iteration on the stacked
 factor parameters, minimizing || A_1(u_1) .. A_r(u_r) - T ||_F.  The
 residual is holomorphic in the parameters, so the step uses the plain
-complex Jacobian with conjugate transposes: each damping trial is one
-Householder QR of the damped least-squares problem (_damped_step), which
-never forms the normal equations.  Each restart's first damping is
-Marquardt's diagonal scale, the largest squared column norm of its first
-Jacobian, and the damping then follows the gain ratio of actual to predicted
-decrease (Nielsen 1999).  For a chain of cones the first damping and the
-damping ceiling scale with the target as the squared Jacobian does, so a
-fit of c T retraces the fit of T.  Restarts draw fresh initial chains from
-per-restart seeds and the best residual wins.
+complex Jacobian with conjugate transposes.  A damping trial solves the
+damped normal equations with the Gram matrix of J's smaller side, formed at
+most once per Jacobian, wherever the damping bounds their conditioning so
+that the solve's rounding bound is at most GRAM_TOL; every other trial is
+one Householder QR of the damped least-squares problem (_damped_step).
+Each restart's first damping is Marquardt's diagonal scale, the largest
+squared column norm of its first Jacobian, and the damping then follows the
+gain ratio of actual to predicted decrease (Nielsen 1999).  For a chain of
+cones the first damping and the damping ceiling scale with the target as
+the squared Jacobian does, so a fit of c T retraces the fit of T.  Restarts
+draw fresh initial chains from per-restart seeds and the best residual
+wins.
 
 decompose_bidiagonal builds its factors by LU without pivoting
 (companion.lu_nopivot) and Neville elimination of each triangle, with no
@@ -23,7 +26,7 @@ fit_chain itself, which refuses a target outside the chain's space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .companion import PIVOT_TOL, STATUS_UNIQUE, as_target, decompose_companion,
 from .dominance import (
     _SPACES,
     DecompositionProblem,
-    TARGET_CENTRO,
     chain_product,
     chain_space,
     jacobian,
@@ -49,7 +51,9 @@ from .errors import (
 RESIDUAL_TOL = 1e-8
 DAMPING_FLOOR = 1e-12
 DAMPING_CEIL = 1e12
+GRAM_TOL = 1e-6
 _FLOAT_MAX = float(np.finfo(float).max)
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
 @dataclass(frozen=True)
@@ -121,17 +125,49 @@ def _evaluate(prob: DecompositionProblem, theta: np.ndarray, tvec: np.ndarray):
     return factors, chain_product(factors).reshape(-1) - tvec
 
 
-def _damped_step(J, res, lam):
-    """The Levenberg step delta solving (J^H J + lam I) delta = -J^H res,
-    as the least-squares problem of the smaller of two equivalent forms:
+def _gram(J):
+    """G = K^H K, the k x k Gram matrix of K = J when J has no more columns
+    than rows, else K = J^H (k the smaller side of J)."""
+    return J @ J.conj().T if J.shape[0] < J.shape[1] else J.conj().T @ J
+
+
+def _gram_admits(shape, trace, lam):
+    """Whether a damping trial at lam may solve with the Gram matrix: its
+    rounding bound (N + k) u (trace G + lam) / lam is at most GRAM_TOL, for
+    J of the given shape, N its larger and k its smaller side, and u the
+    unit roundoff.  (trace G + lam) / lam = (||J||_F^2 + lam) / lam bounds the
+    condition number of G + lam I, and (N + k) u that number bounds the
+    relative error of forming G and solving with it (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., chs. 3 and 10).  A
+    non-finite or NaN trace is refused."""
+    return sum(shape) * _UNIT_ROUNDOFF * (trace + lam) / lam <= GRAM_TOL
+
+
+def _damped_step(J, res, lam, gram=None):
+    """The Levenberg step delta solving (J^H J + lam I) delta = -J^H res.
+
+    Given gram = _gram(J), and where _gram_admits the trial, one
+    np.linalg.solve with G + lam I gives delta = -J^H y, (J J^H + lam I) y =
+    res, when J has more columns than rows, else delta = -(G + lam I)^-1 J^H
+    res.  Every other trial solves the least-squares problem of the smaller
+    of two equivalent forms:
     [J; sqrt(lam) I] delta = [-res; 0] when J has no more columns than rows,
     else delta = -J^H y with [J^H; sqrt(lam) I] y = [0; res / sqrt(lam)].
     One QR of K = J or J^H with the right-hand side appended as its last
     column leaves Q^H b in the last column of R.  Back substitution on R
     runs in blocks of 64 columns, bottom block first: one np.linalg.solve
     on the triangular diagonal block (no row swaps) and one matvec that
-    updates the rows above it."""
+    updates the rows above it.  The QR keeps the conditioning of J, the
+    Gram solve squares it, which is why the damping must bound it; neither
+    step's accuracy certifies a fit, whose trials are accepted only on a
+    recomputed residual."""
     wide = J.shape[0] < J.shape[1]
+    if gram is not None and _gram_admits(J.shape, float(np.trace(gram).real), lam):
+        A = gram.copy()
+        A.flat[::len(A) + 1] += lam
+        if wide:
+            return -(np.linalg.solve(A, res).conj() @ J).conj()
+        return -np.linalg.solve(A, (res.conj() @ J).conj())
     K = J.conj().T if wide else J
     rows, k = K.shape
     root = np.sqrt(lam)
@@ -156,8 +192,15 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     """Fit a chain of structured factors to the target matrix T.
 
     Gauss-Newton with multiplicative Levenberg damping: each trial step
-    solves (J^H J + lambda I) delta = -J^H res by one QR of the damped
-    least-squares problem (_damped_step), so the conditioning is that of J.
+    solves (J^H J + lambda I) delta = -J^H res (_damped_step).  The first
+    trial of an iteration whose damping bounds the conditioning of the
+    damped normal equations (_gram_admits) forms the Gram matrix of J
+    (_gram), and it and every later trial of the iteration, whose damping
+    only grows, solve with it; the other trials take one QR of the damped
+    least-squares problem, whose conditioning is that of J.  The bound keeps
+    the Gram steps within about GRAM_TOL of the QR ones, but correctness
+    does not rest on it: a step is accepted only on its recomputed residual,
+    and converged is read from that residual.
     Each restart starts its damping at max_j ||J e_j||^2, the largest
     squared column norm of its first Jacobian (Marquardt's scale with
     tau = 1; Madsen, Nielsen and Tingleff, IMM DTU 2004), and stops once
@@ -185,7 +228,8 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     Before any restart, a T outside the chain's space (chain_space; the fit
     never reads prob.target) raises NonMemberError, and too few parameters
     for the space's dimension InfeasibleProblemError, unless T lies in the
-    chain's first family with identities after it.
+    chain's first family with identities after it.  The returned chain's
+    problem is prob with that space as its target.
     """
     opts = opts or FitOptions()
     T = as_target(T)
@@ -211,6 +255,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
     tscale = max(1.0, float(np.linalg.norm(T)))
     ceiling = min(DAMPING_CEIL * tscale ** (2 * (prob.r - 1) / prob.r), _FLOAT_MAX)
     tvec = T.reshape(-1)
+    fitted = replace(prob, target=space)
     best = None
     for restart in range(opts.restarts):
         if restart == 0 and start is not None:
@@ -239,9 +284,12 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
                 lam = float((np.abs(J) ** 2).sum(axis=0).max())
                 if not 0.0 < lam < np.inf:
                     break  # a zero or non-finite first Jacobian
+            gram, trace = None, float(np.linalg.norm(J)) ** 2
             grow = 2.0
             while lam <= ceiling:
-                delta = _damped_step(J, res, lam)
+                if gram is None and _gram_admits(J.shape, trace, lam):
+                    gram = _gram(J)
+                delta = _damped_step(J, res, lam, gram)
                 cand = theta + delta
                 try:
                     cand_factors, cand_res = _evaluate(prob, cand, tvec)
@@ -265,7 +313,7 @@ def fit_chain(T, prob: DecompositionProblem, opts: FitOptions | None = None,
         rel = res_norm / tscale
         if best is None or rel < best.residual:
             best = FactorChain(
-                problem=prob,
+                problem=fitted,
                 params=_split(prob, theta),
                 factors=factors,
                 residual=rel,
@@ -367,4 +415,4 @@ def decompose_centrosymmetric(T, opts: FitOptions | None = None,
     if n < 3:
         raise ParameterRangeError("centrosymmetric pipeline needs n >= 3")
     r = fam.require_int("r", n // 2 + 1 if r is None else r, 1)
-    return fit_chain(T, problem([fam.SYMMETRIC_TOEPLITZ] * r, n, TARGET_CENTRO), opts)
+    return fit_chain(T, problem([fam.SYMMETRIC_TOEPLITZ] * r, n), opts)

@@ -163,3 +163,12 @@ def test_problem_at_a_numpy_size_prints_the_same_json():
         return json.dumps(mio.report_to_dict(rep)), json.dumps(mio.chain_to_dict(chain))
 
     assert documents(np.int64(4)) == documents(4)
+
+
+def test_a_fitted_chain_names_the_space_it_ran_in():
+    """A chain document names the space of the chain's families, though the
+    problem was built with the default full tag."""
+    A = fam.complex_gaussian(np.random.default_rng(4), 25).reshape(5, 5)
+    chain = solver.fit_chain((A + A[::-1, ::-1]) / 2, dom.problem(["toeplitz-sym"] * 3, 5))
+    assert chain.converged
+    assert mio.chain_to_dict(chain)["problem"]["target"] == "centro"

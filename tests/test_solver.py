@@ -300,13 +300,14 @@ def test_unconverged_chain_is_reported_not_raised():
     assert chain.residual > 1e-8
 
 
-def _svd_step(J, res, lam):
-    """The Levenberg step from the SVD of J: -V sig/(sig^2 + lam) U^H res."""
+def _svd_step(J, res, lam, gram=None):
+    """The Levenberg step from the SVD of J: -V sig/(sig^2 + lam) U^H res.
+    It takes and ignores fit_chain's Gram matrix."""
     U, sig, Vh = np.linalg.svd(J, full_matrices=False)
     return -(Vh.conj().T @ (sig / (sig * sig + lam) * (U.conj().T @ res)))
 
 
-@pytest.mark.parametrize("chain, n, rank, lams, rtol", [
+_STEP_ROWS = [
     pytest.param(["skew-symmetric"] * 3, 8, 64, [1e-12, 1e-6, 1e-3, 1.0, 1e6], 1e-10,
                  id="wide-skew3-n8"),
     # k = 144 and 256 rows of R: the back substitution runs in 64-column blocks
@@ -326,7 +327,10 @@ def _svd_step(J, res, lam):
                  [1e-6, 1e-3, 1.0, 1e6], 1e-8, id="deficient-top-bottom-n3"),
     pytest.param(["skew-symmetric"] * 3, 5, 24, [1e-6, 1e-3, 1.0, 1e6], 1e-8,
                  id="deficient-skew3-n5"),
-])
+]
+
+
+@pytest.mark.parametrize("chain, n, rank, lams, rtol", _STEP_ROWS)
 def test_damped_step_matches_the_svd_formula(chain, n, rank, lams, rtol):
     prob = dom.problem(chain, n)
     T = _random_target(n, 40 + n)
@@ -339,6 +343,81 @@ def test_damped_step_matches_the_svd_formula(chain, n, rank, lams, rtol):
     for lam in lams:
         np.testing.assert_allclose(solver._damped_step(J, res, lam), _svd_step(J, res, lam),
                                    rtol=rtol, atol=0, err_msg=f"lambda {lam}")
+
+
+def _step_inputs(chain, n):
+    """The Jacobian and residual at the balanced start of a chain, seeded as
+    in test_damped_step_matches_the_svd_formula."""
+    prob = dom.problem(chain, n)
+    T = _random_target(n, 40 + n)
+    params = solver._initial_params(prob, T, np.random.default_rng(n))
+    factors = [fam.parameterize(spec, u) for spec, u in zip(prob.factors, params)]
+    J = dom.jacobian(factors, [fam.tangent_basis(spec, u) for spec, u in zip(prob.factors, params)])
+    return J, (dom.chain_product(factors) - T).reshape(-1)
+
+
+@pytest.mark.parametrize("chain, n, rank, lams, rtol", _STEP_ROWS)
+def test_gram_step_matches_the_svd_formula_where_the_bound_admits_it(chain, n, rank, lams, rtol):
+    """Wherever the damping bounds the Gram solve's rounding error, that
+    solve is as accurate as the QR, rank-deficient Jacobians included."""
+    J, res = _step_inputs(chain, n)
+    gram = solver._gram(J)
+    assert gram.shape == (min(J.shape),) * 2
+    admitted = [lam for lam in lams
+                if solver._gram_admits(J.shape, float(np.trace(gram).real), lam)]
+    assert admitted
+    for lam in admitted:
+        np.testing.assert_allclose(solver._damped_step(J, res, lam, gram), _svd_step(J, res, lam),
+                                   rtol=rtol, atol=0, err_msg=f"lambda {lam}")
+
+
+def test_a_damping_below_the_bound_takes_the_qr_step():
+    J, res = _step_inputs(["skew-symmetric"] * 3, 16)
+    gram = solver._gram(J)
+    assert not solver._gram_admits(J.shape, float(np.trace(gram).real), 1e-12)
+    assert np.array_equal(solver._damped_step(J, res, 1e-12, gram),
+                          solver._damped_step(J, res, 1e-12))
+
+
+@pytest.mark.parametrize("trace", [np.inf, np.nan])
+def test_the_gram_bound_refuses_a_trace_that_is_not_finite(trace):
+    assert not solver._gram_admits((16, 18), trace, 1.0)
+
+
+def test_a_fit_forms_one_gram_matrix_per_jacobian(monkeypatch):
+    """Each iteration of this fit forms its Gram matrix once, and the trials
+    that follow a rejected one reuse it."""
+    counts = {"jacobian": 0, "_gram": 0, "_damped_step": 0}
+
+    def count(name):
+        fn = getattr(solver, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(solver, name, counted)
+
+    for name in counts:
+        count(name)
+    chain = fit_chain(_random_target(4, 70),
+                      dom.problem(["bidiagonal-lower", "bidiagonal-upper"] * 4, 4),
+                      FitOptions(restarts=1, seed=0))
+    assert chain.converged
+    assert counts["_gram"] == counts["jacobian"] == chain.iterations
+    assert counts["_damped_step"] > counts["_gram"]
+
+
+def test_gram_steps_keep_a_fit_on_the_qr_path(monkeypatch):
+    """The fit-large benchmark's fit: skew x3 at n = 16, 12 iterations from
+    one seeded start.  With no Gram matrix every trial is a QR step."""
+    T = _random_target(16, 16)
+    prob = dom.problem(["skew-symmetric"] * 3, 16)
+    opts = FitOptions(max_iterations=12, restarts=1, seed=16)
+    gram = fit_chain(T, prob, opts)
+    monkeypatch.setattr(solver, "_gram", lambda J: None)
+    qr = fit_chain(T, prob, opts)
+    assert gram.iterations == qr.iterations == 12
+    np.testing.assert_allclose(gram.residual, qr.residual, rtol=1e-6)
 
 
 @pytest.mark.parametrize("chain, n", [
@@ -471,9 +550,9 @@ def test_fit_rejects_a_degenerate_trial_and_doubles_the_damping(monkeypatch):
     lams = []
     step = solver._damped_step
 
-    def recorded(J, res, lam):
+    def recorded(J, res, lam, gram=None):
         lams.append(lam)
-        return step(J, res, lam)
+        return step(J, res, lam, gram)
 
     monkeypatch.setattr(solver, "_damped_step", recorded)
     _fail_parameterize_call(monkeypatch, 7)
